@@ -6,18 +6,19 @@
 * **work-optimality scaling** — per-state metered work as the thread count
   grows: the paper's ``O(n²·i(P))`` bound shows up as sub-quadratic growth
   of work/states in ``n``;
-* **multiprocessing backend** — the real process-pool counting path
-  (correctness + wall time; true speedup needs a multicore host);
+* **multiprocessing backend** — the dist backend with two local worker
+  processes (correctness + wall time; true speedup needs a multicore
+  host);
 * **distributed protocols** — enumeration and modeled speedup over the
   message-passing substrate's posets.
 """
 
 import pytest
 
-from repro.core.mp import paramount_count_multiprocessing
 from repro.core.online import OnlineParaMount
 from repro.core.paramount import ParaMount
 from repro.core.simulated import simulate_schedule
+from repro.dist import DistributedExecutor
 from repro.distsim import DistributedSystem, poset_from_run
 from repro.distsim.protocols import dist_mutex, ring_election
 from repro.experiments.config import COST_MODEL
@@ -86,7 +87,7 @@ def test_multiprocessing_backend(benchmark):
     serial = ParaMount(poset).run()
 
     def run():
-        return paramount_count_multiprocessing(poset, workers=2, chunk_size=8)
+        return ParaMount(poset, executor=DistributedExecutor(workers=2)).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.states == serial.states

@@ -11,8 +11,8 @@
 * :mod:`repro.core.scheduling` — adaptive task shaping between the
   partition and the executors: Figure-6a recursive splitting,
   largest-first dispatch, and the weights work-stealing backends use;
-* :mod:`repro.core.executors` — serial / thread-pool (plain and
-  work-stealing) / process-pool backends;
+* :mod:`repro.core.executors` — serial and thread-pool (plain and
+  work-stealing) backends; process parallelism is :mod:`repro.dist`;
 * :mod:`repro.core.simulated` — the deterministic parallel-machine cost
   model used to regenerate the paper's speedup figures on a GIL-bound
   single-core interpreter (see DESIGN.md §3);
@@ -22,7 +22,6 @@
 from repro.core.bounded import bounded_enumeration
 from repro.core.executors import (
     Executor,
-    ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
     ThreadExecutor,
@@ -64,7 +63,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "WorkStealingThreadExecutor",
-    "ProcessExecutor",
     "RetryPolicy",
     "SchedulePolicy",
     "SchedulePlan",

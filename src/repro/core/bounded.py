@@ -36,8 +36,8 @@ def make_bounded_subroutine(
     (B-Para) or ``"dfs"`` (validation).  ``memory_budget`` caps the
     subroutine's live intermediate states, modeling a bounded heap.
 
-    Subroutines travel by *name* through every executor (mp workers and
-    dist hosts re-instantiate from the name plus the shipped poset); the
+    Subroutines travel by *name* through every executor (dist workers
+    re-instantiate from the name plus the shipped poset); the
     packed subroutines convert interval bounds to their flat-array form
     inside ``enumerate_interval``, so neither closures nor packed tables
     ever cross the wire.

@@ -10,39 +10,34 @@ order (Algorithm 1).  We provide:
   identical to the paper's setup; on CPython the GIL serializes the compute
   so it demonstrates correctness under concurrency, not speedup (the
   speedup experiments use :mod:`repro.core.simulated` — DESIGN.md §3);
-* :class:`ProcessExecutor` — a process pool for true parallelism when the
-  per-task payload is picklable (no shared visitor callbacks).
+* :class:`WorkStealingThreadExecutor` — the thread pool with per-worker
+  deques and largest-first stealing.
+
+True process parallelism is :class:`repro.dist.DistributedExecutor`, which
+leases interval descriptors to local or remote worker processes.
 
 All executors preserve task order in the returned list, so per-interval
 statistics line up with the ``→p`` order regardless of backend.
 
 Failure model (see DESIGN.md §"Fault model and recovery"): exceptions
-raised *by* a task propagate unchanged; infrastructure failures — a hung
-gather, a dead worker process, an unpicklable payload — surface as typed
-:class:`~repro.errors.ExecutorError` subclasses so callers can retry or
-degrade.  :class:`RetryPolicy` is the shared bounded-retry/backoff
-schedule used by :class:`repro.resilience.ResilientExecutor` and
-:func:`repro.core.mp.paramount_count_multiprocessing`.
+raised *by* a task propagate unchanged; infrastructure failures — such as
+a hung gather — surface as typed :class:`~repro.errors.ExecutorError`
+subclasses so callers can retry or degrade.  :class:`RetryPolicy` is the
+bounded-retry/backoff schedule of
+:class:`repro.resilience.ResilientExecutor`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
-import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Sequence, TypeVar
 
-from repro.errors import (
-    BrokenPoolError,
-    ExecutorTimeoutError,
-    TaskNotPicklableError,
-)
+from repro.errors import ExecutorTimeoutError
 from repro.util.log import get_logger
 from repro.util.rng import DeterministicRng, derive_seed
 
@@ -54,7 +49,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "WorkStealingThreadExecutor",
-    "ProcessExecutor",
 ]
 
 T = TypeVar("T")
@@ -363,67 +357,3 @@ class WorkStealingThreadExecutor(ThreadExecutor):
         if errors:
             raise errors[0]
         return [results[i] for i in range(n)]  # type: ignore[misc]
-
-
-class ProcessExecutor(Executor):
-    """A process pool for GIL-free parallelism.
-
-    Tasks must be picklable top-level callables; enumeration visitors
-    cannot cross the process boundary, so this backend suits counting and
-    self-contained predicate evaluation (the task returns its findings).
-    Worker count defaults to the machine's CPU count.
-
-    Infrastructure failures are translated into typed errors:
-    a dead worker (crash, OOM kill, failed initializer) raises
-    :class:`~repro.errors.BrokenPoolError`; an unpicklable task raises
-    :class:`~repro.errors.TaskNotPicklableError`; a gather timeout raises
-    :class:`~repro.errors.ExecutorTimeoutError`.  Exceptions raised *by*
-    tasks propagate unchanged.
-    """
-
-    name = "processes"
-
-    def __init__(self, num_workers: int = 0, task_timeout: Optional[float] = None):
-        super().__init__(num_workers=num_workers or os.cpu_count() or 1)
-        #: Per-task gather timeout in seconds (``None`` = wait forever).
-        self.task_timeout = task_timeout
-
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        if not tasks:
-            return []
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.num_workers)
-        results: List[T] = []
-        abandoned = False
-        try:
-            futures = [pool.submit(task) for task in tasks]
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result(timeout=self.task_timeout))
-                except concurrent.futures.TimeoutError:
-                    abandoned = True
-                    raise ExecutorTimeoutError(
-                        index, self.task_timeout or 0.0, executor=self.name
-                    ) from None
-                except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                    # CPython reports unpicklable payloads inconsistently:
-                    # PicklingError, or AttributeError/TypeError with a
-                    # "Can't pickle ..." message from the queue feeder.
-                    if (
-                        isinstance(exc, pickle.PicklingError)
-                        or "pickle" in str(exc).lower()
-                    ):
-                        raise TaskNotPicklableError(index, exc) from exc
-                    raise
-                except BrokenProcessPool as exc:
-                    abandoned = True
-                    raise BrokenPoolError(
-                        f"the process pool broke while awaiting task {index} "
-                        f"(a worker died: crashed, OOM-killed, or failed in "
-                        f"its initializer); resubmit the unfinished tasks on "
-                        f"a fresh pool or degrade to threads/serial"
-                    ) from exc
-        finally:
-            # A hung or dead pool must not block shutdown; a healthy one
-            # may be reaped synchronously.
-            pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
-        return results

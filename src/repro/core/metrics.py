@@ -87,8 +87,9 @@ class TaskFailure:
 class DegradationEvent:
     """One step down a graceful-degradation ladder.
 
-    ``kind`` is ``"executor"`` (e.g. a broken process pool stepping
-    ``processes → threads → serial``) or ``"subroutine"`` (a BFS interval
+    ``kind`` is ``"executor"`` (e.g. a thread pool that keeps timing out
+    stepping ``threads → serial``, or a distributed run with no workers
+    left finishing in-process) or ``"subroutine"`` (a BFS interval
     exceeding its memory budget falling back to bounded lexical).
     """
 
@@ -184,8 +185,8 @@ class ParaMountResult:
         otherwise packs ``tasks`` (falling back to ``intervals``) onto
         ``workers`` bins with the same greedy largest-first list scheduling
         the executors use — by each task's *measured* ``seconds`` when
-        every task carries one (the serial, thread, and mp paths all time
-        tasks via the driver's injected clock), by modeled ``work`` only
+        every task carries one (the serial and thread paths time tasks via
+        the driver's injected clock, dist workers time their own), by modeled ``work`` only
         for records that predate the timing fix (e.g. old checkpoints).
         """
         loads = [x for x in self.worker_load if x > 0]

@@ -21,9 +21,9 @@ many workers run.  This module is the scheduling layer between
   so the critical-path interval starts immediately instead of landing
   last in FIFO order (classic LPT list scheduling);
 * **work stealing** is performed by the executors
-  (:class:`~repro.core.executors.WorkStealingThreadExecutor`, and chunk
-  re-splitting in :mod:`repro.core.mp`); this module supplies the task
-  weights they steal by.
+  (:class:`~repro.core.executors.WorkStealingThreadExecutor`, and the
+  :mod:`repro.dist` lease table, which re-dispatches reclaimed leases
+  heaviest first); this module supplies the task weights they use.
 
 Sub-intervals keep their parent's ``event`` identity, so per-event
 statistics, checkpoint identity (journal records are keyed by
@@ -52,7 +52,6 @@ __all__ = [
     "split_interval",
     "validate_split",
     "plan_schedule",
-    "balance_chunks",
 ]
 
 #: Schedule names accepted by ``ParaMount(schedule=...)`` and the CLI.
@@ -318,22 +317,3 @@ def plan_schedule(
         split_intervals=split_intervals,
         parts_of=parts_of,
     )
-
-
-def balance_chunks(
-    items: Sequence, weights: Sequence[int], num_chunks: int
-) -> List[List]:
-    """Greedy LPT binning of weighted items into at most ``num_chunks``
-    chunks, returned heaviest-first (the mp backend's largest-first
-    dispatch unit).  Empty chunks are dropped."""
-    if num_chunks < 1:
-        raise ValueError(f"num_chunks must be ≥ 1, got {num_chunks}")
-    bins: List[List] = [[] for _ in range(num_chunks)]
-    loads = [0] * num_chunks
-    order = sorted(range(len(items)), key=lambda i: -weights[i])
-    for i in order:
-        k = loads.index(min(loads))
-        bins[k].append(items[i])
-        loads[k] += weights[i]
-    paired = sorted(zip(loads, range(num_chunks)), key=lambda p: -p[0])
-    return [bins[k] for load, k in paired if bins[k]]

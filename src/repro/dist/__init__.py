@@ -6,7 +6,8 @@ distributed executor needs.  This package composes the existing building
 blocks — :func:`~repro.core.scheduling.plan_schedule`,
 :class:`~repro.resilience.checkpoint.CheckpointJournal` as the commit log,
 the typed :class:`~repro.errors.ExecutorError` hierarchy, and the
-observability facade — into a multi-host runtime:
+observability facade — into repro's one process backend, for
+local worker processes and remote hosts alike:
 
 * :mod:`repro.dist.wire` — length-prefixed JSON/pickle frames over stdlib
   sockets, plus seeded wire-level fault injection;
@@ -16,10 +17,11 @@ observability facade — into a multi-host runtime:
   descriptors to workers, re-dispatches expired leases, commits
   acknowledgements to the journal;
 * :mod:`repro.dist.worker` — connects, verifies the poset digest,
-  enumerates leased intervals, acknowledges results;
+  enumerates leased intervals, acknowledges results; starts local
+  worker processes with :mod:`multiprocessing`;
 * :mod:`repro.dist.executor` — :class:`DistributedExecutor`, pluggable
   into :class:`~repro.core.paramount.ParaMount` like any other executor,
-  degrading to in-process execution when no workers remain.
+  running in-process whatever no worker finished.
 """
 
 from repro.dist.coordinator import Coordinator

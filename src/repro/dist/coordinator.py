@@ -62,6 +62,24 @@ def _key_from_wire(obj: Dict[str, Any]) -> TaskKey:
     return (tuple(obj["event"]), tuple(obj["lo"]), tuple(obj["hi"]))
 
 
+def _shutdown_and_close(sock: socket.socket) -> None:
+    """Close ``sock`` so that every holder notices at once.
+
+    ``shutdown`` acts on the socket itself rather than on this process's
+    descriptor: it wakes a thread blocked in ``accept``/``recv`` on it,
+    and the peer sees end-of-stream even while a forked local worker
+    still holds an inherited copy of the descriptor.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut down
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class Coordinator:
     """Coordinates one distributed enumeration run.
 
@@ -117,6 +135,9 @@ class Coordinator:
         self._workers: Dict[str, socket.socket] = {}
         self._draining = False
         self._closing = False
+        #: set once ``execute`` has registered the task list; earlier
+        #: lease requests wait for it instead of being drained
+        self._executing = False
         self._ever_connected = False
         self._last_worker_at = time.monotonic()
         #: permanent task failures: key -> (attempts, error string, worker)
@@ -169,10 +190,8 @@ class Coordinator:
             self._closing = True
             self._cond.notify_all()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # close() alone does not wake the thread blocked in accept()
+            _shutdown_and_close(self._listener)
         with self._cond:
             conns = list(self._workers.values())
         for conn in conns:
@@ -180,10 +199,7 @@ class Coordinator:
                 send_message(conn, {"type": "shutdown"})
             except (WireError, ConnectionClosedError, OSError):
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _shutdown_and_close(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
         for t in self._reader_threads:
@@ -211,6 +227,8 @@ class Coordinator:
             self.table.add_tasks(keys, weights)
             for key, stats in (completed or {}).items():
                 self.table.mark_committed(key, stats)
+            self._executing = True
+            self._cond.notify_all()
             self._last_worker_at = time.monotonic()
             while True:
                 if self._closing:
@@ -441,6 +459,8 @@ class Coordinator:
 
     def _handle_request(self, conn: socket.socket, name: str) -> None:
         with self._cond:
+            while not (self._executing or self._closing):
+                self._cond.wait()
             if self._closing or self._draining or self._all_resolved():
                 reply: Dict[str, Any] = {"type": "drain"}
             else:
@@ -541,10 +561,7 @@ class Coordinator:
             )
 
     def _drop_worker(self, name: str, conn: socket.socket) -> None:
-        try:
-            conn.close()
-        except OSError:
-            pass
+        _shutdown_and_close(conn)
         with self._cond:
             if self._workers.get(name) is conn:
                 del self._workers[name]

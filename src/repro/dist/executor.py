@@ -13,12 +13,14 @@ hook (poset, subroutine, memory budget, journal, deadline), mirroring how
 it wires ``executor.observer`` today.
 
 Degradation: when every remote worker is lost (or none ever connects),
-the coordinator returns the undone tasks and this executor runs their
-*original closures* on the in-process fallback (serial by default) —
-those closures journal and observe themselves, so the degraded tail is
-indistinguishable from a normal local run.  The step is recorded as an
-``"executor"`` :class:`~repro.core.metrics.DegradationEvent` and drained
-into the result like the resilience ladder's.
+the coordinator returns the undone tasks, and tasks that failed on every
+remote attempt come back as failures; this executor runs the *original
+closures* of both on the in-process fallback (serial by default).
+Those closures journal and observe themselves — and apply the driver's
+``degrade_on_oom`` — so the degraded tail is indistinguishable from a
+normal local run.  The step is recorded as an ``"executor"``
+:class:`~repro.core.metrics.DegradationEvent`; only a task the fallback
+cannot run either becomes a :class:`~repro.core.metrics.TaskFailure`.
 """
 
 from __future__ import annotations
@@ -48,9 +50,11 @@ class DistributedExecutor(Executor):
         Planned parallelism; with ``spawn=True`` (default) also the number
         of local worker processes to start per run.
     spawn:
-        Start ``workers`` local worker subprocesses for each ``map_tasks``
-        call.  With ``spawn=False`` the executor only listens — workers
-        are started externally with ``repro-tools worker --connect``.
+        Start ``workers`` local worker processes
+        (:func:`~repro.dist.worker.spawn_local_workers`) for each
+        ``map_tasks`` call.  With ``spawn=False`` the executor only
+        listens — workers are started externally with
+        ``repro-tools worker --connect``.
     wire_faults / fault_workers:
         Seeded :class:`~repro.dist.wire.WireFaults` injected into the
         first ``fault_workers`` spawned workers (the victim/survivor
@@ -59,7 +63,7 @@ class DistributedExecutor(Executor):
         Acknowledgement deadline per leased interval; crashed, hung, or
         partitioned workers are detected within one lease period.
     fallback:
-        In-process executor for tasks no remote worker could run
+        In-process executor for tasks no remote worker ran to completion
         (default :class:`~repro.core.executors.SerialExecutor`).
     poset_path:
         Optional poset file for spawned workers to load themselves
@@ -79,7 +83,6 @@ class DistributedExecutor(Executor):
         fault_workers: int = 1,
         fallback: Optional[Executor] = None,
         poset_path: Optional[Path] = None,
-        worker_args: Optional[List[str]] = None,
         http_port: Optional[int] = None,
     ):
         self.workers = workers
@@ -93,7 +96,6 @@ class DistributedExecutor(Executor):
         self.fault_workers = fault_workers
         self.fallback = fallback
         self.poset_path = poset_path
-        self.worker_args = worker_args
         #: ``None`` disables the coordinator's ops endpoint; ``0`` = any port.
         self.http_port = http_port
         #: Wired by the ParaMount driver (like every executor's).
@@ -109,8 +111,6 @@ class DistributedExecutor(Executor):
         self._degradations: List[DegradationEvent] = []
         self.last_redispatches = 0
         self.last_leases_expired = 0
-        self.last_duplicate_acks = 0
-        self.last_stale_acks = 0
         self.last_hosts: List[str] = []
         self.last_deadline_expired = False
         #: The last run's coordinator (tests inspect its lease table).
@@ -188,7 +188,6 @@ class DistributedExecutor(Executor):
                     poset_path=self.poset_path,
                     wire_faults=self.wire_faults,
                     fault_workers=self.fault_workers,
-                    worker_args=self.worker_args,
                 )
             committed, undone = coord.execute(
                 keys, weights, deadline_at=self._deadline_at
@@ -196,30 +195,18 @@ class DistributedExecutor(Executor):
         finally:
             coord.stop()
             for proc in procs:
-                try:
-                    proc.wait(timeout=5.0)
-                except Exception:  # noqa: BLE001 - reap best-effort
+                proc.join(timeout=5.0)
+                if proc.is_alive():  # e.g. still asleep in a hang fault
                     proc.kill()
+                    proc.join()
         counters = coord.robustness_counters()
         self.last_redispatches = counters["redispatches"]
         self.last_leases_expired = counters["leases_expired"]
-        self.last_duplicate_acks = counters["duplicate_acks"]
-        self.last_stale_acks = counters["stale_acks"]
         self.last_hosts = list(coord.hosts)
         self.last_deadline_expired = False
-        index_of = {key: i for i, key in enumerate(keys)}
-        for key, (attempts, error, worker) in coord.failures.items():
-            self._failures.append(
-                TaskFailure(
-                    task_index=index_of[key],
-                    attempts=attempts,
-                    error=error,
-                    executor=f"{self.name}:{worker}",
-                )
-            )
         results: List[Optional[T]] = [committed.get(key) for key in keys]
-        undone_set = set(undone)
-        if not undone_set:
+        rerun = set(undone) | set(coord.failures)
+        if not rerun:
             return results  # type: ignore[return-value]
         deadline_hit = (
             self._deadline_at is not None
@@ -228,18 +215,30 @@ class DistributedExecutor(Executor):
         if deadline_hit:
             # drained what we could; the rest is abandoned, not degraded
             self.last_deadline_expired = True
+            for i, key in enumerate(keys):
+                if key in coord.failures:
+                    attempts, error, worker = coord.failures[key]
+                    self._failures.append(
+                        TaskFailure(
+                            task_index=i,
+                            attempts=attempts,
+                            error=error,
+                            executor=f"{self.name}:{worker}",
+                        )
+                    )
             return results  # type: ignore[return-value]
-        # no workers left: run the original closures in-process
+        # run the original closures in-process
         fallback = self.fallback if self.fallback is not None else SerialExecutor()
-        idxs = [i for i, key in enumerate(keys) if key in undone_set]
+        idxs = [i for i, key in enumerate(keys) if key in rerun]
         self._degradations.append(
             DegradationEvent(
                 kind="executor",
                 from_name=self.name,
                 to_name=fallback.name,
                 reason=(
-                    f"{len(idxs)} interval(s) undone with no remote "
-                    f"workers remaining"
+                    f"{len(undone)} interval(s) undone with no remote "
+                    f"workers remaining, {len(coord.failures)} failed on "
+                    f"every remote attempt"
                 ),
             )
         )
@@ -247,7 +246,31 @@ class DistributedExecutor(Executor):
             self.observer.instant(
                 "degrade_executor", "dist", undone=len(idxs), to=fallback.name
             )
-        local = fallback.map_tasks([tasks[i] for i in idxs])
-        for i, stats in zip(idxs, local):
-            results[i] = stats
+        local = fallback.map_tasks([_capture_errors(tasks[i]) for i in idxs])
+        for i, (stats, error) in zip(idxs, local):
+            if error is None:
+                results[i] = stats
+                continue
+            self._failures.append(
+                TaskFailure(
+                    task_index=i,
+                    attempts=coord.table.attempts.get(keys[i], 0) + 1,
+                    error=error,
+                    executor=fallback.name,
+                )
+            )
         return results  # type: ignore[return-value]
+
+
+def _capture_errors(task: Callable[[], T]) -> Callable[[], tuple]:
+    """Wrap ``task`` to return ``(result, None)`` or ``(None, error)``."""
+
+    def run() -> tuple:
+        try:
+            return task(), None
+        except Exception as exc:  # recorded as a TaskFailure
+            return None, f"{type(exc).__name__}: {exc}"
+
+    # work-stealing fallbacks deal by weight
+    run.weight = getattr(task, "weight", 1)  # type: ignore[attr-defined]
+    return run

@@ -296,7 +296,7 @@ class WireFaults:
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def spec_string(self) -> str:
-        """Round-trippable CLI form (for spawning worker subprocesses)."""
+        """Round-trippable CLI form (``repro-tools worker --wire-faults``)."""
         default = WireFaults()
         parts = [f"seed={self.seed}"]
         for name in (

@@ -24,9 +24,9 @@ as in-process runs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
-import subprocess
 import sys
 import threading
 import time
@@ -43,7 +43,7 @@ from repro.dist.wire import (
     send_message,
 )
 from repro.errors import ConnectionClosedError, ReproError, StaleDigestError
-from repro.poset.io import poset_from_dict
+from repro.poset.io import load_poset, poset_from_dict
 from repro.poset.poset import Poset
 from repro.resilience.checkpoint import poset_digest
 
@@ -309,40 +309,49 @@ def spawn_local_workers(
     poset_path: Optional[Path] = None,
     wire_faults: Optional[WireFaults] = None,
     fault_workers: int = 1,
-    worker_args: Optional[List[str]] = None,
     name_prefix: str = "host",
-) -> List[subprocess.Popen]:
-    """Start ``n`` worker subprocesses connected to ``address``.
+) -> List[multiprocessing.Process]:
+    """Start ``n`` local worker processes connected to ``address``.
+
+    Each child runs :func:`run_worker` under the platform's default
+    :mod:`multiprocessing` start method; a forked child shares the
+    parent's imported modules, so it starts in milliseconds rather than
+    re-importing the package.  With ``poset_path`` the child loads that
+    file itself, so the coordinator's stale-digest handshake applies;
+    otherwise the poset arrives in the welcome message.
 
     Only the first ``fault_workers`` processes receive ``wire_faults`` —
     the victim/survivor split every recovery test needs.  Workers are
     named ``host0 … hostN-1`` so traces get one lane per simulated host.
     """
-    import repro
-
-    procs: List[subprocess.Popen] = []
-    env = dict(os.environ)
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        src_root + os.pathsep + existing if existing else src_root
-    )
+    procs: List[multiprocessing.Process] = []
     for i in range(n):
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.tools",
-            "worker",
-            "--connect",
-            f"{address[0]}:{address[1]}",
-            "--name",
-            f"{name_prefix}{i}",
-        ]
-        if poset_path is not None:
-            cmd += ["--poset", str(poset_path)]
-        if wire_faults is not None and wire_faults.active and i < fault_workers:
-            cmd += ["--wire-faults", wire_faults.spec_string()]
-        if worker_args:
-            cmd += list(worker_args)
-        procs.append(subprocess.Popen(cmd, env=env))
+        faults = wire_faults if i < fault_workers else None
+        proc = multiprocessing.Process(
+            target=_local_worker,
+            args=(address, f"{name_prefix}{i}", poset_path, faults),
+            name=f"dist-worker-{name_prefix}{i}",
+            daemon=True,
+        )
+        proc.start()
+        procs.append(proc)
     return procs
+
+
+def _local_worker(
+    address: Tuple[str, int],
+    name: str,
+    poset_path: Optional[Path],
+    wire_faults: Optional[WireFaults],
+) -> None:
+    """Child-process body of :func:`spawn_local_workers`; exits with the
+    ``repro-tools worker`` codes (0 drained, 1 lost, 3 stale digest)."""
+    poset = load_poset(poset_path) if poset_path is not None else None
+    try:
+        code = run_worker(address, name=name, poset=poset, wire_faults=wire_faults)
+    except StaleDigestError as exc:
+        print(f"worker {name} refused: {exc}", file=sys.stderr)
+        code = 3
+    except OSError:  # the run ended before this worker could connect
+        code = 1
+    sys.exit(code)

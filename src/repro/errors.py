@@ -24,8 +24,6 @@ __all__ = [
     "SanitizerError",
     "ExecutorError",
     "ExecutorTimeoutError",
-    "BrokenPoolError",
-    "TaskNotPicklableError",
     "InjectedFaultError",
     "CheckpointError",
     "WireError",
@@ -122,10 +120,10 @@ class OutOfMemoryError(ReproError):
         self.budget = budget
 
     def __reduce__(self):
-        # Raised inside process-pool workers (a BFS interval over budget)
-        # and pickled back to the parent; the default exception reduction
-        # replays __init__ with the formatted message only, which would
-        # kill the pool instead of reporting the OOM.
+        # Raised inside dist workers (a BFS interval over budget) and
+        # pickled into the task-error message; the default exception
+        # reduction replays __init__ with the formatted message only,
+        # which fails to unpickle instead of reporting the OOM.
         return (OutOfMemoryError, (self.used, self.budget))
 
 
@@ -169,8 +167,7 @@ class ExecutorError(ReproError):
 
     Theorem 2 makes every interval task idempotent, so all of these are
     safely retryable by re-running the affected tasks (see
-    :mod:`repro.resilience`); ``BrokenPoolError`` additionally requires a
-    fresh pool, and ``TaskNotPicklableError`` requires a different backend.
+    :mod:`repro.resilience` and :mod:`repro.dist`).
     """
 
 
@@ -198,47 +195,10 @@ class ExecutorTimeoutError(ExecutorError):
         self.executor = executor
 
     def __reduce__(self):
-        # Shipped across process pools and the dist wire; the default
+        # Shipped across the dist wire; the default
         # reduction replays __init__ with the formatted message only,
         # losing the task index the retry logic charges.
         return (ExecutorTimeoutError, (self.task_index, self.timeout, self.executor))
-
-
-class BrokenPoolError(ExecutorError):
-    """Raised when a process pool died underneath its tasks — a worker was
-    OOM-killed, crashed the interpreter, or failed in its initializer.
-
-    The pending results are lost but every interval task is idempotent, so
-    the correct response is to resubmit the unfinished tasks on a fresh
-    pool, or to degrade to a thread/serial backend
-    (:class:`repro.resilience.ResilientExecutor` does both).
-    """
-
-
-class TaskNotPicklableError(ExecutorError):
-    """Raised when a task cannot cross the process boundary.
-
-    Retrying cannot help; switching backends can — the same task runs fine
-    on :class:`~repro.core.executors.ThreadExecutor` or
-    :class:`~repro.core.executors.SerialExecutor`.
-    """
-
-    def __init__(self, task_index: int, cause):
-        super().__init__(
-            f"task {task_index} is not picklable ({cause}); ProcessExecutor "
-            f"needs top-level callables — wrap per-task state with "
-            f"functools.partial over a module-level function, or run on "
-            f"ThreadExecutor/SerialExecutor instead"
-        )
-        #: Index of the unpicklable task within the submitted batch.
-        self.task_index = task_index
-        #: Human-readable description of the original pickling failure.
-        self.cause = str(cause)
-
-    def __reduce__(self):
-        # The original cause exception may itself be unpicklable, so the
-        # reduction ships its string form instead.
-        return (TaskNotPicklableError, (self.task_index, self.cause))
 
 
 class InjectedFaultError(ExecutorError):
@@ -257,9 +217,9 @@ class InjectedFaultError(ExecutorError):
         self.attempt = attempt
 
     def __reduce__(self):
-        # Pickled across the process-pool result queue; the default
-        # exception reduction would replay __init__ with the formatted
-        # message only and crash the pool's management thread.
+        # Pickled across process boundaries; the default exception
+        # reduction would replay __init__ with the formatted message only
+        # and fail to unpickle.
         return (InjectedFaultError, (self.kind, self.key, self.attempt))
 
 

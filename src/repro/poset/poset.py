@@ -77,7 +77,7 @@ class Poset:
 
     def __getstate__(self):
         # The packed tables are a pure cache over the clock table; drop
-        # them when the poset crosses a process boundary (mp/dist workers
+        # them when the poset crosses a process boundary (dist workers
         # rebuild locally — tables, like closures, never cross the wire).
         return {
             s: getattr(self, s) for s in self.__slots__ if s != "_packed"

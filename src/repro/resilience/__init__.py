@@ -7,7 +7,8 @@ into runtime machinery:
 
 * :mod:`~repro.resilience.faults` — a seeded, deterministic fault-injection
   harness (worker crashes, hangs, slow tasks, poisoned intervals) wrapping
-  any executor or the multiprocessing backend;
+  any in-process executor (worker processes of :mod:`repro.dist` take
+  :class:`~repro.dist.wire.WireFaults` instead);
 * :mod:`~repro.resilience.runner` — :class:`ResilientExecutor`: per-task
   bounded retry with exponential backoff
   (:class:`~repro.core.executors.RetryPolicy`), gather timeouts, and the

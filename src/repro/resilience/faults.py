@@ -13,17 +13,19 @@ All randomness flows through :func:`repro.util.rng.derive_seed` keyed by
 the same places on every run, across processes, regardless of thread
 scheduling.
 
-Two injection points cover the whole execution stack:
+Two injection points cover the in-process execution stack:
 
 * :class:`FaultInjectingExecutor` wraps any in-process
   :class:`~repro.core.executors.Executor`.  Injected crashes abort the
   surrounding gather exactly like a real worker death, so a wrapping
   :class:`~repro.resilience.runner.ResilientExecutor` sees batch-level
-  infrastructure failure; alternatively the resilient executor applies a
-  spec *inside* its per-task guard for task-attributed faults.
-* :func:`repro.core.mp.paramount_count_multiprocessing` accepts a
-  ``fault_spec`` and injects in the worker processes themselves — a crash
-  there is a literal ``os._exit``, breaking the real pool.
+  infrastructure failure;
+* the resilient executor applies a spec *inside* its per-task guard for
+  task-attributed faults.
+
+Worker processes are perturbed by the same discipline through
+:class:`repro.dist.wire.WireFaults` — a crash there is a literal
+``os._exit`` of a :mod:`repro.dist` worker.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class FaultSpec:
     attempt, modeling malformed inputs that no retry can fix.
     ``max_faulty_attempts`` optionally makes attempts at or beyond that
     count fault-free, guaranteeing bounded convergence in tests.
-    ``init_crash_rounds`` makes the multiprocessing pool initializer fail
-    for the first N pool generations (exercising worker-initializer
-    failure and pool rebuild).
     """
 
     seed: int = 0
@@ -76,7 +75,6 @@ class FaultSpec:
     hang_seconds: float = 0.75
     slow_seconds: float = 0.02
     max_faulty_attempts: Optional[int] = None
-    init_crash_rounds: int = 0
 
     def __post_init__(self) -> None:
         for name in ("crash", "hang", "slow"):
@@ -125,7 +123,7 @@ class FaultSpec:
             key, _, value = item.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in ("seed", "max_faulty_attempts", "init_crash_rounds"):
+            if key in ("seed", "max_faulty_attempts"):
                 kwargs[key] = int(value)
             elif key in ("crash", "hang", "slow", "hang_seconds", "slow_seconds"):
                 kwargs[key] = float(value)

@@ -1,7 +1,7 @@
 """The resilient executor: bounded retry, timeouts, and a degradation ladder.
 
-:class:`ResilientExecutor` runs interval tasks on a *ladder* of backends
-(by default ``processes → threads → serial``, the graceful-degradation
+:class:`ResilientExecutor` runs interval tasks on a *ladder* of in-process
+backends (by default ``threads → serial``, the graceful-degradation
 cascade).  Failures are handled at two granularities:
 
 * **task-level** — every task runs inside a guard that captures its
@@ -11,14 +11,16 @@ cascade).  Failures are handled at two granularities:
   the rest of the batch completes.  The returned list holds ``None`` at
   permanently-failed positions.
 * **batch-level** — infrastructure failures abort a whole gather: a hung
-  task (:class:`~repro.errors.ExecutorTimeoutError`), a dead process pool
-  (:class:`~repro.errors.BrokenPoolError`), or an injected crash from a
-  :class:`~repro.resilience.faults.FaultInjectingExecutor` rung.  The
-  pending tasks are simply resubmitted (idempotent intervals make the
+  task (:class:`~repro.errors.ExecutorTimeoutError`) or an injected crash
+  from a :class:`~repro.resilience.faults.FaultInjectingExecutor` rung.
+  The pending tasks are simply resubmitted (idempotent intervals make the
   wasted partial work harmless); repeated breakage steps one rung down
   the ladder, recorded as a
-  :class:`~repro.core.metrics.DegradationEvent`.  An unpicklable task is
-  non-retryable and degrades immediately.
+  :class:`~repro.core.metrics.DegradationEvent`.
+
+Worker-process faults are handled by
+:class:`repro.dist.DistributedExecutor` instead: its lease table
+re-dispatches a crashed or hung worker's intervals.
 
 The ParaMount driver drains :meth:`ResilientExecutor.drain_log` into
 :class:`~repro.core.metrics.ParaMountResult`, so failed-task provenance,
@@ -39,10 +41,7 @@ from repro.core.executors import (
     WorkStealingThreadExecutor,
 )
 from repro.core.metrics import DegradationEvent, TaskFailure
-from repro.errors import (
-    ExecutorTimeoutError,
-    TaskNotPicklableError,
-)
+from repro.errors import ExecutorTimeoutError
 from repro.resilience.faults import FAULT_NONE, FaultSpec, apply_fault
 from repro.util.log import get_logger
 
@@ -62,9 +61,9 @@ def default_ladder(
     """The standard degradation cascade: ``threads → serial``.
 
     Interval tasks in the offline driver close over the poset and visitor,
-    so the in-process rungs are the useful ones; true process parallelism
-    goes through :func:`repro.core.mp.paramount_count_multiprocessing`,
-    which owns its pool and implements the same retry/degrade policy.
+    so every rung runs in-process; true process parallelism goes through
+    :class:`repro.dist.DistributedExecutor`, whose leases ship interval
+    descriptors instead of closures.
 
     With ``steal=True`` the thread rung is a
     :class:`~repro.core.executors.WorkStealingThreadExecutor`, so the
@@ -148,17 +147,7 @@ class ResilientExecutor(Executor):
                 execs[i] += 1
             try:
                 outs = executor.map_tasks(batch)
-            except TaskNotPicklableError as exc:
-                # Retrying cannot help; degrade immediately (or give up on
-                # the last rung).
-                if rung + 1 < len(self.ladder):
-                    self._degrade(rung, str(exc))
-                    rung += 1
-                    rung_breaks = 0
-                    continue
-                self._fail_all(pending, fail_count, str(exc), executor.name)
-                break
-            except Exception as exc:  # timeout, broken pool, injected crash
+            except Exception as exc:  # timeout, injected crash
                 # The whole gather was lost; everything pending is simply
                 # resubmitted — idempotent intervals make the wasted
                 # partial work harmless.  Only a timeout names a culprit,

@@ -30,7 +30,6 @@ from repro.dist.wire import (
     send_message,
 )
 from repro.errors import (
-    BrokenPoolError,
     ConnectionClosedError,
     DeadlockError,
     ExecutorError,
@@ -39,7 +38,6 @@ from repro.errors import (
     OutOfMemoryError,
     ReproError,
     StaleDigestError,
-    TaskNotPicklableError,
     WireError,
     WorkerLostError,
 )
@@ -184,8 +182,6 @@ def test_wire_faults_decide_is_seeded_and_deterministic():
 ERRORS = [
     ExecutorError("infrastructure failed"),
     ExecutorTimeoutError(3, 1.5, "process(4)"),
-    BrokenPoolError("pool died underneath its tasks"),
-    TaskNotPicklableError(2, ValueError("closures cannot cross")),
     InjectedFaultError("crash", ((0, 1), (0, 0), (1, 1)), 1),
     WireError("unknown frame tag 9"),
     ConnectionClosedError("peer closed with 12 of 40 bytes outstanding"),
@@ -198,7 +194,6 @@ ERRORS = [
 #: The structured payload each error must carry across the boundary.
 _PAYLOAD_ATTRS = {
     ExecutorTimeoutError: ("task_index", "timeout", "executor"),
-    TaskNotPicklableError: ("task_index", "cause"),
     InjectedFaultError: ("kind", "key", "attempt"),
     StaleDigestError: ("expected", "actual", "where"),
     WorkerLostError: ("worker", "lost_leases"),

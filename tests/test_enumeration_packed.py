@@ -4,7 +4,7 @@ The contract under test is strict: ``lexical-packed`` must produce the
 *identical visit sequence* as the reference ``LexicalEnumerator`` — not
 just the same set — with both successor kernels, on full lattices and on
 arbitrary interval bounds, and through every execution layer (split-steal
-threads, multiprocessing, checkpoint journals).
+threads, dist worker processes, checkpoint journals).
 """
 
 import json
@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.executors import WorkStealingThreadExecutor
-from repro.core.mp import paramount_count_multiprocessing
 from repro.core.paramount import ParaMount
+from repro.dist import DistributedExecutor
 from repro.enumeration import (
     CollectingVisitor,
     FastLexicalEnumerator,
@@ -261,9 +261,9 @@ def test_split_steal_eight_workers_identical(subroutine):
 def test_multiprocessing_backend_packed():
     poset = random_computation(RandomComputationSpec(4, 20, 0.4, seed=5))
     expected = count_ideals(poset)
-    result = paramount_count_multiprocessing(
-        poset, subroutine="lexical-packed", workers=2, chunk_size=4
-    )
+    result = ParaMount(
+        poset, "lexical-packed", executor=DistributedExecutor(workers=2)
+    ).run()
     assert result.states == expected
     serial = ParaMount(poset).run()
     assert result.interval_sizes() == serial.interval_sizes()

@@ -6,12 +6,11 @@ import time
 import pytest
 
 from repro.core.executors import (
-    ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
     ThreadExecutor,
 )
-from repro.errors import ExecutorTimeoutError, TaskNotPicklableError
+from repro.errors import ExecutorTimeoutError
 
 
 def _make_tasks(n):
@@ -63,22 +62,6 @@ def test_worker_count_validation():
         SerialExecutor.__bases__[0].__init__(SerialExecutor(), -3)
 
 
-def test_process_executor_defaults_to_cpu_count():
-    assert ProcessExecutor().num_workers >= 1
-
-
-def test_process_executor_runs_picklable_tasks():
-    # partial over a module-level function is picklable
-    from functools import partial
-
-    tasks = [partial(_square, i) for i in range(6)]
-    assert ProcessExecutor(2).map_tasks(tasks) == [i * i for i in range(6)]
-
-
-def _square(x):
-    return x * x
-
-
 def test_thread_executor_timeout_is_typed_and_names_the_task():
     """A hung task trips the gather timeout: the remaining futures are
     cancelled and the error carries the offending task's index."""
@@ -111,15 +94,6 @@ def test_thread_executor_without_timeout_waits():
     ex = ThreadExecutor(2)
     assert ex.task_timeout is None
     assert ex.map_tasks([lambda: 1, lambda: 2]) == [1, 2]
-
-
-def test_process_executor_rejects_unpicklable_tasks_with_guidance():
-    with pytest.raises(TaskNotPicklableError) as info:
-        ProcessExecutor(2).map_tasks([lambda: 1])
-    message = str(info.value)
-    assert "functools.partial" in message
-    assert "ThreadExecutor" in message
-    assert info.value.task_index == 0
 
 
 def test_retry_policy_delay_schedule():

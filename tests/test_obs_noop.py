@@ -15,8 +15,8 @@ import time
 from dataclasses import replace
 
 from repro.core.executors import ThreadExecutor, WorkStealingThreadExecutor
-from repro.core.mp import paramount_count_multiprocessing
 from repro.core.paramount import ParaMount
+from repro.dist import DistributedExecutor
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.resilience.checkpoint import CheckpointJournal
 
@@ -79,10 +79,13 @@ def test_thread_paths_identical_modulo_seconds(tmp_path):
 
 
 def test_mp_path_identical_modulo_seconds():
+    """The multiprocessing path: dist-backend local worker processes."""
     poset = build_chain_poset(2, 3)
-    a = paramount_count_multiprocessing(poset, workers=2, observer=None)
-    b = paramount_count_multiprocessing(
-        poset, workers=2, observer=NullObserver()
+    a, b = (
+        ParaMount(
+            poset, executor=DistributedExecutor(workers=2), observer=observer
+        ).run()
+        for observer in (None, NullObserver())
     )
     serial = ParaMount(poset).run()
     assert a.states == b.states == serial.states

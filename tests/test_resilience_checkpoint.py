@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.core.executors import Executor
-from repro.core.mp import paramount_count_multiprocessing
 from repro.core.paramount import ParaMount
+from repro.dist import DistributedExecutor
 from repro.errors import CheckpointError
 from repro.resilience import CheckpointJournal, poset_digest
 from repro.workloads.registry import ENUMERATION_WORKLOADS
@@ -238,14 +238,21 @@ def test_journal_version_gate(tmp_path):
 
 
 def test_multiprocessing_backend_checkpoints_too(tmp_path, d300):
+    """The dist backend's worker processes commit through the journal; a
+    rerun over the full journal restores every interval."""
     base = ParaMount(d300).run()
     path = tmp_path / "mp.ckpt"
-    first = paramount_count_multiprocessing(
-        d300, workers=2, chunk_size=16, checkpoint=CheckpointJournal(path)
-    )
+
+    def run():
+        return ParaMount(
+            d300,
+            executor=DistributedExecutor(workers=2),
+            checkpoint=CheckpointJournal(path),
+            schedule="fifo",
+        ).run()
+
+    first = run()
     assert first.states == base.states
-    resumed = paramount_count_multiprocessing(
-        d300, workers=2, chunk_size=16, checkpoint=CheckpointJournal(path)
-    )
+    resumed = run()
     assert resumed.resumed_intervals == len(base.intervals)
     assert resumed.states == base.states

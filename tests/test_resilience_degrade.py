@@ -5,13 +5,12 @@ import pytest
 
 from repro.core.executors import (
     Executor,
-    ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
     ThreadExecutor,
 )
 from repro.core.paramount import ParaMount
-from repro.errors import BrokenPoolError, OutOfMemoryError
+from repro.errors import ExecutorError, OutOfMemoryError
 from repro.resilience import (
     FaultSpec,
     ResilientExecutor,
@@ -32,7 +31,7 @@ class AlwaysBroken(Executor):
         super().__init__(num_workers=2)
 
     def map_tasks(self, tasks):
-        raise BrokenPoolError("worker OOM-killed")
+        raise ExecutorError("worker OOM-killed")
 
 
 def test_default_ladder_shape():
@@ -46,23 +45,6 @@ def test_default_ladder_shape():
 def test_empty_ladder_rejected():
     with pytest.raises(ValueError):
         ResilientExecutor(ladder=[])
-
-
-def test_unpicklable_tasks_degrade_process_rung_immediately():
-    """Closures cannot cross the process boundary; the resilient executor
-    must not burn retries on a non-retryable failure — it degrades at once
-    and the in-process rung finishes the batch."""
-    ex = ResilientExecutor(
-        ladder=[ProcessExecutor(2), SerialExecutor()], retry=FAST_RETRY
-    )
-    results = ex.map_tasks([lambda i=i: i * i for i in range(5)])
-    assert results == [i * i for i in range(5)]
-    failures, degradations, _ = ex.drain_log()
-    assert not failures
-    assert [(d.from_name, d.to_name) for d in degradations] == [
-        ("processes", "serial")
-    ]
-    assert "picklable" in degradations[0].reason
 
 
 def test_broken_pool_descends_after_repeated_breakage():

@@ -18,16 +18,15 @@ from hypothesis import given, settings
 from tests.conftest import build_chain_poset, small_posets
 from repro.core.executors import SerialExecutor, WorkStealingThreadExecutor
 from repro.core.intervals import Interval, compute_intervals, interval_of_cut
-from repro.core.mp import paramount_count_multiprocessing
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import (
     SchedulePolicy,
-    balance_chunks,
     pivot_split,
     plan_schedule,
     split_interval,
     validate_split,
 )
+from repro.dist import DistributedExecutor
 from repro.enumeration.base import make_enumerator
 from repro.errors import CheckpointError, ExecutorTimeoutError
 from repro.poset.ideals import count_ideals_in_interval
@@ -151,13 +150,6 @@ def test_schedule_policy_parse_round_trip():
     assert SchedulePolicy.parse(policy) is policy
     with pytest.raises(ValueError):
         SchedulePolicy.parse("lifo")
-
-
-def test_balance_chunks_lpt():
-    chunks = balance_chunks(list("abcdef"), [6, 5, 4, 3, 2, 1], 3)
-    loads = sorted(sum({"a": 6, "b": 5, "c": 4, "d": 3, "e": 2, "f": 1}[x] for x in c) for c in chunks)
-    assert loads == [7, 7, 7]
-    assert balance_chunks([], [], 2) == []
 
 
 # --------------------------------------------------------------------- #
@@ -412,29 +404,17 @@ def test_lexical_fast_through_paramount_parallel():
 
 
 def test_lexical_fast_through_multiprocessing():
+    """lexical-fast on the dist backend's local worker processes."""
     poset, order = skewed_poset()
     serial = ParaMount(poset, order=order).run()
-    mp = paramount_count_multiprocessing(
-        poset, subroutine="lexical-fast", workers=2, chunk_size=4, order=order
-    )
-    assert mp.states == serial.states
-    mp_adaptive = paramount_count_multiprocessing(
-        poset,
-        subroutine="lexical-fast",
-        workers=2,
-        chunk_size=4,
-        order=order,
-        schedule="split-steal",
-    )
-    assert mp_adaptive.states == serial.states
-    assert mp_adaptive.interval_sizes() == serial.interval_sizes()
-    assert mp_adaptive.split_intervals >= 1
-
-
-def test_mp_default_schedule_is_fifo():
-    poset, order = skewed_poset()
-    result = paramount_count_multiprocessing(
-        poset, workers=2, chunk_size=4, order=order
-    )
-    assert result.schedule == "fifo"
-    assert result.split_intervals == 0
+    for schedule in ("fifo", "split-steal"):
+        result = ParaMount(
+            poset,
+            subroutine="lexical-fast",
+            order=order,
+            executor=DistributedExecutor(workers=2),
+            schedule=schedule,
+        ).run()
+        assert result.states == serial.states
+        assert result.interval_sizes() == serial.interval_sizes()
+    assert result.split_intervals >= 1
