@@ -107,7 +107,6 @@ def test_real_recovery_overhead(tmp_path):
             heartbeat_seconds=0.5,
             no_worker_grace=5.0,
             wire_faults=wire_faults,
-            fault_workers=1,
         )
         t0 = time.perf_counter()
         result = ParaMount(poset, executor=executor, schedule="fifo").run()

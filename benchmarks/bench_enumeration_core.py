@@ -1,7 +1,7 @@
 """Enumeration-core throughput — the packed-kernel acceptance gate.
 
 Single-core states/sec of every lexical-order subroutine (``lexical``,
-``lexical-fast``, ``lexical-packed``) plus the space-efficient level
+``lexical-packed``) plus the space-efficient level
 traversal (``level-space``) on the Table-2 raw posets (one event per
 access): raytracer, sor, tsp.  Unlike the Table-1 bench, whose artifacts
 land only under ``benchmarks/results/``, this one pins the hot-path
@@ -34,7 +34,7 @@ from repro.workloads.registry import DETECTION_WORKLOADS
 SMOKE = bool(int(os.environ.get("BENCH_ENUM_SMOKE", "0")))
 
 NAMES = ("sor",) if SMOKE else ("raytracer", "sor", "tsp")
-SUBROUTINES = ("lexical", "lexical-fast", "lexical-packed", "level-space")
+SUBROUTINES = ("lexical", "lexical-packed", "level-space")
 
 #: The workload the speedup gate applies to, and the required ratio.
 GATE_NAME = "sor" if SMOKE else "raytracer"

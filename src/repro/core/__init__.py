@@ -11,12 +11,13 @@
 * :mod:`repro.core.scheduling` — adaptive task shaping between the
   partition and the executors: Figure-6a recursive splitting,
   largest-first dispatch, and the weights work-stealing backends use;
-* :mod:`repro.core.executors` — serial and thread-pool (plain and
-  work-stealing) backends; process parallelism is :mod:`repro.dist`;
+* :mod:`repro.core.executors` — the serial and work-stealing thread-pool
+  backends; process parallelism is :mod:`repro.dist`;
 * :mod:`repro.core.simulated` — the deterministic parallel-machine cost
   model used to regenerate the paper's speedup figures on a GIL-bound
   single-core interpreter (see DESIGN.md §3);
-* :mod:`repro.core.metrics` — per-interval statistics.
+* :mod:`repro.core.metrics` — per-interval statistics, the executor
+  report and the run result.
 """
 
 from repro.core.bounded import bounded_enumeration
@@ -24,7 +25,6 @@ from repro.core.executors import (
     Executor,
     RetryPolicy,
     SerialExecutor,
-    ThreadExecutor,
     WorkStealingThreadExecutor,
 )
 from repro.core.intervals import (
@@ -35,6 +35,7 @@ from repro.core.intervals import (
 )
 from repro.core.metrics import (
     DegradationEvent,
+    ExecutorReport,
     IntervalStats,
     ParaMountResult,
     TaskFailure,
@@ -61,7 +62,6 @@ __all__ = [
     "OnlineParaMount",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkStealingThreadExecutor",
     "RetryPolicy",
     "SchedulePolicy",
@@ -76,4 +76,5 @@ __all__ = [
     "ParaMountResult",
     "TaskFailure",
     "DegradationEvent",
+    "ExecutorReport",
 ]

@@ -30,8 +30,8 @@ def make_bounded_subroutine(
 ) -> Enumerator:
     """Instantiate the sequential subroutine for a ParaMount run.
 
-    ``name`` is ``"lexical"`` (L-Para), ``"lexical-fast"`` /
-    ``"lexical-packed"`` (the tuned and packed-kernel variants of L-Para),
+    ``name`` is ``"lexical"`` (L-Para), ``"lexical-packed"`` (the
+    packed-kernel variant of L-Para),
     ``"level-space"`` (B-Para's level order in O(n) live space), ``"bfs"``
     (B-Para) or ``"dfs"`` (validation).  ``memory_budget`` caps the
     subroutine's live intermediate states, modeling a bounded heap.

@@ -6,30 +6,31 @@ order (Algorithm 1).  We provide:
 * :class:`SerialExecutor` — run interval tasks in ``→p`` order on the
   calling thread (the baseline, and the engine underneath the simulated
   parallel machine);
-* :class:`ThreadExecutor` — a real shared-memory thread pool.  Functionally
-  identical to the paper's setup; on CPython the GIL serializes the compute
-  so it demonstrates correctness under concurrency, not speedup (the
-  speedup experiments use :mod:`repro.core.simulated` — DESIGN.md §3);
-* :class:`WorkStealingThreadExecutor` — the thread pool with per-worker
-  deques and largest-first stealing.
+* :class:`WorkStealingThreadExecutor` — a real shared-memory thread pool
+  with per-worker deques and largest-first stealing.  Functionally
+  identical to the paper's setup; on CPython the GIL serializes the
+  compute so it demonstrates correctness under concurrency, not speedup
+  (the speedup experiments use :mod:`repro.core.simulated` — DESIGN.md
+  §3).
 
 True process parallelism is :class:`repro.dist.DistributedExecutor`, which
 leases interval descriptors to local or remote worker processes.
 
-All executors preserve task order in the returned list, so per-interval
-statistics line up with the ``→p`` order regardless of backend.
+Every executor returns one :class:`~repro.core.metrics.ExecutorReport`
+per gather: the results in task order, so per-interval statistics line up
+with the ``→p`` order regardless of backend, plus the gather's provenance
+(steals, per-worker load, retries, failures, …).
 
 Failure model (see DESIGN.md §"Fault model and recovery"): exceptions
 raised *by* a task propagate unchanged; infrastructure failures — such as
-a hung gather — surface as typed :class:`~repro.errors.ExecutorError`
-subclasses so callers can retry or degrade.  :class:`RetryPolicy` is the
-bounded-retry/backoff schedule of
+a pool that stops making progress — surface as typed
+:class:`~repro.errors.ExecutorError` subclasses so callers can retry or
+degrade.  :class:`RetryPolicy` is the bounded-retry/backoff schedule of
 :class:`repro.resilience.ResilientExecutor`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -37,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Sequence, TypeVar
 
+from repro.core.metrics import ExecutorReport
 from repro.errors import ExecutorTimeoutError
 from repro.util.log import get_logger
 from repro.util.rng import DeterministicRng, derive_seed
@@ -47,7 +49,6 @@ __all__ = [
     "Executor",
     "RetryPolicy",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkStealingThreadExecutor",
 ]
 
@@ -91,7 +92,8 @@ class RetryPolicy:
 
 
 class Executor(ABC):
-    """Maps a list of zero-argument tasks to their results, order-preserving."""
+    """Maps a list of zero-argument tasks to an :class:`ExecutorReport`
+    whose results are in task order."""
 
     #: Short backend name used in experiment tables.
     name: str = "abstract"
@@ -107,9 +109,27 @@ class Executor(ABC):
         #: Worker count (the paper's "number of threads").
         self.num_workers = num_workers
 
+    def bind_run(
+        self,
+        poset,
+        subroutine: str,
+        memory_budget: Optional[int] = None,
+        journal=None,
+        deadline_at: Optional[float] = None,
+        visits: bool = False,
+    ) -> None:
+        """Receive the run context before the driver's :meth:`map_tasks`.
+
+        ``visits`` says whether the driver's tasks call back into this
+        process for every state (a user visitor or a sanitizer).  The
+        in-process executors run the driver's closures as they are and
+        ignore the context; a descriptor-shipping executor re-creates the
+        tasks from it.
+        """
+
     @abstractmethod
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        """Run all tasks; return results in task order."""
+    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
+        """Run all tasks; report their results in task order."""
 
     def _record_queue_depth(self, remaining: int) -> None:
         """Feed the live ``queue_depth`` gauge and the trace counter track.
@@ -138,72 +158,20 @@ class SerialExecutor(Executor):
     def __init__(self) -> None:
         super().__init__(num_workers=1)
 
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
+    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
         results: List[T] = []
         n = len(tasks)
         for index, task in enumerate(tasks):
             results.append(task())
             self._record_queue_depth(n - index - 1)
-        return results
+        return ExecutorReport(results=results)
 
 
-class ThreadExecutor(Executor):
-    """A real thread pool (``concurrent.futures.ThreadPoolExecutor``).
-
-    Visitors invoked from tasks run concurrently: callers must pass
-    thread-safe visitors (the detector's predicate evaluators take a lock
-    or use thread-local accumulation).
-
-    ``task_timeout`` bounds the wait for each task's *result* during the
-    gather; exceeding it cancels the remaining futures and raises
-    :class:`~repro.errors.ExecutorTimeoutError` carrying the offending
-    task index.  A thread already running its task cannot be interrupted —
-    its result is simply discarded, which is safe because interval tasks
-    are idempotent.
-    """
-
-    name = "threads"
-
-    def __init__(self, num_workers: int = 1, task_timeout: Optional[float] = None):
-        super().__init__(num_workers=num_workers)
-        #: Per-task gather timeout in seconds (``None`` = wait forever).
-        self.task_timeout = task_timeout
-
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        if not tasks:
-            return []
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.num_workers)
-        futures = [pool.submit(task) for task in tasks]
-        results: List[T] = []
-        try:
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result(timeout=self.task_timeout))
-                    self._record_queue_depth(len(tasks) - index - 1)
-                except concurrent.futures.TimeoutError:
-                    for pending in futures:
-                        pending.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    logger.warning(
-                        "task %d exceeded its %.3fs gather timeout",
-                        index,
-                        self.task_timeout or 0.0,
-                        extra={
-                            "executor": self.name,
-                            "task_index": index,
-                            "timeout_seconds": self.task_timeout or 0.0,
-                        },
-                    )
-                    raise ExecutorTimeoutError(
-                        index, self.task_timeout or 0.0, executor=self.name
-                    ) from None
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return results
-
-
-class WorkStealingThreadExecutor(ThreadExecutor):
+class WorkStealingThreadExecutor(Executor):
     """A thread pool with per-worker deques and largest-first stealing.
+
+    Tasks run concurrently, so callers must pass thread-safe visitors (the
+    ParaMount driver wraps the user's visitor in a lock).
 
     Each worker owns a deque of tasks dealt LPT-style by task ``weight``
     (read from the task's ``weight`` attribute, defaulting to 1 — the
@@ -214,32 +182,28 @@ class WorkStealingThreadExecutor(ThreadExecutor):
     splitting this bounds the schedule's makespan the way LPT list
     scheduling does, without trusting the initial deal.
 
-    Per-run observability: :attr:`last_steals` counts tasks executed by a
-    worker other than the one they were dealt to, and
-    :attr:`last_worker_busy` holds each worker's measured busy seconds —
-    the driver surfaces both through ``ParaMountResult``.
+    The gather's report counts ``steals`` (tasks executed by a worker
+    other than the one they were dealt to) and holds each worker's
+    measured busy seconds as ``worker_load``.
 
-    ``task_timeout`` here bounds the *no-progress* window: if no task
+    ``task_timeout`` bounds the *no-progress* window: if no task
     completes for that long, the gather gives up and raises
     :class:`~repro.errors.ExecutorTimeoutError` carrying the lowest
-    unfinished task index (running threads cannot be interrupted; their
-    results are discarded, which is safe because tasks are idempotent).
+    unfinished task index (running threads cannot be interrupted; they
+    are abandoned as daemons and their results discarded, which is safe
+    because tasks are idempotent).
     """
 
     name = "threads-steal"
 
     def __init__(self, num_workers: int = 1, task_timeout: Optional[float] = None):
-        super().__init__(num_workers=num_workers, task_timeout=task_timeout)
-        #: Steals performed during the most recent :meth:`map_tasks`.
-        self.last_steals = 0
-        #: Per-worker busy seconds during the most recent :meth:`map_tasks`.
-        self.last_worker_busy: List[float] = []
+        super().__init__(num_workers=num_workers)
+        #: No-progress window in seconds (``None`` = wait forever).
+        self.task_timeout = task_timeout
 
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        self.last_steals = 0
-        self.last_worker_busy = []
+    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
         if not tasks:
-            return []
+            return ExecutorReport()
         obs = self.observer
         observe = obs is not None and getattr(obs, "enabled", False)
         n = len(tasks)
@@ -336,7 +300,6 @@ class WorkStealingThreadExecutor(ThreadExecutor):
                     timed_out = next(i for i in range(n) if not finished[i])
                     break
         if timed_out is not None:
-            # Running threads are abandoned (daemon), like ThreadExecutor.
             logger.warning(
                 "no task completed within %.3fs; abandoning run at task %d",
                 self.task_timeout or 0.0,
@@ -352,8 +315,6 @@ class WorkStealingThreadExecutor(ThreadExecutor):
             )
         for thread in threads:
             thread.join()
-        self.last_steals = steals[0]
-        self.last_worker_busy = list(busy)
         if errors:
             raise errors[0]
-        return [results[i] for i in range(n)]  # type: ignore[misc]
+        return ExecutorReport(results=results, steals=steals[0], worker_load=busy)

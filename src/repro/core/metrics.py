@@ -10,7 +10,8 @@ state counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import zip_longest
+from typing import Any, List, Optional, Tuple
 
 from repro.types import Cut, EventId
 from repro.util.cuts import cut_join, cut_meet
@@ -19,6 +20,7 @@ __all__ = [
     "IntervalStats",
     "TaskFailure",
     "DegradationEvent",
+    "ExecutorReport",
     "ParaMountResult",
 ]
 
@@ -100,6 +102,52 @@ class DegradationEvent:
 
 
 @dataclass
+class ExecutorReport:
+    """What one :meth:`~repro.core.executors.Executor.map_tasks` gather
+    returns: every task's result plus the gather's provenance.
+
+    ``results`` is in task order and holds ``None`` where a task failed
+    permanently or was skipped.  The provenance fields are named as on
+    :class:`ParaMountResult`, and the ParaMount driver copies them over in
+    one place; a ``TaskFailure.task_index`` indexes this gather's task
+    list.
+    """
+
+    results: List[Any] = field(default_factory=list)
+    failures: List[TaskFailure] = field(default_factory=list)
+    degradations: List[DegradationEvent] = field(default_factory=list)
+    retries: int = 0
+    steals: int = 0
+    worker_load: List[float] = field(default_factory=list)
+    redispatches: int = 0
+    leases_expired: int = 0
+    hosts: List[str] = field(default_factory=list)
+    deadline_expired: bool = False
+
+    def add(self, other: "ExecutorReport") -> None:
+        """Add ``other``'s run provenance to this report.
+
+        Counters add up, per-worker busy seconds add lane by lane, hosts
+        are merged in first-seen order and degradations are appended.
+        ``results`` and ``failures`` are left alone: their task indices
+        belong to ``other``'s gather.
+        """
+        self.degradations.extend(other.degradations)
+        self.retries += other.retries
+        self.steals += other.steals
+        self.worker_load = [
+            a + b
+            for a, b in zip_longest(
+                self.worker_load, other.worker_load, fillvalue=0.0
+            )
+        ]
+        self.redispatches += other.redispatches
+        self.leases_expired += other.leases_expired
+        self.hosts += [h for h in other.hosts if h not in self.hosts]
+        self.deadline_expired = self.deadline_expired or other.deadline_expired
+
+
+@dataclass
 class ParaMountResult:
     """Aggregate outcome of a ParaMount run.
 
@@ -126,7 +174,7 @@ class ParaMountResult:
     resumed_intervals: int = 0
     #: Per-task stats in dispatch order (== ``intervals`` when unsplit).
     tasks: List[IntervalStats] = field(default_factory=list)
-    #: Schedule that shaped the task list ("fifo", "largest", "split", ...).
+    #: Schedule that shaped the task list ("fifo", "largest", "split-steal").
     schedule: str = "fifo"
     #: Workers the schedule was planned for.
     workers: int = 1

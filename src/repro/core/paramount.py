@@ -18,11 +18,12 @@ visited exactly once — regardless of executor, worker count, or subroutine.
 The same disjointness makes every interval task *idempotent*, which is
 what the resilience plumbing rides on: a
 :class:`~repro.resilience.ResilientExecutor` may retry or degrade tasks
-(its failure/degradation log is drained into the result), a checkpoint
-journal (:class:`~repro.resilience.CheckpointJournal`) lets a killed run
-resume enumerating only its unfinished intervals, and a BFS interval that
-exceeds its memory budget can fall back to the bounded lexical subroutine
-(``degrade_on_oom``) instead of aborting the run.
+(its failures and degradations come back in its
+:class:`~repro.core.metrics.ExecutorReport` and land on the result), a
+checkpoint journal (:class:`~repro.resilience.CheckpointJournal`) lets a
+killed run resume enumerating only its unfinished intervals, and a BFS
+interval that exceeds its memory budget can fall back to the bounded
+lexical subroutine (``degrade_on_oom``) instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.bounded import bounded_enumeration, make_bounded_subroutine
-from repro.core.executors import Executor, SerialExecutor, ThreadExecutor
+from repro.core.executors import Executor, SerialExecutor
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import DegradationEvent, IntervalStats, ParaMountResult
 from repro.core.scheduling import SchedulePlan, SchedulePolicy, plan_schedule
@@ -54,7 +55,7 @@ OrderSpec = Union[None, Sequence[EventId], Callable[[Poset], Sequence[EventId]]]
 ScheduleSpec = Union[None, str, SchedulePolicy]
 
 #: Subroutines that keep O(n) live state — the degradation targets.
-_LEXICAL_SUBROUTINES = ("lexical", "lexical-fast", "lexical-packed", "level-space")
+_LEXICAL_SUBROUTINES = ("lexical", "lexical-packed", "level-space")
 
 
 class ParaMount:
@@ -73,11 +74,12 @@ class ParaMount:
         or a callable ``poset -> order``.
     executor:
         Backend executing interval tasks (default
-        :class:`~repro.core.executors.SerialExecutor`).  An executor
-        exposing ``drain_log()`` (e.g.
-        :class:`~repro.resilience.ResilientExecutor`) may return ``None``
-        for permanently failed tasks; the run then completes with the
-        failures recorded in the result instead of raising.
+        :class:`~repro.core.executors.SerialExecutor`).  Its
+        :class:`~repro.core.metrics.ExecutorReport` may hold ``None`` for
+        permanently failed tasks (e.g. under
+        :class:`~repro.resilience.ResilientExecutor`); the run then
+        completes with the failures recorded in the result instead of
+        raising.
     memory_budget:
         Per-task cap on live intermediate states (models a bounded heap for
         the BFS subroutine).
@@ -186,11 +188,13 @@ class ParaMount:
     def run(self, visit: Optional[CutVisitor] = None) -> ParaMountResult:
         """Enumerate every consistent global state exactly once.
 
-        ``visit`` is called once per state; with a concurrent executor the
+        ``visit`` is called once per state; with more than one worker the
         calls may arrive from multiple threads, so the visitor is wrapped in
-        a mutex for thread backends (states of one interval still arrive in
-        the subroutine's order; interleaving across intervals is arbitrary,
-        exactly as in the paper's parallel enumeration).
+        a mutex (states of one interval still arrive in the subroutine's
+        order; interleaving across intervals is arbitrary, exactly as in
+        the paper's parallel enumeration).  An executor whose workers
+        cannot call back into this process (the distributed backend)
+        refuses a run with a visitor or sanitizer.
         """
         subroutine = make_bounded_subroutine(
             self.subroutine_name, self.poset, memory_budget=self.memory_budget
@@ -230,18 +234,17 @@ class ParaMount:
             else None
         )
         deadline_skips: List[EventId] = []
-        # Distributed (and other descriptor-shipping) executors get the run
-        # context the closures close over, so they can re-run tasks from
-        # (event, lo, hi) descriptors on remote hosts.
-        bind = getattr(self.executor, "bind_run", None)
-        if callable(bind):
-            bind(
-                self.poset,
-                self.subroutine_name,
-                memory_budget=self.memory_budget,
-                journal=journal,
-                deadline_at=deadline_at,
-            )
+        # Descriptor-shipping executors get the run context the closures
+        # close over, so they can re-run tasks from (event, lo, hi)
+        # descriptors on remote hosts.
+        self.executor.bind_run(
+            self.poset,
+            self.subroutine_name,
+            memory_budget=self.memory_budget,
+            journal=journal,
+            deadline_at=deadline_at,
+            visits=visit is not None or sanitizer is not None,
+        )
         # The observer's clock times every task on every executor path, so
         # IntervalStats.seconds and the recorded spans share one timeline.
         # The null observer passes None: bounded_enumeration then reads
@@ -249,7 +252,7 @@ class ParaMount:
         # byte-identical no-op guarantee) on the uninstrumented path.
         task_clock = obs.clock if obs.enabled else None
         if obs.enabled:
-            if getattr(self.executor, "observer", None) is None:
+            if self.executor.observer is None:
                 self.executor.observer = obs
             if journal is not None and getattr(journal, "observer", None) is None:
                 journal.observer = obs
@@ -360,11 +363,11 @@ class ParaMount:
         result.order_work = self.poset.num_events * self.poset.num_threads
         with Stopwatch() as sw:
             with obs.span("map_tasks", "schedule", tasks=len(pending)):
-                raw = self.executor.map_tasks(
+                report = self.executor.map_tasks(
                     [make_task(iv) for iv in pending]
                 )
         by_task: Dict[tuple, IntervalStats] = dict(completed)
-        for interval, stats in zip(pending, raw):
+        for interval, stats in zip(pending, report.results):
             if stats is not None:
                 by_task[(interval.event, interval.lo, interval.hi)] = stats
         # Per-task stats in dispatch order; then fold the (possibly split)
@@ -398,8 +401,20 @@ class ParaMount:
                 "deadline expired with %d task(s) unstarted",
                 len(deadline_skips),
             )
-        self._drain_schedule_observability(result)
-        self._drain_executor_log(result, pending)
+        # The executor's provenance, with each failure named by its event.
+        for failure in report.failures:
+            event = None
+            if 0 <= failure.task_index < len(pending):
+                event = pending[failure.task_index].event
+            result.failures.append(replace(failure, event=event))
+        result.degradations.extend(report.degradations)
+        result.retries = report.retries
+        result.steals = report.steals
+        result.worker_load = list(report.worker_load)
+        result.redispatches = report.redispatches
+        result.leases_expired = report.leases_expired
+        result.hosts = list(report.hosts)
+        result.deadline_expired = result.deadline_expired or report.deadline_expired
         return result
 
     # ------------------------------------------------------------------ #
@@ -416,51 +431,8 @@ class ParaMount:
             schedule=plan.descriptor,
         )
 
-    def _drain_schedule_observability(self, result: ParaMountResult) -> None:
-        """Pull steal/busy/robustness counters off the executor (or ladder)."""
-        candidates = [self.executor]
-        candidates.extend(getattr(self.executor, "ladder", None) or ())
-        inner = getattr(self.executor, "inner", None)
-        if inner is not None:
-            candidates.append(inner)
-        for executor in candidates:
-            steals = getattr(executor, "last_steals", None)
-            busy = getattr(executor, "last_worker_busy", None)
-            if steals is not None:
-                result.steals += steals
-            if busy:
-                result.worker_load = list(busy)
-            # distributed backend provenance
-            result.redispatches += getattr(executor, "last_redispatches", 0)
-            result.leases_expired += getattr(
-                executor, "last_leases_expired", 0
-            )
-            hosts = getattr(executor, "last_hosts", None)
-            if hosts:
-                result.hosts = list(hosts)
-            if getattr(executor, "last_deadline_expired", False):
-                result.deadline_expired = True
-
-    def _drain_executor_log(
-        self, result: ParaMountResult, pending: Sequence[Interval]
-    ) -> None:
-        """Fold a resilient executor's provenance into the result."""
-        drain = getattr(self.executor, "drain_log", None)
-        if not callable(drain):
-            return
-        failures, degradations, retries = drain()
-        result.retries += retries
-        result.degradations.extend(degradations)
-        for failure in failures:
-            event = None
-            if 0 <= failure.task_index < len(pending):
-                event = pending[failure.task_index].event
-            result.failures.append(replace(failure, event=event))
-
     def _wrap_visitor(self, visit: Optional[CutVisitor]) -> Optional[CutVisitor]:
-        if visit is None or isinstance(self.executor, SerialExecutor):
-            return visit
-        if not self._executor_is_concurrent():
+        if visit is None or self.executor.num_workers <= 1:
             return visit
         lock = threading.Lock()
 
@@ -469,15 +441,3 @@ class ParaMount:
                 visit(cut)
 
         return locked_visit
-
-    def _executor_is_concurrent(self) -> bool:
-        """True when tasks may run on multiple in-process threads."""
-        if isinstance(self.executor, ThreadExecutor):
-            return True
-        ladder = getattr(self.executor, "ladder", None)
-        if ladder is not None:
-            return any(isinstance(e, ThreadExecutor) for e in ladder)
-        inner = getattr(self.executor, "inner", None)
-        if inner is not None:
-            return isinstance(inner, ThreadExecutor)
-        return False

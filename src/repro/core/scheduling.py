@@ -57,6 +57,14 @@ __all__ = [
 #: Schedule names accepted by ``ParaMount(schedule=...)`` and the CLI.
 SCHEDULE_NAMES = ("fifo", "largest", "split", "split-steal", "adaptive")
 
+#: Target number of tasks per worker; the split budget is
+#: ``total size bound / (workers · OVERSUBSCRIBE)``.
+OVERSUBSCRIBE = 4
+
+#: Cap on the number of pieces one interval may be split into (recorded
+#: in the journal descriptor, so it is part of a split plan's identity).
+MAX_PARTS = 64
+
 
 @dataclass(frozen=True)
 class SchedulePolicy:
@@ -71,24 +79,14 @@ class SchedulePolicy:
         byte-compatible with a journal written before scheduling existed.
     ``"largest"``
         One task per interval, dispatched largest-first (LPT).
-    ``"split"``
-        Largest-first plus recursive splitting of oversized intervals.
-    ``"split-steal"`` / ``"adaptive"``
-        ``"split"`` plus a hint that work-stealing backends should be
-        used where available.  This is the default policy.
+    ``"split-steal"`` / ``"split"`` / ``"adaptive"``
+        Largest-first plus recursive splitting of oversized intervals;
+        the executors balance the pieces by stealing.  This is the
+        default policy.
     """
 
     largest_first: bool = True
     split: bool = True
-    steal: bool = True
-    #: Target number of tasks per worker; the split budget is
-    #: ``total size bound / (workers · oversubscribe)``.
-    oversubscribe: int = 4
-    #: Cap on the number of pieces one interval may be split into.
-    max_parts: int = 64
-    #: Run :func:`validate_split` on every split (exact count check via
-    #: the ideal-counting DP) — for tests and diagnostics, not hot paths.
-    validate: bool = False
 
     @property
     def name(self) -> str:
@@ -96,7 +94,7 @@ class SchedulePolicy:
             return "fifo"
         if not self.split:
             return "largest"
-        return "split-steal" if self.steal else "split"
+        return "split-steal"
 
     @classmethod
     def parse(
@@ -104,18 +102,16 @@ class SchedulePolicy:
     ) -> "SchedulePolicy":
         """Resolve ``None`` / a preset name / an explicit policy."""
         if spec is None:
-            return cls()  # adaptive: split + largest-first + steal
+            return cls()  # adaptive: split + largest-first
         if isinstance(spec, cls):
             return spec
         name = str(spec).lower()
         if name == "fifo":
-            return cls(largest_first=False, split=False, steal=False)
+            return cls(largest_first=False, split=False)
         if name == "largest":
-            return cls(largest_first=True, split=False, steal=False)
-        if name == "split":
-            return cls(largest_first=True, split=True, steal=False)
-        if name in ("split-steal", "adaptive"):
-            return cls(largest_first=True, split=True, steal=True)
+            return cls(largest_first=True, split=False)
+        if name in ("split", "split-steal", "adaptive"):
+            return cls(largest_first=True, split=True)
         raise ValueError(
             f"unknown schedule {spec!r}; expected one of {SCHEDULE_NAMES}"
         )
@@ -189,7 +185,7 @@ def split_interval(
     poset: Poset,
     interval: Interval,
     budget: int,
-    max_parts: int = 64,
+    max_parts: int = MAX_PARTS,
 ) -> List[Interval]:
     """Recursively split ``interval`` until every piece's size bound fits
     ``budget`` (or ``max_parts`` pieces exist), largest piece first.
@@ -280,7 +276,7 @@ def plan_schedule(
     ``workers <= 1`` the plan is the partition itself in ``→p`` order —
     byte-identical behavior to the pre-scheduling driver.  With more
     workers, intervals whose size bound exceeds the per-worker budget
-    ``total / (workers · oversubscribe)`` are split, and tasks are
+    ``total / (workers · OVERSUBSCRIBE)`` are split, and tasks are
     dispatched largest-first.
     """
     policy = SchedulePolicy.parse(policy)
@@ -290,13 +286,11 @@ def plan_schedule(
     parts_of: Dict[EventId, int] = {}
     if policy.split and workers > 1 and tasks:
         total = sum(iv.size_bound for iv in tasks)
-        budget = max(total // (workers * policy.oversubscribe), 1)
+        budget = max(total // (workers * OVERSUBSCRIBE), 1)
         shaped: List[Interval] = []
         for interval in tasks:
-            parts = split_interval(poset, interval, budget, policy.max_parts)
+            parts = split_interval(poset, interval, budget)
             if len(parts) > 1:
-                if policy.validate:
-                    validate_split(poset, interval, parts)
                 split_intervals += 1
                 parts_of[interval.event] = len(parts)
             shaped.extend(parts)
@@ -307,7 +301,7 @@ def plan_schedule(
     descriptor = (
         "unsplit"
         if budget is None
-        else f"split(budget={budget},cap={policy.max_parts})"
+        else f"split(budget={budget},cap={MAX_PARTS})"
     )
     return SchedulePlan(
         policy=policy,

@@ -1,36 +1,38 @@
 """``DistributedExecutor`` — the coordinator/worker backend as an executor.
 
 Plugs into :class:`~repro.core.paramount.ParaMount` exactly like the
-serial/thread/process executors: ``map_tasks`` takes the driver's task
-closures and returns their stats in order.  The closures themselves never
-cross the wire — the driver stamps each one with its ``.interval``, and
-this executor ships only the ``(event, lo, hi)`` descriptor plus the
-poset digest; the worker re-runs the bounded subroutine from the
-descriptor, which Theorem 2 guarantees is the identical computation.
+in-process executors: ``map_tasks`` takes the driver's task closures and
+reports their stats in order.  The closures themselves never cross the
+wire — the driver stamps each one with its ``.interval``, and this
+executor ships only the ``(event, lo, hi)`` descriptor plus the poset
+digest; the worker re-runs the bounded subroutine from the descriptor,
+which Theorem 2 guarantees is the identical computation.
 
-The driver hands over run context through the duck-typed ``bind_run``
-hook (poset, subroutine, memory budget, journal, deadline), mirroring how
-it wires ``executor.observer`` today.
+The driver hands over the run context through
+:meth:`~repro.core.executors.Executor.bind_run` (poset, subroutine,
+memory budget, journal, deadline).  Remote workers cannot call back into
+the driver, so a run that must see every state — a user visitor or a
+sanitizer — is refused there, before any worker starts.
 
 Degradation: when every remote worker is lost (or none ever connects),
 the coordinator returns the undone tasks, and tasks that failed on every
 remote attempt come back as failures; this executor runs the *original
-closures* of both on the in-process fallback (serial by default).
-Those closures journal and observe themselves — and apply the driver's
-``degrade_on_oom`` — so the degraded tail is indistinguishable from a
-normal local run.  The step is recorded as an ``"executor"``
-:class:`~repro.core.metrics.DegradationEvent`; only a task the fallback
-cannot run either becomes a :class:`~repro.core.metrics.TaskFailure`.
+closures* of both serially in-process.  Those closures journal and
+observe themselves — and apply the driver's ``degrade_on_oom`` — so the
+degraded tail is indistinguishable from a normal local run.  The step is
+recorded as an ``"executor"`` :class:`~repro.core.metrics.DegradationEvent`;
+only a task that fails in-process too becomes a
+:class:`~repro.core.metrics.TaskFailure`.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
-from repro.core.executors import Executor, SerialExecutor
-from repro.core.metrics import DegradationEvent, TaskFailure
+from repro.core.executors import Executor
+from repro.core.metrics import DegradationEvent, ExecutorReport, TaskFailure
 from repro.dist.coordinator import Coordinator
 from repro.dist.wire import WireFaults
 from repro.dist.worker import spawn_local_workers
@@ -55,16 +57,13 @@ class DistributedExecutor(Executor):
         ``map_tasks`` call.  With ``spawn=False`` the executor only
         listens — workers are started externally with
         ``repro-tools worker --connect``.
-    wire_faults / fault_workers:
+    wire_faults:
         Seeded :class:`~repro.dist.wire.WireFaults` injected into the
-        first ``fault_workers`` spawned workers (the victim/survivor
-        split recovery tests rely on).
+        first spawned worker (the victim/survivor split recovery tests
+        rely on).
     lease_seconds:
         Acknowledgement deadline per leased interval; crashed, hung, or
         partitioned workers are detected within one lease period.
-    fallback:
-        In-process executor for tasks no remote worker ran to completion
-        (default :class:`~repro.core.executors.SerialExecutor`).
     poset_path:
         Optional poset file for spawned workers to load themselves
         (otherwise the poset ships over the wire in the welcome).
@@ -80,8 +79,6 @@ class DistributedExecutor(Executor):
         heartbeat_seconds: float = 1.0,
         no_worker_grace: float = 10.0,
         wire_faults: Optional[WireFaults] = None,
-        fault_workers: int = 1,
-        fallback: Optional[Executor] = None,
         poset_path: Optional[Path] = None,
         http_port: Optional[int] = None,
     ):
@@ -93,8 +90,6 @@ class DistributedExecutor(Executor):
         self.heartbeat_seconds = heartbeat_seconds
         self.no_worker_grace = no_worker_grace
         self.wire_faults = wire_faults
-        self.fault_workers = fault_workers
-        self.fallback = fallback
         self.poset_path = poset_path
         #: ``None`` disables the coordinator's ops endpoint; ``0`` = any port.
         self.http_port = http_port
@@ -106,13 +101,6 @@ class DistributedExecutor(Executor):
         self._memory_budget: Optional[int] = None
         self._journal = None
         self._deadline_at: Optional[float] = None
-        # per-run provenance, drained by the driver
-        self._failures: List[TaskFailure] = []
-        self._degradations: List[DegradationEvent] = []
-        self.last_redispatches = 0
-        self.last_leases_expired = 0
-        self.last_hosts: List[str] = []
-        self.last_deadline_expired = False
         #: The last run's coordinator (tests inspect its lease table).
         self.last_coordinator: Optional[Coordinator] = None
 
@@ -134,24 +122,29 @@ class DistributedExecutor(Executor):
         memory_budget: Optional[int] = None,
         journal=None,
         deadline_at: Optional[float] = None,
+        visits: bool = False,
     ) -> None:
-        """Receive the run context the wire descriptors are relative to."""
+        """Receive the run context the wire descriptors are relative to.
+
+        Raises :class:`ValueError` when ``visits`` is set: remote workers
+        enumerate without calling back, so a visitor or sanitizer would
+        silently see none of their states.
+        """
+        if visits:
+            raise ValueError(
+                "DistributedExecutor cannot run a visitor or sanitizer: "
+                "remote workers do not call back into the driver; count "
+                "states without one, or use an in-process executor"
+            )
         self._poset = poset
         self._subroutine = subroutine
         self._memory_budget = memory_budget
         self._journal = journal
         self._deadline_at = deadline_at
 
-    def drain_log(self):
-        """(failures, degradations, retries) — the resilient-executor
-        contract the driver folds into the result."""
-        failures, self._failures = self._failures, []
-        degradations, self._degradations = self._degradations, []
-        return failures, degradations, 0
-
     # ------------------------------------------------------------------ #
 
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
+    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
         if self._poset is None or self._subroutine is None:
             raise ExecutorError(
                 "DistributedExecutor needs bind_run(poset, subroutine, ...) "
@@ -187,7 +180,6 @@ class DistributedExecutor(Executor):
                     coord.address,
                     poset_path=self.poset_path,
                     wire_faults=self.wire_faults,
-                    fault_workers=self.fault_workers,
                 )
             committed, undone = coord.execute(
                 keys, weights, deadline_at=self._deadline_at
@@ -200,25 +192,26 @@ class DistributedExecutor(Executor):
                     proc.kill()
                     proc.join()
         counters = coord.robustness_counters()
-        self.last_redispatches = counters["redispatches"]
-        self.last_leases_expired = counters["leases_expired"]
-        self.last_hosts = list(coord.hosts)
-        self.last_deadline_expired = False
-        results: List[Optional[T]] = [committed.get(key) for key in keys]
+        report = ExecutorReport(
+            results=[committed.get(key) for key in keys],
+            redispatches=counters["redispatches"],
+            leases_expired=counters["leases_expired"],
+            hosts=list(coord.hosts),
+        )
         rerun = set(undone) | set(coord.failures)
         if not rerun:
-            return results  # type: ignore[return-value]
+            return report
         deadline_hit = (
             self._deadline_at is not None
             and time.monotonic() >= self._deadline_at
         )
         if deadline_hit:
             # drained what we could; the rest is abandoned, not degraded
-            self.last_deadline_expired = True
+            report.deadline_expired = True
             for i, key in enumerate(keys):
                 if key in coord.failures:
                     attempts, error, worker = coord.failures[key]
-                    self._failures.append(
+                    report.failures.append(
                         TaskFailure(
                             task_index=i,
                             attempts=attempts,
@@ -226,15 +219,14 @@ class DistributedExecutor(Executor):
                             executor=f"{self.name}:{worker}",
                         )
                     )
-            return results  # type: ignore[return-value]
-        # run the original closures in-process
-        fallback = self.fallback if self.fallback is not None else SerialExecutor()
+            return report
+        # run the original closures serially in-process
         idxs = [i for i, key in enumerate(keys) if key in rerun]
-        self._degradations.append(
+        report.degradations.append(
             DegradationEvent(
                 kind="executor",
                 from_name=self.name,
-                to_name=fallback.name,
+                to_name="serial",
                 reason=(
                     f"{len(undone)} interval(s) undone with no remote "
                     f"workers remaining, {len(coord.failures)} failed on "
@@ -244,33 +236,18 @@ class DistributedExecutor(Executor):
         )
         if self.observer is not None and getattr(self.observer, "enabled", False):
             self.observer.instant(
-                "degrade_executor", "dist", undone=len(idxs), to=fallback.name
+                "degrade_executor", "dist", undone=len(idxs), to="serial"
             )
-        local = fallback.map_tasks([_capture_errors(tasks[i]) for i in idxs])
-        for i, (stats, error) in zip(idxs, local):
-            if error is None:
-                results[i] = stats
-                continue
-            self._failures.append(
-                TaskFailure(
-                    task_index=i,
-                    attempts=coord.table.attempts.get(keys[i], 0) + 1,
-                    error=error,
-                    executor=fallback.name,
+        for i in idxs:
+            try:
+                report.results[i] = tasks[i]()
+            except Exception as exc:  # recorded as a TaskFailure
+                report.failures.append(
+                    TaskFailure(
+                        task_index=i,
+                        attempts=coord.table.attempts.get(keys[i], 0) + 1,
+                        error=f"{type(exc).__name__}: {exc}",
+                        executor="serial",
+                    )
                 )
-            )
-        return results  # type: ignore[return-value]
-
-
-def _capture_errors(task: Callable[[], T]) -> Callable[[], tuple]:
-    """Wrap ``task`` to return ``(result, None)`` or ``(None, error)``."""
-
-    def run() -> tuple:
-        try:
-            return task(), None
-        except Exception as exc:  # recorded as a TaskFailure
-            return None, f"{type(exc).__name__}: {exc}"
-
-    # work-stealing fallbacks deal by weight
-    run.weight = getattr(task, "weight", 1)  # type: ignore[attr-defined]
-    return run
+        return report

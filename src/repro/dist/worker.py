@@ -308,8 +308,6 @@ def spawn_local_workers(
     address: Tuple[str, int],
     poset_path: Optional[Path] = None,
     wire_faults: Optional[WireFaults] = None,
-    fault_workers: int = 1,
-    name_prefix: str = "host",
 ) -> List[multiprocessing.Process]:
     """Start ``n`` local worker processes connected to ``address``.
 
@@ -320,17 +318,16 @@ def spawn_local_workers(
     file itself, so the coordinator's stale-digest handshake applies;
     otherwise the poset arrives in the welcome message.
 
-    Only the first ``fault_workers`` processes receive ``wire_faults`` —
-    the victim/survivor split every recovery test needs.  Workers are
-    named ``host0 … hostN-1`` so traces get one lane per simulated host.
+    Only the first process (``host0``) receives ``wire_faults`` — the
+    victim/survivor split every recovery test needs.  Workers are named
+    ``host0 … hostN-1`` so traces get one lane per simulated host.
     """
     procs: List[multiprocessing.Process] = []
     for i in range(n):
-        faults = wire_faults if i < fault_workers else None
         proc = multiprocessing.Process(
             target=_local_worker,
-            args=(address, f"{name_prefix}{i}", poset_path, faults),
-            name=f"dist-worker-{name_prefix}{i}",
+            args=(address, f"host{i}", poset_path, wire_faults if i == 0 else None),
+            name=f"dist-worker-host{i}",
             daemon=True,
         )
         proc.start()

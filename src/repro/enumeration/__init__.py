@@ -33,7 +33,6 @@ from repro.enumeration.base import (
 from repro.enumeration.bfs import BFSEnumerator
 from repro.enumeration.counting import verify_enumerator
 from repro.enumeration.dfs import DFSEnumerator
-from repro.enumeration.fast_lexical import FastLexicalEnumerator
 from repro.enumeration.levels import LevelEnumerator
 from repro.enumeration.lexical import LexicalEnumerator
 from repro.enumeration.packed import PackedLexicalEnumerator
@@ -46,7 +45,6 @@ __all__ = [
     "make_enumerator",
     "BFSEnumerator",
     "LexicalEnumerator",
-    "FastLexicalEnumerator",
     "PackedLexicalEnumerator",
     "LevelEnumerator",
     "SquireEnumerator",

@@ -115,11 +115,9 @@ def make_enumerator(
     name: str, poset: Poset, memory_budget: Optional[int] = None
 ) -> Enumerator:
     """Factory by algorithm name: ``"bfs"``, ``"lexical"``,
-    ``"lexical-fast"``, ``"lexical-packed"``, ``"level-space"``,
-    ``"dfs"`` or ``"squire"``."""
+    ``"lexical-packed"``, ``"level-space"``, ``"dfs"`` or ``"squire"``."""
     from repro.enumeration.bfs import BFSEnumerator
     from repro.enumeration.dfs import DFSEnumerator
-    from repro.enumeration.fast_lexical import FastLexicalEnumerator
     from repro.enumeration.levels import LevelEnumerator
     from repro.enumeration.lexical import LexicalEnumerator
     from repro.enumeration.packed import PackedLexicalEnumerator
@@ -128,7 +126,6 @@ def make_enumerator(
     table = {
         "bfs": BFSEnumerator,
         "lexical": LexicalEnumerator,
-        "lexical-fast": FastLexicalEnumerator,
         "lexical-packed": PackedLexicalEnumerator,
         "level-space": LevelEnumerator,
         "dfs": DFSEnumerator,

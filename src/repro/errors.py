@@ -172,20 +172,20 @@ class ExecutorError(ReproError):
 
 
 class ExecutorTimeoutError(ExecutorError):
-    """Raised when gathering a task's result exceeded the configured
-    per-task timeout (a hung or pathologically slow worker).
+    """Raised when a gather made no progress for the configured timeout
+    (a hung or pathologically slow worker).
 
-    ``task_index`` is the position, in the submitted batch, of the task
-    whose result did not arrive in time; the remaining futures have been
-    cancelled (already-running tasks cannot be interrupted, but their
-    results are discarded — harmless, since interval tasks are idempotent).
+    ``task_index`` is the position, in the submitted batch, of the lowest
+    task still unfinished; no further task starts (already-running tasks
+    cannot be interrupted, but their results are discarded — harmless,
+    since interval tasks are idempotent).
     """
 
     def __init__(self, task_index: int, timeout: float, executor: str = ""):
         where = f" on {executor!r}" if executor else ""
         super().__init__(
-            f"task {task_index} exceeded the {timeout:g}s gather timeout"
-            f"{where}; remaining tasks were cancelled"
+            f"task {task_index} unfinished after {timeout:g}s without "
+            f"progress{where}; the gather was abandoned"
         )
         #: Index of the offending task within the submitted batch.
         self.task_index = task_index

@@ -11,7 +11,7 @@ into runtime machinery:
   :class:`~repro.dist.wire.WireFaults` instead);
 * :mod:`~repro.resilience.runner` — :class:`ResilientExecutor`: per-task
   bounded retry with exponential backoff
-  (:class:`~repro.core.executors.RetryPolicy`), gather timeouts, and the
+  (:class:`~repro.core.executors.RetryPolicy`), no-progress timeouts, and the
   graceful-degradation cascade down the executor ladder to serial;
 * :mod:`~repro.resilience.checkpoint` — an interval checkpoint journal
   (JSON lines keyed by a poset digest) so a killed run resumes enumerating

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.executors import Executor
+from repro.core.metrics import ExecutorReport
 from repro.errors import InjectedFaultError, ReproError
 from repro.util.rng import DeterministicRng, derive_seed
 
@@ -141,9 +142,9 @@ def apply_fault(kind: str, spec: FaultSpec, key: object, attempt: int) -> None:
 
     ``crash``/``poison`` raise :class:`~repro.errors.InjectedFaultError`;
     ``hang`` sleeps for ``hang_seconds`` (long enough to trip a configured
-    gather timeout, after which the task would complete late — its result
-    is discarded by the aborted gather); ``slow`` sleeps briefly and lets
-    the task proceed.
+    no-progress timeout, after which the task would complete late — its
+    result is discarded by the aborted gather); ``slow`` sleeps briefly
+    and lets the task proceed.
     """
     if kind == FAULT_SLOW:
         time.sleep(spec.slow_seconds)
@@ -164,7 +165,8 @@ class FaultInjectingExecutor(Executor):
     succeed.
 
     Injected crashes propagate out of the wrapped task, aborting the inner
-    executor's gather exactly like a real worker death would.
+    executor's gather exactly like a real worker death would.  A gather
+    that returns hands back the inner executor's report unchanged.
     """
 
     name = "fault-injecting"
@@ -177,7 +179,7 @@ class FaultInjectingExecutor(Executor):
         #: Log of ``(key, attempt, kind)`` for every injected fault.
         self.injected: List[Tuple[object, int, str]] = []
 
-    def map_tasks(self, tasks: Sequence) -> List:
+    def map_tasks(self, tasks: Sequence) -> ExecutorReport:
         wrapped = []
         for position, task in enumerate(tasks):
             key = getattr(task, "fault_key", position)

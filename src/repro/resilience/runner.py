@@ -22,25 +22,25 @@ Worker-process faults are handled by
 :class:`repro.dist.DistributedExecutor` instead: its lease table
 re-dispatches a crashed or hung worker's intervals.
 
-The ParaMount driver drains :meth:`ResilientExecutor.drain_log` into
-:class:`~repro.core.metrics.ParaMountResult`, so failed-task provenance,
-retry counts, and every degradation step surface in the run's result.
+Each :meth:`ResilientExecutor.map_tasks` returns one
+:class:`~repro.core.metrics.ExecutorReport` holding the failed-task
+provenance, retry count, and every degradation step, which the ParaMount
+driver copies onto the run's result.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.executors import (
     Executor,
     RetryPolicy,
     SerialExecutor,
-    ThreadExecutor,
     WorkStealingThreadExecutor,
 )
-from repro.core.metrics import DegradationEvent, TaskFailure
+from repro.core.metrics import DegradationEvent, ExecutorReport, TaskFailure
 from repro.errors import ExecutorTimeoutError
 from repro.resilience.faults import FAULT_NONE, FaultSpec, apply_fault
 from repro.util.log import get_logger
@@ -54,25 +54,21 @@ _ERR = "err"
 
 
 def default_ladder(
-    workers: int = 0,
-    task_timeout: Optional[float] = None,
-    steal: bool = False,
+    workers: int = 0, task_timeout: Optional[float] = None
 ) -> List[Executor]:
     """The standard degradation cascade: ``threads → serial``.
 
     Interval tasks in the offline driver close over the poset and visitor,
     so every rung runs in-process; true process parallelism goes through
     :class:`repro.dist.DistributedExecutor`, whose leases ship interval
-    descriptors instead of closures.
-
-    With ``steal=True`` the thread rung is a
+    descriptors instead of closures.  The thread rung is a
     :class:`~repro.core.executors.WorkStealingThreadExecutor`, so the
-    adaptive schedule's split tasks are balanced by deque stealing rather
-    than the pool's arrival order.
+    adaptive schedule's split tasks are balanced by deque stealing.
     """
-    thread_cls = WorkStealingThreadExecutor if steal else ThreadExecutor
     return [
-        thread_cls(workers or os.cpu_count() or 1, task_timeout=task_timeout),
+        WorkStealingThreadExecutor(
+            workers or os.cpu_count() or 1, task_timeout=task_timeout
+        ),
         SerialExecutor(),
     ]
 
@@ -92,6 +88,12 @@ class ResilientExecutor(Executor):
         Optional fault plan applied *inside* the per-task guard, giving
         deterministically attributed crash/hang/slow/poison faults (the
         test harness's primary injection point).
+
+    The returned report adds up the reports of every rung gather that
+    returned (steals, per-worker load, …) on top of this executor's own
+    failures, degradations and retries.  A gather that raised lost its
+    results and its report with them, so steals made inside it are not
+    counted.
     """
 
     name = "resilient"
@@ -109,21 +111,10 @@ class ResilientExecutor(Executor):
         self.ladder = rungs
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_spec = fault_spec
-        self.failures: List[TaskFailure] = []
-        self.degradations: List[DegradationEvent] = []
-        self.retries: int = 0
-
-    def drain_log(
-        self,
-    ) -> Tuple[List[TaskFailure], List[DegradationEvent], int]:
-        """Return and clear the accumulated (failures, degradations, retries)."""
-        log = (self.failures, self.degradations, self.retries)
-        self.failures, self.degradations, self.retries = [], [], 0
-        return log
 
     # ------------------------------------------------------------------ #
 
-    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
+    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> ExecutorReport:
         # Forward the driver-wired observer down the ladder so stealing
         # rungs emit steal markers into the same trace.
         obs = self.observer
@@ -132,7 +123,8 @@ class ResilientExecutor(Executor):
                 if getattr(rung_exec, "observer", None) is None:
                     rung_exec.observer = obs
         n = len(tasks)
-        results: List[object] = [None] * n
+        report = ExecutorReport(results=[None] * n)
+        results = report.results
         fail_count = [0] * n  # task-attributed failures (charges the retry budget)
         execs = [0] * n  # executions started (the fault plan's attempt index)
         pending = list(range(n))
@@ -146,7 +138,7 @@ class ResilientExecutor(Executor):
                 batch.append(self._guard(tasks[i], i, execs[i]))
                 execs[i] += 1
             try:
-                outs = executor.map_tasks(batch)
+                rung_report = executor.map_tasks(batch)
             except Exception as exc:  # timeout, injected crash
                 # The whole gather was lost; everything pending is simply
                 # resubmitted — idempotent intervals make the wasted
@@ -156,7 +148,7 @@ class ResilientExecutor(Executor):
                     offender = pending[exc.task_index]
                     fail_count[offender] += 1
                     if fail_count[offender] >= self.retry.max_attempts:
-                        self.failures.append(
+                        report.failures.append(
                             TaskFailure(
                                 task_index=offender,
                                 attempts=fail_count[offender],
@@ -168,32 +160,37 @@ class ResilientExecutor(Executor):
                 rung_breaks += 1
                 if rung_breaks >= self.retry.max_attempts:
                     if rung + 1 < len(self.ladder):
-                        self._degrade(rung, str(exc))
+                        report.degradations.append(self._degrade(rung, str(exc)))
                         rung += 1
                         rung_breaks = 0
                     else:
-                        self._fail_all(
-                            pending,
-                            fail_count,
-                            f"batch aborted repeatedly on the last rung: {exc}",
-                            executor.name,
+                        reason = f"batch aborted repeatedly on the last rung: {exc}"
+                        report.failures.extend(
+                            TaskFailure(
+                                task_index=i,
+                                attempts=fail_count[i],
+                                error=reason,
+                                executor=executor.name,
+                            )
+                            for i in pending
                         )
                         break
                 if pending:
-                    self.retries += len(pending)
+                    report.retries += len(pending)
                     self._observe_retries(len(pending), str(exc))
                     time.sleep(self.retry.delay(min(rung_breaks + 1, 8)))
                 continue
 
+            report.add(rung_report)
             still: List[int] = []
-            for i, out in zip(pending, outs):
+            for i, out in zip(pending, rung_report.results):
                 status, payload = out
                 if status == _OK:
                     results[i] = payload
                     continue
                 fail_count[i] += 1
                 if fail_count[i] >= self.retry.max_attempts:
-                    self.failures.append(
+                    report.failures.append(
                         TaskFailure(
                             task_index=i,
                             attempts=fail_count[i],
@@ -204,14 +201,14 @@ class ResilientExecutor(Executor):
                 else:
                     still.append(i)
             if still:
-                self.retries += len(still)
+                report.retries += len(still)
                 self._observe_retries(len(still), "task error")
                 time.sleep(
                     self.retry.delay(min(max(fail_count[i] for i in still), 8))
                 )
             pending = still
 
-        return results
+        return report
 
     # ------------------------------------------------------------------ #
 
@@ -243,7 +240,7 @@ class ResilientExecutor(Executor):
             obs.counter("retry_attempts_total").inc(count)
             obs.instant("retry", "resilience", tasks=count, reason=reason)
 
-    def _degrade(self, rung: int, reason: str) -> None:
+    def _degrade(self, rung: int, reason: str) -> DegradationEvent:
         from_name = self.ladder[rung].name
         to_name = self.ladder[rung + 1].name
         logger.warning(
@@ -265,28 +262,9 @@ class ResilientExecutor(Executor):
                 to=to_name,
                 reason=reason[:120],
             )
-        self.degradations.append(
-            DegradationEvent(
-                kind="executor",
-                from_name=from_name,
-                to_name=to_name,
-                reason=reason,
-            )
+        return DegradationEvent(
+            kind="executor",
+            from_name=from_name,
+            to_name=to_name,
+            reason=reason,
         )
-
-    def _fail_all(
-        self,
-        pending: List[int],
-        fail_count: List[int],
-        reason: str,
-        executor_name: str,
-    ) -> None:
-        for i in pending:
-            self.failures.append(
-                TaskFailure(
-                    task_index=i,
-                    attempts=fail_count[i],
-                    error=reason,
-                    executor=executor_name,
-                )
-            )

@@ -299,9 +299,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             )
 
             ladder = default_ladder(
-                args.workers or 1,
-                task_timeout=args.task_timeout,
-                steal=policy.steal,
+                args.workers or 1, task_timeout=args.task_timeout
             )
             if args.faults:
                 spec = FaultSpec.parse(args.faults)
@@ -779,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--subroutine",
-        choices=("lexical", "lexical-fast", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
+        choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
         default="lexical",
         help="ParaMount's bounded subroutine",
     )
@@ -815,9 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         "--subroutine",
-        choices=("lexical", "lexical-fast", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
+        choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
         default="lexical",
-        help="sequential (sub)routine; lexical-fast is the tuned loop, lexical-packed the flat-table kernels, level-space the bounded-memory level traversal",
+        help="sequential (sub)routine; lexical-packed runs the flat-table "
+        "kernels, level-space the bounded-memory level traversal",
     )
     p.add_argument(
         "--paramount",
@@ -829,8 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fifo", "largest", "split", "split-steal", "adaptive"),
         default="split-steal",
         help="task schedule for --paramount: fifo is the pre-scheduling "
-        "behavior; split-steal (default) splits oversized intervals and "
-        "dispatches largest-first with work stealing",
+        "behavior; split-steal (default; split is the same policy) splits "
+        "oversized intervals and dispatches largest-first with work "
+        "stealing",
     )
     p.add_argument(
         "--resume",
@@ -861,7 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout",
         type=float,
         default=None,
-        help="per-task gather timeout in seconds for the resilient ladder",
+        help="seconds the resilient ladder's thread pool may go without "
+        "finishing any task before it abandons the gather and retries",
     )
     p.add_argument(
         "--trace-out",
@@ -957,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         "--subroutine",
-        choices=("lexical", "lexical-fast", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
+        choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
         default="lexical",
     )
     p.add_argument(

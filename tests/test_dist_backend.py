@@ -25,7 +25,9 @@ import pytest
 from repro.core.paramount import ParaMount
 from repro.dist import Coordinator, DistributedExecutor, WireFaults
 from repro.dist.wire import recv_message, send_message
+from repro.obs import Observer
 from repro.poset.random_posets import RandomComputationSpec, random_computation
+from repro.staticcheck.sanitize import EnumerationSanitizer
 from repro.workloads.registry import ENUMERATION_WORKLOADS
 
 from tests.conftest import build_chain_poset, build_figure4_poset
@@ -114,6 +116,22 @@ def test_wall_time_recorded():
     assert result.wall_time > 0.0
 
 
+@pytest.mark.parametrize("callback", ["visit", "sanitizer"])
+def test_run_needing_every_state_is_refused(callback):
+    """Remote workers never call the driver's visitor or sanitizer, so a
+    run that needs either is refused before a coordinator or worker
+    exists — instead of reporting success with nothing visited."""
+    poset = random_computation(RandomComputationSpec(3, 12, 0.5, seed=1))
+    executor = dist_executor()
+    seen = []
+    options = {"sanitizer": EnumerationSanitizer()} if callback == "sanitizer" else {}
+    pm = ParaMount(poset, "lexical", executor=executor, **options)
+    with pytest.raises(ValueError, match="visitor or sanitizer"):
+        pm.run(visit=seen.append if callback == "visit" else None)
+    assert executor.last_coordinator is None
+    assert seen == []
+
+
 @pytest.mark.parametrize(
     "name,faults,lease_seconds",
     [
@@ -139,17 +157,23 @@ def test_killed_worker_recovers_exactly(tmp_path, name, faults, lease_seconds):
     poset = build(name)
     serial = ParaMount(poset).run()
     path = tmp_path / f"{name}.ckpt"
-    executor = dist_executor(
-        lease_seconds=lease_seconds, wire_faults=faults, fault_workers=1
-    )
+    executor = dist_executor(lease_seconds=lease_seconds, wire_faults=faults)
+    observer = Observer()
     result = ParaMount(
-        poset, executor=executor, checkpoint=path, schedule="fifo"
+        poset,
+        executor=executor,
+        checkpoint=path,
+        schedule="fifo",
+        observer=observer,
     ).run()
     assert result.complete
     assert result.states == serial.states
     assert result.interval_sizes() == serial.interval_sizes()
     # the fault cost at least one in-flight lease its first attempt
     assert result.redispatches >= 1
+    counters = observer.snapshot()["counters"]
+    assert counters.get("redispatches_total", 0) == result.redispatches
+    assert counters.get("leases_expired_total", 0) == result.leases_expired
     records = journal_records(path)
     assert len(records) == len(serial.intervals)
     keys = {
@@ -168,7 +192,6 @@ def test_partition_duplicates_are_suppressed(tmp_path):
     executor = dist_executor(
         lease_seconds=0.75,
         wire_faults=WireFaults(seed=1, drop_ack=0.2),
-        fault_workers=1,
     )
     result = ParaMount(
         poset, executor=executor, checkpoint=path, schedule="fifo"

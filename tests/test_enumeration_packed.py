@@ -17,7 +17,6 @@ from repro.core.paramount import ParaMount
 from repro.dist import DistributedExecutor
 from repro.enumeration import (
     CollectingVisitor,
-    FastLexicalEnumerator,
     LexicalEnumerator,
     PackedLexicalEnumerator,
     make_enumerator,
@@ -51,10 +50,8 @@ def sequence(enumerator, lo=None, hi=None):
 @settings(max_examples=60, deadline=None)
 @given(small_posets())
 def test_full_visit_sequence_identity(poset):
-    """lexical == lexical-fast == lexical-packed (both kernels), in order."""
+    """lexical == lexical-packed (both kernels), in order."""
     ref_result, ref = sequence(LexicalEnumerator(poset))
-    _, fast = sequence(FastLexicalEnumerator(poset))
-    assert fast == ref
     for kernel in KERNELS:
         result, cuts = sequence(PackedLexicalEnumerator(poset, kernel=kernel))
         assert cuts == ref, kernel

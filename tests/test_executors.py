@@ -8,7 +8,7 @@ import pytest
 from repro.core.executors import (
     RetryPolicy,
     SerialExecutor,
-    ThreadExecutor,
+    WorkStealingThreadExecutor,
 )
 from repro.errors import ExecutorTimeoutError
 
@@ -18,7 +18,7 @@ def _make_tasks(n):
 
 
 def test_serial_order_preserved():
-    results = SerialExecutor().map_tasks(_make_tasks(10))
+    results = SerialExecutor().map_tasks(_make_tasks(10)).results
     assert results == [i * i for i in range(10)]
 
 
@@ -27,12 +27,12 @@ def test_serial_is_single_worker():
 
 
 def test_thread_executor_order_preserved():
-    results = ThreadExecutor(4).map_tasks(_make_tasks(25))
+    results = WorkStealingThreadExecutor(4).map_tasks(_make_tasks(25)).results
     assert results == [i * i for i in range(25)]
 
 
 def test_thread_executor_empty():
-    assert ThreadExecutor(2).map_tasks([]) == []
+    assert WorkStealingThreadExecutor(2).map_tasks([]).results == []
 
 
 def test_thread_executor_runs_concurrently():
@@ -44,7 +44,8 @@ def test_thread_executor_runs_concurrently():
         barrier.wait()
         return True
 
-    assert ThreadExecutor(2).map_tasks([task, task]) == [True, True]
+    report = WorkStealingThreadExecutor(2).map_tasks([task, task])
+    assert report.results == [True, True]
 
 
 def test_thread_executor_propagates_exceptions():
@@ -52,19 +53,19 @@ def test_thread_executor_propagates_exceptions():
         raise RuntimeError("task failed")
 
     with pytest.raises(RuntimeError):
-        ThreadExecutor(2).map_tasks([boom])
+        WorkStealingThreadExecutor(2).map_tasks([boom])
 
 
 def test_worker_count_validation():
     with pytest.raises(ValueError):
-        ThreadExecutor(0)
+        WorkStealingThreadExecutor(0)
     with pytest.raises(ValueError):
         SerialExecutor.__bases__[0].__init__(SerialExecutor(), -3)
 
 
 def test_thread_executor_timeout_is_typed_and_names_the_task():
-    """A hung task trips the gather timeout: the remaining futures are
-    cancelled and the error carries the offending task's index."""
+    """A hung task trips the no-progress timeout: the tasks queued behind
+    it never start and the error carries the offending task's index."""
     started = threading.Event()
     ran_after = []
 
@@ -80,20 +81,20 @@ def test_thread_executor_timeout_is_typed_and_names_the_task():
         ran_after.append(True)
         return "never"
 
-    ex = ThreadExecutor(1, task_timeout=0.1)
+    ex = WorkStealingThreadExecutor(1, task_timeout=0.1)
     with pytest.raises(ExecutorTimeoutError) as info:
         ex.map_tasks([fast, hung, never])
     assert info.value.task_index == 1
     assert info.value.timeout == pytest.approx(0.1)
     assert "task 1" in str(info.value)
     assert started.is_set()
-    assert not ran_after  # the queued task behind the hang was cancelled
+    assert not ran_after  # the queued task behind the hang never ran
 
 
 def test_thread_executor_without_timeout_waits():
-    ex = ThreadExecutor(2)
+    ex = WorkStealingThreadExecutor(2)
     assert ex.task_timeout is None
-    assert ex.map_tasks([lambda: 1, lambda: 2]) == [1, 2]
+    assert ex.map_tasks([lambda: 1, lambda: 2]).results == [1, 2]
 
 
 def test_retry_policy_delay_schedule():

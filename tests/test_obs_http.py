@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.executors import ThreadExecutor
+from repro.core.executors import WorkStealingThreadExecutor
 from repro.core.paramount import ParaMount
 from repro.obs import Observer, OpsEndpoint, validate_prometheus_text
 from tests.conftest import build_chain_poset
@@ -102,7 +102,7 @@ def test_concurrent_scrapes_during_live_threaded_run():
             t.start()
         try:
             result = ParaMount(
-                poset, executor=ThreadExecutor(2), observer=observer
+                poset, executor=WorkStealingThreadExecutor(2), observer=observer
             ).run()
         finally:
             done.set()

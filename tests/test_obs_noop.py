@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import replace
 
-from repro.core.executors import ThreadExecutor, WorkStealingThreadExecutor
+from repro.core.executors import WorkStealingThreadExecutor
 from repro.core.paramount import ParaMount
 from repro.dist import DistributedExecutor
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
@@ -54,28 +54,19 @@ def test_thread_paths_identical_modulo_seconds(tmp_path):
     poset = build_figure4_poset()
     results = {}
     for label, observer in (("none", None), ("null", NullObserver())):
-        for exec_label, executor in (
-            ("threads", ThreadExecutor(2)),
-            ("steal", WorkStealingThreadExecutor(2)),
-        ):
-            journal = CheckpointJournal(
-                tmp_path / f"{label}-{exec_label}.journal"
-            )
-            result = ParaMount(
-                poset,
-                executor=executor,
-                schedule="split-steal",
-                checkpoint=journal,
-                observer=observer,
-            ).run()
-            results[(label, exec_label)] = result
-    for exec_label in ("threads", "steal"):
-        a = results[("none", exec_label)]
-        b = results[("null", exec_label)]
-        assert a.states == b.states
-        assert _strip_seconds(sorted(a.tasks, key=lambda s: (s.event, s.lo))) == (
-            _strip_seconds(sorted(b.tasks, key=lambda s: (s.event, s.lo)))
-        )
+        journal = CheckpointJournal(tmp_path / f"{label}.journal")
+        results[label] = ParaMount(
+            poset,
+            executor=WorkStealingThreadExecutor(2),
+            schedule="split-steal",
+            checkpoint=journal,
+            observer=observer,
+        ).run()
+    a, b = results["none"], results["null"]
+    assert a.states == b.states
+    assert _strip_seconds(sorted(a.tasks, key=lambda s: (s.event, s.lo))) == (
+        _strip_seconds(sorted(b.tasks, key=lambda s: (s.event, s.lo)))
+    )
 
 
 def test_mp_path_identical_modulo_seconds():

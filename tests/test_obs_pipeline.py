@@ -94,15 +94,15 @@ def test_steal_instants_and_counter():
     tasks = [blocker, lambda: filler(1), setter, lambda: filler(2)]
     for task, weight in zip(tasks, (10, 10, 9, 1)):
         task.weight = weight
-    results = executor.map_tasks(tasks)
-    assert results == ["blocked", 1, "set", 2]
-    assert executor.last_steals > 0
+    report = executor.map_tasks(tasks)
+    assert report.results == ["blocked", 1, "set", 2]
+    assert report.steals > 0
     steal_spans = [s for s in observer.spans() if s.name == "steal"]
-    assert len(steal_spans) == executor.last_steals
+    assert len(steal_spans) == report.steals
     assert all(s.category == "schedule" for s in steal_spans)
     assert all("task" in s.attrs and "weight" in s.attrs for s in steal_spans)
     counters = observer.snapshot()["counters"]
-    assert counters["steals_total"] == executor.last_steals
+    assert counters["steals_total"] == report.steals
 
 
 def test_one_lane_per_worker_in_stealing_run():
@@ -209,8 +209,8 @@ def test_resilient_retries_emit_instants_and_counter():
         fault_spec=FaultSpec(seed=0, poison=frozenset({1})),
     )
     ex.observer = observer
-    results = ex.map_tasks([lambda: "a", lambda: "b", lambda: "c"])
-    assert results == ["a", None, "c"]
+    report = ex.map_tasks([lambda: "a", lambda: "b", lambda: "c"])
+    assert report.results == ["a", None, "c"]
     retries = [s for s in observer.spans() if s.name == "retry"]
     assert retries  # poisoned task retried before failing permanently
     counters = observer.snapshot()["counters"]

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from repro.core.executors import SerialExecutor, ThreadExecutor
+from repro.core.executors import SerialExecutor, WorkStealingThreadExecutor
 from repro.core.paramount import ParaMount
 from repro.enumeration.base import CollectingVisitor
 from repro.errors import EnumerationError
@@ -59,7 +59,9 @@ def test_order_callable(figure4_poset):
 def test_threaded_executor_equivalent(grid_poset):
     serial = ParaMount(grid_poset, executor=SerialExecutor()).run()
     visitor = CollectingVisitor()
-    threaded = ParaMount(grid_poset, executor=ThreadExecutor(4)).run(visitor)
+    threaded = ParaMount(
+        grid_poset, executor=WorkStealingThreadExecutor(4)
+    ).run(visitor)
     assert threaded.states == serial.states == 64
     assert visitor.as_set() == expected_states(grid_poset)
 

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.executors import Executor
+from repro.core.metrics import ExecutorReport
 from repro.core.paramount import ParaMount
 from repro.dist import DistributedExecutor
 from repro.errors import CheckpointError
@@ -35,7 +36,7 @@ class AbortAfter(Executor):
             if index >= self.k:
                 raise RuntimeError("simulated kill")
             results.append(task())
-        return results
+        return ExecutorReport(results=results)
 
 
 @pytest.fixture

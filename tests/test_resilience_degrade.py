@@ -7,7 +7,7 @@ from repro.core.executors import (
     Executor,
     RetryPolicy,
     SerialExecutor,
-    ThreadExecutor,
+    WorkStealingThreadExecutor,
 )
 from repro.core.paramount import ParaMount
 from repro.errors import ExecutorError, OutOfMemoryError
@@ -36,7 +36,7 @@ class AlwaysBroken(Executor):
 
 def test_default_ladder_shape():
     ladder = default_ladder(3, task_timeout=1.0)
-    assert isinstance(ladder[0], ThreadExecutor)
+    assert isinstance(ladder[0], WorkStealingThreadExecutor)
     assert ladder[0].num_workers == 3
     assert ladder[0].task_timeout == 1.0
     assert isinstance(ladder[-1], SerialExecutor)
@@ -51,16 +51,15 @@ def test_broken_pool_descends_after_repeated_breakage():
     ex = ResilientExecutor(
         ladder=[AlwaysBroken(), SerialExecutor()], retry=FAST_RETRY
     )
-    results = ex.map_tasks([lambda i=i: i + 1 for i in range(4)])
-    assert results == [1, 2, 3, 4]
-    failures, degradations, retries = ex.drain_log()
-    assert not failures
-    assert len(degradations) == 1
-    assert degradations[0].kind == "executor"
-    assert degradations[0].from_name == "always-broken"
-    assert degradations[0].to_name == "serial"
+    report = ex.map_tasks([lambda i=i: i + 1 for i in range(4)])
+    assert report.results == [1, 2, 3, 4]
+    assert not report.failures
+    assert len(report.degradations) == 1
+    assert report.degradations[0].kind == "executor"
+    assert report.degradations[0].from_name == "always-broken"
+    assert report.degradations[0].to_name == "serial"
     # each breakage resubmitted the whole pending batch
-    assert retries > 0
+    assert report.retries > 0
 
 
 def test_last_rung_exhaustion_records_failures_not_raises():
@@ -68,20 +67,13 @@ def test_last_rung_exhaustion_records_failures_not_raises():
     ex = ResilientExecutor(
         ladder=[SerialExecutor()], retry=FAST_RETRY, fault_spec=spec
     )
-    results = ex.map_tasks([lambda: "a", lambda: "b", lambda: "c"])
-    assert results == ["a", None, "c"]
-    failures, _, _ = ex.drain_log()
+    report = ex.map_tasks([lambda: "a", lambda: "b", lambda: "c"])
+    assert report.results == ["a", None, "c"]
+    failures = report.failures
     assert len(failures) == 1
     assert failures[0].task_index == 1
     assert failures[0].attempts == FAST_RETRY.max_attempts
     assert "poison" in failures[0].error
-
-
-def test_drain_log_clears():
-    ex = ResilientExecutor(ladder=[SerialExecutor()], retry=FAST_RETRY)
-    ex.map_tasks([lambda: 1])
-    ex.drain_log()
-    assert ex.drain_log() == ([], [], 0)
 
 
 # --------------------------------------------------------------------- #
@@ -147,8 +139,10 @@ def test_driver_reports_ladder_provenance():
     assert result.states == base.states
     assert result.degraded
     assert result.retries > 0
-    # the executor's log was drained into the result
-    assert ex.drain_log() == ([], [], 0)
+    # a second run reports only its own provenance, not the first's
+    again = ParaMount(poset, executor=ex).run()
+    assert again.retries == result.retries
+    assert again.degradations == result.degradations
 
 
 def test_driver_attributes_failed_tasks_to_interval_events():

@@ -15,9 +15,14 @@ import os
 
 import pytest
 
-from repro.core.executors import RetryPolicy, SerialExecutor, ThreadExecutor
+from repro.core.executors import (
+    RetryPolicy,
+    SerialExecutor,
+    WorkStealingThreadExecutor,
+)
 from repro.core.paramount import ParaMount
 from repro.errors import InjectedFaultError, ReproError
+from repro.obs import Observer
 from repro.resilience import (
     FAULT_CRASH,
     FAULT_NONE,
@@ -102,7 +107,7 @@ def test_injecting_executor_logs_and_retries_get_fresh_draws():
     with pytest.raises(InjectedFaultError):
         ex.map_tasks([lambda: 1, lambda: 2])
     # second submission of the same keys is attempt 1 → fault-free
-    assert ex.map_tasks([lambda: 1, lambda: 2]) == [1, 2]
+    assert ex.map_tasks([lambda: 1, lambda: 2]).results == [1, 2]
     # both attempt-0 faults were planned and logged (the serial inner
     # stopped at the first crash, but injection is decided at wrap time)
     assert [(k, a) for k, a, _ in ex.injected] == [(0, 0), (1, 0)]
@@ -147,20 +152,38 @@ def test_resilient_accounting_identity_with_permanent_failures():
 
 
 def test_hang_is_recovered_by_gather_timeout():
-    """A hung task trips the thread rung's gather timeout; the batch is
-    resubmitted and the retried task draws a fresh (fault-free) plan."""
+    """A hung task trips the thread rung's no-progress timeout; the batch
+    is resubmitted and the retried task draws a fresh (fault-free) plan."""
     poset = build_figure4_poset()
     spec = FaultSpec(
         seed=FAULT_SEED, hang=0.6, hang_seconds=1.0, max_faulty_attempts=1
     )
     ex = ResilientExecutor(
-        ladder=[ThreadExecutor(2, task_timeout=0.2), SerialExecutor()],
+        ladder=[WorkStealingThreadExecutor(2, task_timeout=0.2), SerialExecutor()],
         retry=RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0, jitter=0.0),
         fault_spec=spec,
     )
     result = ParaMount(poset, executor=ex).run()
     assert result.states == 8
     assert result.complete
+
+
+def test_provenance_matches_counters():
+    """The result's steals and retries equal the observer's counters: the
+    resilient executor adds up the reports of every rung gather, not just
+    the last one."""
+    poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
+    observer = Observer()
+    ex = ResilientExecutor(
+        ladder=[WorkStealingThreadExecutor(2), SerialExecutor()],
+        retry=FAST_RETRY,
+        fault_spec=FaultSpec(seed=FAULT_SEED, crash=0.3, max_faulty_attempts=2),
+    )
+    result = ParaMount(poset, executor=ex, observer=observer).run()
+    counters = observer.snapshot()["counters"]
+    assert result.complete and result.retries > 0
+    assert result.steals == counters.get("steals_total", 0)
+    assert result.retries == counters.get("retry_attempts_total", 0)
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATION_WORKLOADS))

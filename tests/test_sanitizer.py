@@ -68,7 +68,7 @@ def test_full_pipeline_zero_violations_with_monitors():
 
 
 def test_threaded_enumeration_stays_disjoint():
-    from repro.core.executors import ThreadExecutor
+    from repro.core.executors import WorkStealingThreadExecutor
 
     sanitizer = PipelineSanitizer()
     trace = run_program(banking.build_banking(), seed=1)
@@ -84,7 +84,9 @@ def test_threaded_enumeration_stays_disjoint():
         [chains.get(t, []) for t in range(trace.num_threads)],
         insertion=[e.eid for e in events],
     )
-    pm = ParaMount(poset, executor=ThreadExecutor(num_workers=4), sanitizer=sanitizer)
+    pm = ParaMount(
+        poset, executor=WorkStealingThreadExecutor(num_workers=4), sanitizer=sanitizer
+    )
     result = pm.run()
     sanitizer.assert_clean()
     assert sanitizer.enumeration.states_observed == result.states

@@ -6,8 +6,7 @@ tile the parent's.  The property test certifies it on random posets two
 independent ways — by exhaustive enumeration with ``interval_of_cut`` as
 the membership oracle, and by the exact ideal-counting DP inside
 ``validate_split``.  The rest covers the plan shapes, the work-stealing
-executor, checkpoint identity of split tasks, and the lexical-fast
-subroutine in every parallel path.
+executor, and checkpoint identity of split tasks.
 """
 
 from collections import Counter
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from tests.conftest import build_chain_poset, small_posets
 from repro.core.executors import SerialExecutor, WorkStealingThreadExecutor
 from repro.core.intervals import Interval, compute_intervals, interval_of_cut
+from repro.core.metrics import ExecutorReport
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import (
     SchedulePolicy,
@@ -26,7 +26,6 @@ from repro.core.scheduling import (
     split_interval,
     validate_split,
 )
-from repro.dist import DistributedExecutor
 from repro.enumeration.base import make_enumerator
 from repro.errors import CheckpointError, ExecutorTimeoutError
 from repro.poset.ideals import count_ideals_in_interval
@@ -130,11 +129,14 @@ def test_largest_first_orders_by_size_bound():
 def test_split_plan_budget_and_counts():
     poset = build_chain_poset(3, 4)
     intervals = compute_intervals(poset)
-    plan = plan_schedule(
-        poset, intervals, SchedulePolicy(validate=True), workers=4
-    )
+    plan = plan_schedule(poset, intervals, None, workers=4)
     assert plan.budget is not None and plan.descriptor.startswith("split(")
     assert plan.split_intervals >= 1
+    for parent in intervals:
+        if parent.event in plan.parts_of:
+            parts = [iv for iv in plan.tasks if iv.event == parent.event]
+            assert len(parts) == plan.parts_of[parent.event]
+            validate_split(poset, parent, parts)
     assert len(plan.tasks) > len(intervals)
     assert sum(plan.parts_of.values()) == len(plan.tasks) - (
         len(intervals) - plan.split_intervals
@@ -142,8 +144,10 @@ def test_split_plan_budget_and_counts():
 
 
 def test_schedule_policy_parse_round_trip():
-    for name in ("fifo", "largest", "split", "split-steal"):
+    for name in ("fifo", "largest", "split-steal"):
         assert SchedulePolicy.parse(name).name == name
+    # "split" stays accepted for existing scripts; it is the same policy
+    assert SchedulePolicy.parse("split") == SchedulePolicy.parse("split-steal")
     assert SchedulePolicy.parse("adaptive").name == "split-steal"
     assert SchedulePolicy.parse(None).name == "split-steal"
     policy = SchedulePolicy(split=False)
@@ -164,9 +168,10 @@ def test_stealing_executor_preserves_order_and_results():
         task.weight = 20 - i
         tasks.append(task)
     ex = WorkStealingThreadExecutor(4)
-    assert ex.map_tasks(tasks) == [i * i for i in range(20)]
-    assert len(ex.last_worker_busy) == 4
-    assert ex.map_tasks([]) == []
+    report = ex.map_tasks(tasks)
+    assert report.results == [i * i for i in range(20)]
+    assert len(report.worker_load) == 4
+    assert ex.map_tasks([]).results == []
 
 
 def test_stealing_executor_steals_from_stragglers():
@@ -188,9 +193,9 @@ def test_stealing_executor_steals_from_stragglers():
     for task, weight in zip(tasks, (8, 7, 6, 5)):
         task.weight = weight
     ex = WorkStealingThreadExecutor(2)
-    out = ex.map_tasks(tasks)
-    assert out == ["slow", "q1", "q2", "q3"]
-    assert ex.last_steals >= 1
+    report = ex.map_tasks(tasks)
+    assert report.results == ["slow", "q1", "q2", "q3"]
+    assert report.steals >= 1
 
 
 def test_stealing_executor_propagates_task_exception():
@@ -292,7 +297,7 @@ class AbortAfter(SerialExecutor):
             if index >= self.kill_at:
                 raise RuntimeError(f"killed after {self.kill_at} tasks")
             done.append(task())
-        return done
+        return ExecutorReport(results=done)
 
 
 def test_split_checkpoint_kill_and_resume(tmp_path):
@@ -384,37 +389,3 @@ def test_legacy_unsplit_journal_still_resumes(tmp_path):
     serial = ParaMount(poset, order=order).run()
     resumed = ParaMount(poset, order=order, checkpoint=path).run()
     assert resumed.states == serial.states
-
-
-# --------------------------------------------------------------------- #
-# lexical-fast in the parallel paths
-
-
-def test_lexical_fast_through_paramount_parallel():
-    poset, order = skewed_poset()
-    slow = ParaMount(poset, order=order).run()
-    fast = ParaMount(
-        poset,
-        order=order,
-        subroutine="lexical-fast",
-        executor=WorkStealingThreadExecutor(4),
-    ).run()
-    assert fast.states == slow.states
-    assert fast.interval_sizes() == slow.interval_sizes()
-
-
-def test_lexical_fast_through_multiprocessing():
-    """lexical-fast on the dist backend's local worker processes."""
-    poset, order = skewed_poset()
-    serial = ParaMount(poset, order=order).run()
-    for schedule in ("fifo", "split-steal"):
-        result = ParaMount(
-            poset,
-            subroutine="lexical-fast",
-            order=order,
-            executor=DistributedExecutor(workers=2),
-            schedule=schedule,
-        ).run()
-        assert result.states == serial.states
-        assert result.interval_sizes() == serial.interval_sizes()
-    assert result.split_intervals >= 1
