@@ -31,7 +31,9 @@ def test_online_vs_offline_overhead(benchmark, artifact_sink):
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
 
     def run_online():
-        online = OnlineParaMount(poset.num_threads)
+        # the offline driver's default subroutine, so the work columns
+        # compare the drivers and not the kernels
+        online = OnlineParaMount(poset.num_threads, subroutine="lexical")
         for event in poset.events_in_order():
             online.insert(event)
         return online.result

@@ -49,8 +49,11 @@ class OnlineParaMount:
     num_threads:
         Width of the monitored computation.
     subroutine:
-        Bounded sequential subroutine (``"lexical"`` by default, as in the
-        paper's online detector, or ``"bfs"``/``"dfs"``).
+        Bounded sequential subroutine.  The default ``"lexical-packed"``
+        is the paper's bounded lexical algorithm over the builder's live
+        packed tables (:meth:`~repro.poset.builder.BuilderView.packed_tables`),
+        with the same visit sequence as the reference ``"lexical"``;
+        ``"level-space"``, ``"bfs"`` and ``"dfs"`` are accepted too.
     on_state:
         Optional callback invoked for every enumerated global state with
         the cut and the event whose interval produced it — this is where a
@@ -92,7 +95,7 @@ class OnlineParaMount:
     def __init__(
         self,
         num_threads: int,
-        subroutine: str = "lexical",
+        subroutine: str = "lexical-packed",
         on_state: Optional[OnlineVisitor] = None,
         synchronized: bool = False,
         memory_budget: Optional[int] = None,

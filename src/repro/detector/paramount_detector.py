@@ -4,8 +4,9 @@ Pipeline (paper Figure 7): the observed trace streams through the HB
 front-end (1-pass, event collections, §4.4); each emitted collection event
 is inserted into an :class:`~repro.core.online.OnlineParaMount`, whose
 atomic insert yields the interval ``I(e)``; the bounded lexical subroutine
-enumerates the interval; and the data-race predicate (Algorithm 6, with
-init filtering per §5.2) is evaluated on every enumerated state.
+(by default its packed kernel) enumerates the interval; and the data-race
+predicate (Algorithm 6, with init filtering per §5.2) is evaluated on every
+enumerated state.
 
 The detector is *general-purpose*: swap :class:`DataRacePredicate` for any
 :class:`~repro.predicates.base.StatePredicate` via the ``predicate_factory``
@@ -29,6 +30,7 @@ from repro.core.online import OnlineParaMount
 from repro.detector.hb import HBFrontEnd, poset_from_trace
 from repro.detector.planner import DetectionPlanner
 from repro.detector.report import DetectionReport
+from repro.poset.builder import BuilderView
 from repro.predicates.base import StatePredicate
 from repro.predicates.data_race import DataRacePredicate
 from repro.runtime.trace import Trace
@@ -53,8 +55,10 @@ class ParaMountDetector:
     Parameters
     ----------
     subroutine:
-        Bounded sequential subroutine for interval enumeration (paper
-        default: the bounded lexical algorithm).
+        Bounded sequential subroutine for interval enumeration.  The
+        default ``"lexical-packed"`` is the paper's bounded lexical
+        algorithm on the builder's live packed tables; the reference
+        ``"lexical"`` visits the same states in the same order.
     predicate_factory:
         Builds the predicate to evaluate per state; defaults to the
         init-filtered data-race predicate of Algorithms 5–6.
@@ -82,7 +86,7 @@ class ParaMountDetector:
 
     def __init__(
         self,
-        subroutine: str = "lexical",
+        subroutine: str = "lexical-packed",
         predicate_factory: PredicateFactory = _default_predicate_factory,
         memory_budget: Optional[int] = None,
         static_pruner=None,
@@ -130,26 +134,24 @@ class ParaMountDetector:
             # Arbitrary (or demoted) predicate: fall through to the
             # original online enumeration path, unchanged.
 
-        online: Optional[OnlineParaMount] = None
+        # The live view resolves the frontier events of each state; every
+        # index a cut references is below its interval's Gbnd and therefore
+        # already inserted (Theorem 3).  The callbacks hold the view, bound
+        # once below, and not the worker that holds them: no reference
+        # cycle, so a finished run is freed without the cyclic collector.
+        view: BuilderView
 
         if obs.enabled:
             checks = obs.counter("predicate_checks_total")
 
             def on_state(cut, event) -> None:
-                assert online is not None  # assigned before any insert
-                frontier = online.builder.view().frontier_events(cut)
                 checks.inc()
-                predicate.check(cut, frontier, new_event=event)
+                predicate.check(cut, view.frontier_events(cut), new_event=event)
 
         else:
 
             def on_state(cut, event) -> None:
-                # The live view resolves the frontier events of the cut;
-                # every index the cut references is below the interval's
-                # Gbnd and therefore already inserted (Theorem 3).
-                assert online is not None  # assigned before any insert
-                frontier = online.builder.view().frontier_events(cut)
-                predicate.check(cut, frontier, new_event=event)
+                predicate.check(cut, view.frontier_events(cut), new_event=event)
 
         online = OnlineParaMount(
             trace.num_threads,
@@ -158,15 +160,17 @@ class ParaMountDetector:
             memory_budget=self.memory_budget,
             observer=obs,
         )
+        view = online.builder.view()
+        insert = online.insert
         if obs.enabled:
             hb_events = obs.counter("hb_events_total")
 
             def emit(event):
                 hb_events.inc()
-                online.insert(event)
+                insert(event)
 
         else:
-            emit = lambda event: online.insert(event)  # noqa: E731
+            emit = insert
         front_end = HBFrontEnd(
             trace.num_threads,
             emit=emit,

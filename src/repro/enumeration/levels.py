@@ -59,10 +59,8 @@ class LevelEnumerator(Enumerator):
         self._check_bounds(lo, hi)
         tables = self.poset.packed_tables()
         n = tables.num_threads
-        rows = tables.clock_rows
-        ebase = tables.event_base
-        lengths = tables.lengths
-        cols = tables.succ_cols
+        rows = tables.rows
+        cols = tables.cols
         work = 0
 
         # least consistent cut ≥ lo: one-round closure (rows are
@@ -71,10 +69,11 @@ class LevelEnumerator(Enumerator):
         for i in range(n):
             ci = start[i]
             if ci:
-                rb = (ebase[i] + ci - 1) * n
+                row = rows[i]
+                rb = (ci - 1) * n
                 work += n
                 for j in range(n):
-                    need = rows[rb + j]
+                    need = row[rb + j]
                     if need > start[j]:
                         start[j] = need
         for j in range(n):
@@ -104,9 +103,10 @@ class LevelEnumerator(Enumerator):
                 if v < start[d] or v < req[d] or v > hi[d]:
                     return
                 if v:
-                    rb = (ebase[d] + v - 1) * n
+                    row = rows[d]
+                    rb = (v - 1) * n
                     for j in range(d):
-                        if rows[rb + j] > cur[j]:
+                        if row[rb + j] > cur[j]:
                             return
                 cur[d] = v
                 level_states += 1
@@ -123,8 +123,10 @@ class LevelEnumerator(Enumerator):
                 vmax = cap
             # prefix consistency caps v to a contiguous range (columns
             # are sorted): largest v whose row fits the assigned prefix
-            ld = lengths[d]
+            # one read: a concurrent append may replace the array, never
+            # resize it, so the stride derived from it stays its own
             col = cols[d]
+            ld = len(col) // n
             for j in range(d):
                 if vmax <= vlo - 1:
                     break
@@ -134,13 +136,14 @@ class LevelEnumerator(Enumerator):
                     vmax = p
             work += n
             nreq = reqs[d + 1]
+            row = rows[d]
             for v in range(vlo, vmax + 1):
                 if v:
-                    rb = (ebase[d] + v - 1) * n
+                    rb = (v - 1) * n
                     work += n
                     overflow = False
                     for j in range(d + 1, n):
-                        need = rows[rb + j]
+                        need = row[rb + j]
                         if need > hi[j]:
                             overflow = True
                             break

@@ -5,7 +5,8 @@ Same algorithm and *identical visit sequence* as
 sequence equality on random posets), an order of magnitude faster.  Two
 observations about vector clocks turn the reference algorithm's generic
 closure fixpoint into straight-line integer work over the poset's packed
-tables (:meth:`repro.poset.poset.Poset.packed_tables`):
+tables (:meth:`repro.poset.poset.Poset.packed_tables`, or the live tables
+of :meth:`repro.poset.builder.BuilderView.packed_tables` online):
 
 **One-round closure.**  Clock tables are transitively closed: if the row
 of event ``b`` forces event ``a = (i, m)`` into a cut, then ``vc(a) ≤
@@ -18,7 +19,7 @@ worklist, no fixpoint iteration.
 significant, and clock rows are monotone along a chain, so for a fixed
 prefix the set of valid last-coordinate values is a contiguous run whose
 end is ``min_j bisect_right(column_j, prefix_j)`` over the sorted
-per-thread requirement columns (``succ_cols``).  The enumerator visits
+per-thread requirement columns (``cols``).  The enumerator visits
 whole runs at C speed and only computes successors at backtracking
 positions ``k ≤ n-2``.  With no visitor the run contributes to the state
 count in O(1), which is what the counting benchmarks measure.
@@ -30,9 +31,14 @@ reference):
   works for any poset and is the guaranteed fallback.
 * ``"bitmask"`` — closure as an OR of per-event downset bitmasks and
   per-thread popcounts; selected automatically when every event fits in
-  the bit budget (``num_events ≤ BITMASK_MAX_EVENTS``).  When the poset
-  is too large the enumerator records ``fallback_reason`` and the
-  ParaMount driver bumps the ``packed_kernel_fallbacks_total`` counter.
+  the bit budget (``num_events ≤ BITMASK_MAX_EVENTS``), checked on every
+  call because an online poset keeps growing.  When the poset is too
+  large the enumerator records ``fallback_reason`` and the ParaMount
+  driver bumps the ``packed_kernel_fallbacks_total`` counter.
+
+The enumerator only reads table entries at or below the interval's upper
+bound, all appended before the caller took that bound, so it runs safely
+beside concurrent appends (Theorem 3's non-interference argument).
 """
 
 from __future__ import annotations
@@ -71,15 +77,9 @@ class PackedLexicalEnumerator(Enumerator):
         #: or when the caller forced a kernel).  The driver exports this
         #: as the ``packed_kernel_fallbacks_total`` counter.
         self.fallback_reason: Optional[str] = None
-        if kernel == "auto":
-            if poset.num_events <= self.BITMASK_MAX_EVENTS:
-                kernel = "bitmask"
-            else:
-                kernel = "array"
-                self.fallback_reason = (
-                    f"poset has {poset.num_events} events > bitmask budget "
-                    f"{self.BITMASK_MAX_EVENTS}; using the array kernel"
-                )
+        self._auto = kernel == "auto"
+        if self._auto:
+            kernel = self._select_kernel()
         elif kernel not in ("array", "bitmask"):
             raise EnumerationError(
                 f"unknown packed kernel {kernel!r}; "
@@ -88,14 +88,23 @@ class PackedLexicalEnumerator(Enumerator):
         #: The successor kernel in use: ``"array"`` or ``"bitmask"``.
         self.kernel = kernel
 
+    def _select_kernel(self) -> str:
+        events = self.tables.num_events
+        if events <= self.BITMASK_MAX_EVENTS:
+            return "bitmask"
+        self.fallback_reason = (
+            f"poset has {events} events > bitmask budget "
+            f"{self.BITMASK_MAX_EVENTS}; using the array kernel"
+        )
+        return "array"
+
     def enumerate_interval(
         self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
     ) -> EnumerationResult:
         self._check_bounds(lo, hi)
         tables = self.tables
         n = tables.num_threads
-        rows = tables.clock_rows
-        ebase = tables.event_base
+        rows = tables.rows
         work = 0
 
         # ---- initial state: least consistent cut ≥ lo (one-round) ------ #
@@ -103,20 +112,22 @@ class PackedLexicalEnumerator(Enumerator):
         for i in range(n):
             ci = cut[i]
             if ci:
-                rb = (ebase[i] + ci - 1) * n
+                row = rows[i]
+                rb = (ci - 1) * n
                 work += n
                 for j in range(n):
-                    need = rows[rb + j]
+                    need = row[rb + j]
                     if need > cut[j]:
                         cut[j] = need
         for j in range(n):
             if cut[j] > hi[j]:
                 return EnumerationResult(states=0, work=work, peak_live=0)
 
+        if self._auto and self.kernel == "bitmask":
+            self.kernel = self._select_kernel()  # the poset may have grown
         use_mask = self.kernel == "bitmask"
         if use_mask:
-            downs = tables.downset_masks()
-            tmask = tables.thread_masks()
+            downs, tmask = tables.masks()
             # OR of the lower bound's suffix downsets, per start position.
             lo_suffix = [0] * (n + 1)
             for i in range(n - 1, -1, -1):
@@ -126,8 +137,9 @@ class PackedLexicalEnumerator(Enumerator):
         lo_arr = array("i", lo)
         scratch = array("i", cut)
         t = n - 1
-        lt = tables.lengths[t]
-        col_t = tables.succ_cols[t]
+        # one read: a concurrent append may replace the array, never resize it
+        col_t = tables.cols[t]
+        stride = len(col_t) // n
         states = 0
 
         while True:
@@ -137,7 +149,7 @@ class PackedLexicalEnumerator(Enumerator):
             for j in range(t):
                 if cmax <= c0:
                     break
-                off = j * lt
+                off = j * stride
                 p = bisect_right(col_t, cut[j], off + c0, off + cmax) - off
                 if p < cmax:
                     cmax = p
@@ -197,10 +209,11 @@ class PackedLexicalEnumerator(Enumerator):
                     for i in range(n):
                         ci = m[i]
                         if ci:
-                            rb = (ebase[i] + ci - 1) * n
+                            row = rows[i]
+                            rb = (ci - 1) * n
                             work += n
                             for j in range(n):
-                                need = rows[rb + j]
+                                need = row[rb + j]
                                 if need > m[j]:
                                     if j < k:
                                         feasible = False

@@ -23,6 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import EventOrderError, PosetError
 from repro.poset.event import Access, Event
+from repro.poset.packed import PackedPosetTables
 from repro.poset.poset import Poset
 from repro.types import Clock, Cut, EventId
 
@@ -44,6 +45,8 @@ class PosetBuilder:
         self._chains: List[List[Event]] = [[] for _ in range(num_threads)]
         self._insertion: List[EventId] = []
         self._lock = threading.Lock()
+        #: Packed tables fed by every append once a view requested them.
+        self._packed: Optional[PackedPosetTables] = None
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -176,6 +179,24 @@ class PosetBuilder:
             )
         chain.append(event)
         self._insertion.append(event.eid)
+        if self._packed is not None:
+            self._packed.append(tid, event.vc)
+
+    def packed_tables(self) -> PackedPosetTables:
+        """The live packed tables of the events appended so far.
+
+        The first call appends every event so far in insertion order;
+        from then on every append extends them under the builder's lock,
+        so a kernel bounded by a ``Gbnd`` snapshot finds every row it
+        needs.
+        """
+        with self._lock:
+            if self._packed is None:
+                tables = PackedPosetTables.empty(self._n)
+                for tid, idx in self._insertion:
+                    tables.append(tid, self._chains[tid][idx - 1].vc)
+                self._packed = tables
+            return self._packed
 
     # ------------------------------------------------------------------ #
     # live view (online enumeration)
@@ -185,12 +206,13 @@ class PosetBuilder:
 
         The view implements the subset of the :class:`Poset` interface the
         enumeration algorithms consume (``num_threads``, ``lengths``,
-        ``vc``, ``enabled``, ``is_consistent``).  It is safe to read
-        concurrently with further insertions because chains only grow and
-        already-inserted events are immutable; an online worker only ever
-        dereferences indices at or below its ``Gbnd`` snapshot, all of
-        which were inserted before the snapshot was taken (paper §4.2,
-        Theorem 3's non-interference argument).
+        ``vc``, ``enabled``, ``is_consistent``, ``packed_tables``).  It is
+        safe to read concurrently with further insertions because chains
+        and packed tables only grow and already-inserted events are
+        immutable; an online worker only ever dereferences indices at or
+        below its ``Gbnd`` snapshot, all of which were inserted before the
+        snapshot was taken (paper §4.2, Theorem 3's non-interference
+        argument).
         """
         return BuilderView(self)
 
@@ -268,3 +290,8 @@ class BuilderView:
         """Maximal event per thread in ``cut`` (``None`` for empty threads)."""
         chains = self._builder._chains
         return [chains[t][c - 1] if c else None for t, c in enumerate(cut)]
+
+    def packed_tables(self) -> PackedPosetTables:
+        """Same tables as :meth:`Poset.packed_tables`, growing with the
+        builder (see :meth:`PosetBuilder.packed_tables`)."""
+        return self._builder.packed_tables()

@@ -1,52 +1,69 @@
-"""Packed (flat-array) views of a poset's clock table for the hot kernels.
+"""Packed, append-only clock tables for the hot enumeration kernels.
 
-The enumeration inner loops (ISSUE 9 / ROADMAP "bitset/array state
-representation") spend their time asking two questions about vector
-clocks:
+The enumeration inner loops spend their time asking two questions about
+vector clocks:
 
 1. *closure*: given a frontier vector, what is the least consistent cut
    above it?  (a componentwise max over the frontier events' clock rows);
 2. *run extension*: for a fixed prefix, how far can the least-significant
    coordinate advance before some clock component exceeds the prefix?
 
-Both are served from two flat layouts computed once per poset and shared
-by every worker:
+:class:`PackedPosetTables` serves both from one layout, shared by the
+frozen :class:`~repro.poset.poset.Poset` (built in bulk, once) and the
+live :class:`~repro.poset.builder.PosetBuilder` (fed one event at a time).
+Insertion order is a linear extension of happened-before, so a new event
+only ever adds a row at the end of its thread and a value at the end of
+each of its thread's sorted columns: the tables are append-only.
 
-``clock_rows``
-    One ``array('i')`` of length ``num_events * n``, row-major: the clock
-    of event ``(t, k)`` (1-based ``k``) occupies
-    ``clock_rows[(event_base[t] + k - 1) * n : ...+ n]``.  This is the
-    per-event view — no tuples, no per-event objects.
+``rows[t]``
+    Thread ``t``'s clocks as one ``array('i')``, row-major: the clock of
+    event ``(t, k)`` (1-based ``k``) is ``rows[t][(k - 1) * n : k * n]``.
 
-``succ_cols[t]``
-    Per thread, the same rows transposed into column-major order:
-    ``succ_cols[t][j * len_t + (k - 1)] == vc(t, k)[j]``.  Because clocks
-    are monotone along a chain, every column is sorted, so "the largest
-    ``k`` whose requirement on thread ``j`` is ≤ ``c``" is a
-    ``bisect_right`` — C-speed run extension (the packed enumerator's main
-    trick).
+``cols[t]``
+    The same clocks column-major in one ``array('i')`` of ``n * stride``
+    slots, ``stride = len(cols[t]) // n``:
+    ``cols[t][j * stride + (k - 1)] == vc(t, k)[j]``.  Clocks are monotone
+    along a chain, so every column is sorted and "the largest ``k`` whose
+    requirement on thread ``j`` is ≤ ``c``" is a ``bisect_right``.  An
+    append writes into the free slot of each column; one that finds the
+    columns full copies them into a new array of twice the stride and
+    then replaces ``cols[t]``.  An array never changes length, so a kernel
+    that reads ``cols[t]`` once derives the matching stride from it and
+    never pairs an old stride with a new array.
 
-``downset_masks`` (lazy)
-    Per event, its causal past (inclusive) as an int bitmask over all
-    events, bit ``event_base[t] + k - 1`` for event ``(t, k)``.  A union
-    of downsets is a downset, so the closure of a frontier is the OR of
-    its events' masks and the per-thread frontier counts are popcounts —
-    the "int bitmask fast path" of the packed enumerator.  Only built
-    when a kernel asks (it costs O(|E|²) bits).
+``order``
+    The thread of each appended event, in append order.  Event number
+    ``b`` in this order owns bit ``b`` of the downset masks.
+
+Downset masks (lazy, :meth:`PackedPosetTables.masks`)
+    Per event, its causal past (inclusive) as an int bitmask.  A union of
+    downsets is a downset, so the closure of a frontier is the OR of its
+    events' masks and the per-thread frontier counts are popcounts.  The
+    mask state is allocated on the first call and extended, under a lock,
+    by each later call to the events appended since.  A mask is its
+    thread predecessor's mask, the masks of the events its clock names on
+    the other threads, and its own bit; those events come earlier in
+    ``order``, so one pass in bit order computes them all.
 
 When numpy is importable (the ``repro[fast]`` extra) and
-``REPRO_NO_NUMPY`` is unset, table *construction* vectorizes the
-transpose; the tables themselves are always stdlib ``array('i')`` so the
-kernels and the wire format never depend on numpy.
+``REPRO_NO_NUMPY`` is unset, the bulk build vectorizes the transpose; the
+tables themselves are always stdlib ``array('i')`` so the kernels and the
+wire format never depend on numpy.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
+from repro.types import Clock, EventId
+
 __all__ = ["PackedPosetTables", "build_packed_tables", "numpy_or_none"]
+
+#: Column capacity given to a thread whose columns are full and small.
+_MIN_STRIDE = 8
 
 
 def numpy_or_none():
@@ -65,131 +82,172 @@ def numpy_or_none():
 
 
 class PackedPosetTables:
-    """Flat clock tables of one poset (see module docstring for layouts)."""
+    """Append-only clock tables of one poset (see the module docstring)."""
 
     __slots__ = (
         "num_threads",
-        "lengths",
-        "num_events",
-        "event_base",
-        "clock_rows",
-        "succ_cols",
+        "rows",
+        "cols",
+        "order",
         "backend",
-        "_downsets",
-        "_thread_masks",
+        "_masks",
+        "_mask_lock",
     )
 
     def __init__(
         self,
         num_threads: int,
-        lengths: Tuple[int, ...],
-        clock_rows: array,
-        succ_cols: Tuple[array, ...],
+        rows: List[array],
+        cols: List[array],
+        order: array,
         backend: str,
     ):
         self.num_threads = num_threads
-        self.lengths = lengths
-        self.num_events = sum(lengths)
-        base: List[int] = []
-        acc = 0
-        for ln in lengths:
-            base.append(acc)
-            acc += ln
-        #: ``event_base[t] + k - 1`` is event ``(t, k)``'s global index/bit.
-        self.event_base: Tuple[int, ...] = tuple(base)
-        self.clock_rows = clock_rows
-        self.succ_cols = succ_cols
-        #: ``"numpy"`` or ``"pure"`` — how the tables were constructed.
+        self.rows = rows
+        self.cols = cols
+        self.order = order
+        #: ``"numpy"`` or ``"pure"`` — how the bulk build ran.
         self.backend = backend
-        self._downsets: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._thread_masks: Optional[Tuple[int, ...]] = None
+        self._masks: Optional[Tuple[List[List[int]], List[int]]] = None
+        self._mask_lock = threading.Lock()
+
+    @classmethod
+    def empty(cls, num_threads: int) -> "PackedPosetTables":
+        """Tables of no events, to be grown by :meth:`append`."""
+        return cls(
+            num_threads,
+            rows=[array("i") for _ in range(num_threads)],
+            cols=[array("i") for _ in range(num_threads)],
+            order=array("i"),
+            backend="pure",
+        )
+
+    @property
+    def num_events(self) -> int:
+        """Events appended so far."""
+        return len(self.order)
+
+    @property
+    def lengths(self) -> Tuple[int, ...]:
+        """Events per thread so far."""
+        n = self.num_threads
+        return tuple(len(row) // n for row in self.rows)
 
     # ------------------------------------------------------------------ #
-    # row access (diagnostics/tests; kernels index the arrays directly)
+    # access (diagnostics/tests; kernels index the arrays directly)
 
-    def row(self, tid: int, idx: int) -> Tuple[int, ...]:
+    def row(self, tid: int, idx: int) -> Clock:
         """Clock row of event ``(tid, idx)`` (1-based ``idx``)."""
         n = self.num_threads
-        base = (self.event_base[tid] + idx - 1) * n
-        return tuple(self.clock_rows[base : base + n])
+        return tuple(self.rows[tid][(idx - 1) * n : idx * n])
+
+    def column(self, tid: int, j: int) -> Tuple[int, ...]:
+        """Thread ``tid``'s requirements on thread ``j``, one per event."""
+        n = self.num_threads
+        data = self.cols[tid]
+        stride = len(data) // n
+        return tuple(data[j * stride : j * stride + len(self.rows[tid]) // n])
 
     # ------------------------------------------------------------------ #
-    # bitmask tables (lazy — only the bitmask kernel pays for them)
+    # growth
 
-    def downset_masks(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per thread, per event (0-based), the inclusive causal past as an
-        int bitmask over all events.
+    def append(self, tid: int, vc: Clock) -> None:
+        """Add event ``(tid, lengths[tid] + 1)`` with clock ``vc``.
 
-        Clock row ``r`` of event ``(t, k)`` says its past holds the first
-        ``r[j]`` events of every thread ``j``, so the mask is a union of
-        per-thread bit prefixes.  Downsets are transitively closed, which
-        is what makes "closure = OR of frontier masks" exact.
+        The caller serializes appends and guarantees that they follow a
+        linear extension of happened-before (the builder does both under
+        its lock).  ``order`` grows last, so every event it counts is
+        complete.
         """
-        if self._downsets is None:
-            n = self.num_threads
-            rows = self.clock_rows
-            masks: List[Tuple[int, ...]] = []
-            for t in range(n):
-                base = self.event_base[t]
-                out: List[int] = []
-                for k in range(self.lengths[t]):
-                    row = (base + k) * n
-                    m = 0
-                    for j in range(n):
-                        c = rows[row + j]
-                        if c:
-                            m |= ((1 << c) - 1) << self.event_base[j]
-                    out.append(m)
-                masks.append(tuple(out))
-            self._downsets = tuple(masks)
-        return self._downsets
+        n = self.num_threads
+        row = self.rows[tid]
+        k = len(row) // n
+        data = self.cols[tid]
+        stride = len(data) // n
+        grown = k == stride
+        if grown:
+            wide = max(2 * stride, _MIN_STRIDE)
+            copy = array("i", [0]) * (n * wide)
+            for j in range(n):
+                copy[j * wide : j * wide + k] = data[j * stride : j * stride + k]
+            stride, data = wide, copy
+        for j in range(n):
+            data[j * stride + k] = vc[j]
+        if grown:
+            self.cols[tid] = data
+        row.extend(vc)
+        self.order.append(tid)
 
-    def thread_masks(self) -> Tuple[int, ...]:
-        """Per thread, the bitmask selecting all of its events."""
-        if self._thread_masks is None:
-            self._thread_masks = tuple(
-                ((1 << self.lengths[t]) - 1) << self.event_base[t]
-                for t in range(self.num_threads)
-            )
-        return self._thread_masks
+    # ------------------------------------------------------------------ #
+    # bitmask tables (lazy: only the bitmask kernel pays for them)
+
+    def masks(self) -> Tuple[List[List[int]], List[int]]:
+        """``(downsets, thread_masks)`` covering every event appended so far.
+
+        ``downsets[t][k - 1]`` is the inclusive causal past of event
+        ``(t, k)``; ``thread_masks[t]`` selects all of thread ``t``'s
+        events.  Later calls extend both in place, so a caller may keep
+        them: the downsets it reads existed when it called, and the bits
+        a thread mask gains belong to later events, which none of those
+        downsets contains.
+        """
+        n = self.num_threads
+        rows = self.rows
+        order = self.order
+        with self._mask_lock:
+            state = self._masks
+            if state is None:
+                state = self._masks = ([[] for _ in range(n)], [0] * n)
+            downs, tmasks = state
+            # bits already masked .. events appended so far
+            for b in range(sum(map(len, downs)), len(order)):
+                t = order[b]
+                own = downs[t]
+                k = len(own)
+                bit = 1 << b
+                m = own[-1] | bit if k else bit
+                row = rows[t]
+                base = k * n
+                for j in range(n):
+                    c = row[base + j]
+                    if c and j != t:
+                        m |= downs[j][c - 1]
+                own.append(m)
+                tmasks[t] |= bit
+        return state
 
 
 def build_packed_tables(
     num_threads: int,
-    lengths: Sequence[int],
-    vc_table: Sequence[Sequence[Sequence[int]]],
+    vc_table: Sequence[Sequence[Clock]],
+    insertion: Sequence[EventId],
 ) -> PackedPosetTables:
-    """Build the flat tables from a poset's tuple-of-tuples clock table.
+    """Build the tables of a whole poset in one pass.
 
     ``vc_table[t][k-1]`` is the clock of event ``(t, k)`` — the shape of
-    :meth:`repro.poset.poset.Poset.vc_table`.
+    :meth:`repro.poset.poset.Poset.vc_table`.  ``insertion`` is a linear
+    extension of the poset's events; it becomes ``order``.  Columns are
+    built full (stride = chain length).
     """
     n = num_threads
     np = numpy_or_none()
-    flat = [v for chain in vc_table for row in chain for v in row]
-    clock_rows = array("i", flat)
-    succ_cols: List[array] = []
-    if np is not None and flat:
-        for t in range(n):
-            if lengths[t]:
-                mat = np.array(vc_table[t], dtype=np.intc)  # (len_t, n)
-                col = array("i")
-                col.frombytes(np.ascontiguousarray(mat.T).tobytes())
-            else:
-                col = array("i")
-            succ_cols.append(col)
-        backend = "numpy"
-    else:
-        for t in range(n):
-            chain = vc_table[t]
-            succ_cols.append(
-                array("i", [chain[k][j] for j in range(n) for k in range(lengths[t])])
+    rows: List[array] = []
+    cols: List[array] = []
+    for chain in vc_table:
+        length = len(chain)
+        if np is not None and length:
+            mat = np.array(chain, dtype=np.intc)  # (length, n)
+            rows.append(array("i", mat.tobytes()))
+            cols.append(array("i", np.ascontiguousarray(mat.T).tobytes()))
+        else:
+            rows.append(array("i", [v for vc in chain for v in vc]))
+            cols.append(
+                array("i", [chain[k][j] for j in range(n) for k in range(length)])
             )
-        backend = "pure"
     return PackedPosetTables(
         num_threads=n,
-        lengths=tuple(lengths),
-        clock_rows=clock_rows,
-        succ_cols=tuple(succ_cols),
-        backend=backend,
+        rows=rows,
+        cols=cols,
+        order=array("i", [t for t, _ in insertion]),
+        backend="pure" if np is None else "numpy",
     )

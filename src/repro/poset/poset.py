@@ -159,17 +159,23 @@ class Poset:
         return self._vcs
 
     def packed_tables(self):
-        """Flat-array clock tables for the packed kernels, computed once.
+        """Packed clock tables for the packed kernels, computed once.
 
         Returns the cached :class:`repro.poset.packed.PackedPosetTables`
-        (row-major ``clock_rows`` + per-thread column-major ``succ_cols``).
-        The cache is per-poset and per-process: executors that ship the
-        poset to workers rebuild the tables there (see ``__getstate__``).
+        (per-thread row-major clock rows and sorted requirement columns;
+        mask bits follow :attr:`insertion`, or a topological order when the
+        poset has none).  The cache is per-poset and per-process: executors
+        that ship the poset to workers rebuild the tables there (see
+        ``__getstate__``).
         """
         if self._packed is None:
             from repro.poset.packed import build_packed_tables
+            from repro.poset.topological import topological_order
 
-            self._packed = build_packed_tables(self._n, self._lengths, self._vcs)
+            order = self._insertion
+            if order is None:
+                order = topological_order(self)
+            self._packed = build_packed_tables(self._n, self._vcs, order)
         return self._packed
 
     def events(self) -> Iterator[Event]:

@@ -79,6 +79,10 @@ class DataRacePredicate(StatePredicate):
         )
         #: Pairs already checked, to skip duplicate work across states.
         self._checked_pairs: Set[Tuple[Tuple[int, int], Tuple[int, int]]] = set()
+        #: The online interval being checked (its new event) and the
+        #: frontier events already compared with that event.
+        self._interval_event: Optional[Event] = None
+        self._interval_seen: Set[Tuple[int, int]] = set()
 
     def check(
         self,
@@ -91,12 +95,29 @@ class DataRacePredicate(StatePredicate):
         Online (``new_event`` given): compare ``e`` against every other
         thread's frontier event — the literal Algorithm 6.  Offline: compare
         all frontier pairs (the shape of Figure 3's predicate).
+
+        Online, consecutive states of one interval share most frontier
+        events, so a per-interval set of the frontier events already
+        compared with ``e`` sits in front of the global pair memo.  It
+        drops nothing the memo would not: a pair is only ever compared in
+        the interval of its later-inserted event (the earlier one's
+        interval ends at a cut that excludes the later event), and the
+        memo still catches repeats when intervals interleave.
         """
         found = False
         if new_event is not None:
+            if new_event is not self._interval_event:
+                self._interval_event = new_event
+                self._interval_seen = set()
+            seen = self._interval_seen
+            tid = new_event.tid
             for other in frontier:
-                if other is None or other.tid == new_event.tid:
+                if other is None or other.tid == tid:
                     continue
+                key = (other.tid, other.idx)
+                if key in seen:
+                    continue
+                seen.add(key)
                 found |= self._check_pair(new_event, other)
         else:
             n = len(frontier)

@@ -778,8 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--subroutine",
         choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
-        default="lexical",
-        help="ParaMount's bounded subroutine",
+        default="lexical-packed",
+        help="ParaMount's bounded subroutine (default lexical-packed: the "
+        "lexical algorithm on the packed kernel; lexical is its reference)",
     )
     p.add_argument(
         "--static-prune",

@@ -11,6 +11,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executors import WorkStealingThreadExecutor
 from repro.core.paramount import ParaMount
@@ -25,9 +26,12 @@ from repro.errors import EnumerationError
 from repro.obs.observer import Observer
 from repro.poset.builder import PosetBuilder
 from repro.poset.ideals import count_ideals
+from repro.poset.poset import Poset
 from repro.poset.packed import build_packed_tables, numpy_or_none
 from repro.poset.random_posets import RandomComputationSpec, random_computation
+from repro.poset.topological import random_topological_order
 from repro.util.cuts import cut_leq
+from repro.util.rng import DeterministicRng
 
 from tests.conftest import build_chain_poset, build_figure4_poset, small_posets
 
@@ -164,61 +168,111 @@ def test_fallback_counter_reaches_observer(monkeypatch):
     assert observer.counter("packed_kernel_fallbacks_total").value() == 1
 
 
+def decoded_downsets(tables):
+    """Per event ``(t, k)``, the set of events its mask holds, read back
+    through the tables' append order (bit ``b`` is the ``b``-th event)."""
+    bit_event = []
+    seen = [0] * tables.num_threads
+    for t in tables.order:
+        seen[t] += 1
+        bit_event.append((t, seen[t]))
+    downs, tmasks = tables.masks()
+    for t, mask in enumerate(tmasks):
+        assert {bit_event[b] for b in range(len(bit_event)) if mask >> b & 1} == {
+            (t, k) for k in range(1, tables.lengths[t] + 1)
+        }
+    return {
+        (t, k): {bit_event[b] for b in range(len(bit_event)) if mask >> b & 1}
+        for t, masks in enumerate(downs)
+        for k, mask in enumerate(masks, start=1)
+    }
+
+
+def expected_downsets(poset):
+    return {
+        (t, k): {
+            (j, m)
+            for j in range(poset.num_threads)
+            for m in range(1, poset.lengths[j] + 1)
+            if (j, m) == (t, k) or poset.happened_before((j, m), (t, k))
+        }
+        for t in range(poset.num_threads)
+        for k in range(1, poset.lengths[t] + 1)
+    }
+
+
+def assert_same_clocks(tables, poset):
+    """Rows and columns hold the poset's clocks; every column is sorted."""
+    n = poset.num_threads
+    assert tables.lengths == poset.lengths
+    assert tables.num_events == poset.num_events
+    for t in range(n):
+        rows = tables.rows[t]
+        cols = tables.cols[t]
+        stride = len(cols) // n
+        assert stride >= poset.lengths[t]
+        for k in range(1, poset.lengths[t] + 1):
+            row = poset.vc(t, k)
+            assert tables.row(t, k) == row
+            assert tuple(rows[(k - 1) * n : k * n]) == row
+            for j in range(n):
+                assert cols[j * stride + k - 1] == row[j]
+        # requirement columns are sorted (clock monotonicity along chains)
+        for j in range(n):
+            col = tables.column(t, j)
+            assert col == tuple(poset.vc(t, k)[j] for k in range(1, poset.lengths[t] + 1))
+            assert list(col) == sorted(col)
+
+
 def test_packed_tables_layout_and_caching():
     poset = random_computation(RandomComputationSpec(4, 14, 0.5, seed=3))
     tables = poset.packed_tables()
     assert poset.packed_tables() is tables  # computed once, shared
-    n = poset.num_threads
-    for t in range(n):
-        lt = poset.lengths[t]
-        for k in range(1, lt + 1):
-            row = poset.vc(t, k)
-            assert tables.row(t, k) == row
-            base = (tables.event_base[t] + k - 1) * n
-            assert tuple(tables.clock_rows[base : base + n]) == row
-            for j in range(n):
-                assert tables.succ_cols[t][j * lt + k - 1] == row[j]
-        # requirement columns are sorted (clock monotonicity along chains)
-        for j in range(n):
-            col = tables.succ_cols[t][j * lt : (j + 1) * lt]
-            assert list(col) == sorted(col)
+    assert_same_clocks(tables, poset)
+    # the frozen build fills every column exactly: stride = chain length
+    assert [len(c) // poset.num_threads for c in tables.cols] == list(poset.lengths)
 
 
 def test_downset_masks_match_happened_before():
     poset = random_computation(RandomComputationSpec(3, 10, 0.6, seed=7))
     tables = poset.packed_tables()
-    downs = tables.downset_masks()
-    tmasks = tables.thread_masks()
-    for j, length in enumerate(poset.lengths):
-        assert tmasks[j].bit_count() == length
-    for t in range(poset.num_threads):
-        for k in range(1, poset.lengths[t] + 1):
-            mask = downs[t][k - 1]
-            for j in range(poset.num_threads):
-                for m in range(1, poset.lengths[j] + 1):
-                    bit = 1 << (tables.event_base[j] + m - 1)
-                    included = bool(mask & bit)
-                    expected = (j, m) == (t, k) or poset.happened_before(
-                        (j, m), (t, k)
-                    )
-                    assert included == expected, ((j, m), (t, k))
+    assert tables.masks() is tables.masks()  # allocated once
+    assert decoded_downsets(tables) == expected_downsets(poset)
+    # without a recorded insertion order the bits follow a topological one
+    bare = Poset(
+        [
+            [poset.event(t, k) for k in range(1, poset.lengths[t] + 1)]
+            for t in range(poset.num_threads)
+        ]
+    )
+    assert bare.insertion is None
+    assert decoded_downsets(bare.packed_tables()) == expected_downsets(poset)
 
 
 def test_numpy_and_pure_backends_build_identical_tables(monkeypatch):
     poset = random_computation(RandomComputationSpec(4, 16, 0.4, seed=9))
+
+    def build():
+        return build_packed_tables(
+            poset.num_threads, poset.vc_table(), poset.insertion
+        )
+
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     assert numpy_or_none() is None
-    pure = build_packed_tables(poset.num_threads, poset.lengths, poset.vc_table())
+    pure = build()
     assert pure.backend == "pure"
     monkeypatch.delenv("REPRO_NO_NUMPY")
-    other = build_packed_tables(poset.num_threads, poset.lengths, poset.vc_table())
+    other = build()
     if numpy_or_none() is None:  # numpy not installed: both paths are pure
         assert other.backend == "pure"
     else:
         assert other.backend == "numpy"
-    assert list(other.clock_rows) == list(pure.clock_rows)
-    for a, b in zip(other.succ_cols, pure.succ_cols):
+    for a, b in zip(other.rows, pure.rows):
         assert list(a) == list(b)
+    for a, b in zip(other.cols, pure.cols):
+        assert list(a) == list(b)
+    assert list(other.order) == list(pure.order)
+    assert_same_clocks(pure, poset)
 
 
 def test_poset_pickles_without_packed_cache():
@@ -226,10 +280,64 @@ def test_poset_pickles_without_packed_cache():
 
     poset = build_figure4_poset()
     tables = poset.packed_tables()
+    tables.masks()
+    with pytest.raises(TypeError):
+        pickle.dumps(tables)  # the tables hold a lock: they cannot travel
     clone = pickle.loads(pickle.dumps(poset))
     rebuilt = clone.packed_tables()  # rebuilt lazily on the other side
     assert rebuilt is not tables
-    assert list(rebuilt.clock_rows) == list(tables.clock_rows)
+    for a, b in zip(rebuilt.rows, tables.rows):
+        assert list(a) == list(b)
+    for a, b in zip(rebuilt.cols, tables.cols):
+        assert list(a) == list(b)
+
+
+def test_grow_leaves_the_columns_a_kernel_holds_intact():
+    """A kernel reads ``cols[t]`` once and derives the stride from it; a
+    grow must publish a new array and never touch the one it replaces."""
+    builder = PosetBuilder(2)
+    tables = builder.view().packed_tables()
+    for _ in range(8):
+        builder.append(1)
+    held = tables.cols[1]
+    snapshot = list(held)
+    builder.append(0)
+    builder.append(1, deps=[(0, 1)])  # the ninth event: columns are full
+    assert tables.cols[1] is not held
+    assert list(held) == snapshot
+    stride = len(held) // 2
+    assert stride == 8
+    assert [held[stride + k] for k in range(8)] == list(range(1, 9))
+    assert tables.column(1, 0) == (0,) * 8 + (1,)
+    assert tables.column(1, 1) == tuple(range(1, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), st.data())
+def test_appended_tables_equal_frozen_tables(poset, data):
+    """A builder fed a random linear extension grows the same tables the
+    frozen poset builds in bulk, whenever the tables and the masks are
+    first requested."""
+    order = random_topological_order(
+        poset, DeterministicRng(data.draw(st.integers(0, 2**16), label="seed"))
+    )
+    tables_at = data.draw(st.integers(0, len(order)), label="tables_at")
+    masks_at = data.draw(st.integers(tables_at, len(order)), label="masks_at")
+    builder = PosetBuilder(poset.num_threads)
+    view = builder.view()
+    for step, (tid, idx) in enumerate(order):
+        if step == tables_at:
+            live = view.packed_tables()
+        if step == masks_at:
+            live.masks()
+        builder.append_stamped(poset.event(tid, idx))
+    live = view.packed_tables()
+    assert live is builder.packed_tables()
+    assert_same_clocks(live, poset)
+    assert_same_clocks(poset.packed_tables(), poset)
+    expected = expected_downsets(poset)
+    assert decoded_downsets(live) == expected
+    assert decoded_downsets(poset.packed_tables()) == expected
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,13 @@
 """Tests for the ParaMount online predicate detector."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.detector.paramount_detector import ParaMountDetector
 from repro.predicates.base import StatePredicate
+from repro.predicates.data_race import DataRacePredicate
 from repro.runtime import (
     Acquire,
     Fork,
@@ -12,6 +18,7 @@ from repro.runtime import (
     Write,
     run_program,
 )
+from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
 
 def _trace(main, n, shared=None, seed=0):
@@ -155,3 +162,68 @@ def test_merged_poset_smaller_than_raw():
     trace = _trace(main, 2)
     report = ParaMountDetector().run(trace)
     assert report.poset_events < len(trace.accesses())
+
+
+@pytest.mark.parametrize("name", sorted(ALL_DETECTION_WORKLOADS))
+def test_default_subroutine_detects_like_lexical(name):
+    """The packed default reports the same races, from the same first
+    pairs, over the same number of states as the reference lexical
+    subroutine."""
+    workload = ALL_DETECTION_WORKLOADS[name]
+    for seed in range(3):
+        trace = run_program(
+            workload.build(), seed=seed, stickiness=workload.stickiness
+        )
+        reference = ParaMountDetector(subroutine="lexical").run(
+            trace, workload.benign_vars
+        )
+        default = ParaMountDetector().run(trace, workload.benign_vars)
+        assert default.races == reference.races, seed
+        assert default.racy_vars == reference.racy_vars, seed
+        assert default.states_enumerated == reference.states_enumerated, seed
+
+
+def test_pair_filter_checks_each_pair_once():
+    """The per-interval filter hands the pair memo each (new event,
+    frontier event) pair once, not once per state."""
+    workload = ALL_DETECTION_WORKLOADS["hedc"]
+    pairs = []
+
+    class Recording(DataRacePredicate):
+        def _check_pair(self, a, b):
+            pairs.append((a.eid, b.eid))
+            return super()._check_pair(a, b)
+
+    report = ParaMountDetector(
+        predicate_factory=lambda report, benign: Recording(
+            benign_vars=benign, report=report
+        )
+    ).run(workload.trace(), workload.benign_vars)
+    assert report.num_detections > 0
+    assert len(pairs) == len(set(pairs)) > 0
+
+
+def test_finished_run_is_freed_by_reference_counting():
+    """No reference cycle through the worker and its state callback: with
+    the cyclic collector off, the predicate dies when run() returns."""
+    refs = []
+
+    def factory(report, benign):
+        predicate = DataRacePredicate(benign_vars=benign, report=report)
+        refs.append(weakref.ref(predicate))
+        return predicate
+
+    workload = ALL_DETECTION_WORKLOADS["banking"]
+    trace = workload.trace()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = ParaMountDetector(predicate_factory=factory).run(
+            trace, workload.benign_vars
+        )
+        assert report.num_detections > 0 and refs
+        assert refs[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,11 +1,12 @@
 """Tests for the repro-tools CLI and trace serialization."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.runtime.trace_io import load_trace, save_trace, trace_from_dict, trace_to_dict
-from repro.tools.cli import main
+from repro.tools.cli import build_parser, main
 from repro.workloads.registry import DETECTION_WORKLOADS
 
 
@@ -57,6 +58,33 @@ def test_cli_run_and_detect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "detections: 1" in out
     assert "audit" in out
+
+
+def _detect_subroutines():
+    """Every choice ``detect --subroutine`` offers."""
+    commands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return next(
+        action.choices
+        for action in commands.choices["detect"]._actions
+        if "--subroutine" in action.option_strings
+    )
+
+
+def _detections(capsys, *args):
+    assert main(["detect", "--workload", "banking", *args]) == 0
+    out = capsys.readouterr().out
+    return [line for line in out.splitlines() if not line.startswith("elapsed:")]
+
+
+@pytest.mark.parametrize("subroutine", _detect_subroutines())
+def test_cli_detect_every_subroutine_matches_lexical(subroutine, capsys):
+    expected = _detections(capsys, "--subroutine", "lexical")
+    assert "detections: 1" in expected
+    assert _detections(capsys, "--subroutine", subroutine) == expected
 
 
 def test_cli_detect_fresh_workload(capsys):
