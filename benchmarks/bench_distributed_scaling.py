@@ -60,7 +60,8 @@ _results: dict = {}
 @pytest.mark.parametrize("name", NAMES)
 def test_modeled_host_scaling(name):
     poset = extended_poset(name, "skewed")
-    paramount = ParaMount(poset)
+    # the cost model is calibrated on the reference kernel's work meter
+    paramount = ParaMount(poset, "lexical")
     result = paramount.run()
     work_of = {s.event: s.work for s in result.intervals}
     peak_of = {s.event: s.peak_live for s in result.intervals}

@@ -95,7 +95,6 @@ def test_measure_throughput(name):
         kernel = getattr(enumerator, "kernel", None)
         if kernel is not None:
             record["kernel"] = kernel
-            record["fallback_reason"] = enumerator.fallback_reason
         # visitor-mode throughput for the two headline algorithms: the
         # counting fast path is not doing the talking on its own
         if sub in ("lexical", "lexical-packed"):

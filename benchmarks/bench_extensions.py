@@ -31,15 +31,15 @@ def test_online_vs_offline_overhead(benchmark, artifact_sink):
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
 
     def run_online():
-        # the offline driver's default subroutine, so the work columns
-        # compare the drivers and not the kernels
+        # one subroutine on both sides, so the work columns compare the
+        # drivers and not the kernels
         online = OnlineParaMount(poset.num_threads, subroutine="lexical")
         for event in poset.events_in_order():
             online.insert(event)
         return online.result
 
     online_result = benchmark.pedantic(run_online, rounds=1, iterations=1)
-    offline_result = ParaMount(poset).run()
+    offline_result = ParaMount(poset, "lexical").run()
     assert online_result.states == offline_result.states
 
     table = TextTable(
@@ -65,7 +65,7 @@ def test_work_optimality_scaling(benchmark, artifact_sink):
             poset = random_computation(
                 RandomComputationSpec(n, n * 15, 1.0, seed=77)
             )
-            result = ParaMount(poset).run()
+            result = ParaMount(poset, "lexical").run()
             rows.append((n, result.states, result.work / max(result.states, 1)))
         return rows
 
@@ -107,7 +107,8 @@ def test_distributed_enumeration(benchmark, artifact_sink, name, builder):
     poset = poset_from_run(run)
 
     def enumerate_poset():
-        return ParaMount(poset).run()
+        # the cost model is calibrated on the reference kernel's work meter
+        return ParaMount(poset, "lexical").run()
 
     result = benchmark.pedantic(enumerate_poset, rounds=1, iterations=1)
     tasks = [

@@ -84,7 +84,8 @@ def _modeled_seconds(plan, work_of, peak_of, parent_bound):
 @pytest.mark.parametrize("name", NAMES)
 def test_measure_policies(name, extension):
     poset = extended_poset(name, extension)
-    paramount = ParaMount(poset)
+    # the cost model is calibrated on the reference kernel's work meter
+    paramount = ParaMount(poset, "lexical")
     t0 = time.perf_counter()
     result = paramount.run()
     wall = time.perf_counter() - t0

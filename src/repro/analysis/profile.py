@@ -68,9 +68,10 @@ def profile_poset(
         zero_cut(poset.num_threads), poset.lengths
     )
     # Profile with a live observer: the run's spans give real measured
-    # times alongside the cost model's predictions.
+    # times alongside the cost model's predictions.  The model is
+    # calibrated on the reference lexical kernel's work meter.
     observer = Observer()
-    paramount = ParaMount(poset, observer=observer)
+    paramount = ParaMount(poset, "lexical", observer=observer)
     result = paramount.run()
     tasks = [model.task_seconds(s.work, s.peak_live) for s in result.intervals]
     serial = sum(tasks)

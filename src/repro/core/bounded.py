@@ -6,8 +6,11 @@ becomes a ParaMount subroutine once it (1) respects interval bounds and
 enumerators already expose ``enumerate_interval``; this module packages the
 call with the interval bookkeeping (empty-state ownership) so both the
 offline driver (Algorithm 1) and the online worker (Algorithm 4) share one
-code path, and so the subroutine is selected by name exactly the way the
-paper instantiates B-Para ("bounded BFS") and L-Para ("bounded lexical").
+code path.  The drivers select the subroutine by name through
+:func:`repro.enumeration.base.make_enumerator`, the way the paper
+instantiates L-Para ("bounded lexical": ``"lexical-packed"``, the default,
+or its reference ``"lexical"``) and B-Para ("bounded BFS": ``"bfs"``, or
+``"level-space"`` in O(n) live space).
 """
 
 from __future__ import annotations
@@ -17,32 +20,12 @@ from typing import Callable, Optional
 
 from repro.core.intervals import Interval
 from repro.core.metrics import IntervalStats
-from repro.enumeration.base import Enumerator, make_enumerator
+from repro.enumeration.base import Enumerator
 from repro.types import CutVisitor
 
-__all__ = ["bounded_enumeration", "make_bounded_subroutine"]
+__all__ = ["bounded_enumeration"]
 
 Clock = Callable[[], float]
-
-
-def make_bounded_subroutine(
-    name: str, poset, memory_budget: Optional[int] = None
-) -> Enumerator:
-    """Instantiate the sequential subroutine for a ParaMount run.
-
-    ``name`` is ``"lexical"`` (L-Para), ``"lexical-packed"`` (the
-    packed-kernel variant of L-Para),
-    ``"level-space"`` (B-Para's level order in O(n) live space), ``"bfs"``
-    (B-Para) or ``"dfs"`` (validation).  ``memory_budget`` caps the
-    subroutine's live intermediate states, modeling a bounded heap.
-
-    Subroutines travel by *name* through every executor (dist workers
-    re-instantiate from the name plus the shipped poset); the
-    packed subroutines convert interval bounds to their flat-array form
-    inside ``enumerate_interval``, so neither closures nor packed tables
-    ever cross the wire.
-    """
-    return make_enumerator(name, poset, memory_budget=memory_budget)
 
 
 def bounded_enumeration(

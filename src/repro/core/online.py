@@ -21,9 +21,10 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-from repro.core.bounded import bounded_enumeration, make_bounded_subroutine
+from repro.core.bounded import bounded_enumeration
 from repro.core.intervals import Interval
 from repro.core.metrics import IntervalStats, ParaMountResult
+from repro.enumeration.base import DEFAULT_SUBROUTINE, make_enumerator
 from repro.errors import ReproError
 from repro.obs.observer import ensure_observer
 from repro.poset.builder import PosetBuilder
@@ -49,11 +50,13 @@ class OnlineParaMount:
     num_threads:
         Width of the monitored computation.
     subroutine:
-        Bounded sequential subroutine.  The default ``"lexical-packed"``
-        is the paper's bounded lexical algorithm over the builder's live
-        packed tables (:meth:`~repro.poset.builder.BuilderView.packed_tables`),
-        with the same visit sequence as the reference ``"lexical"``;
-        ``"level-space"``, ``"bfs"`` and ``"dfs"`` are accepted too.
+        Bounded sequential subroutine, by its name in
+        :data:`~repro.enumeration.base.ENUMERATORS`.  The default
+        ``"lexical-packed"`` is the paper's bounded lexical algorithm over
+        the builder's live packed tables
+        (:meth:`~repro.poset.builder.BuilderView.packed_tables`), with the
+        same visit sequence as the reference ``"lexical"``;
+        ``"level-space"`` and ``"bfs"`` are accepted too.
     on_state:
         Optional callback invoked for every enumerated global state with
         the cut and the event whose interval produced it — this is where a
@@ -95,7 +98,7 @@ class OnlineParaMount:
     def __init__(
         self,
         num_threads: int,
-        subroutine: str = "lexical-packed",
+        subroutine: str = DEFAULT_SUBROUTINE,
         on_state: Optional[OnlineVisitor] = None,
         synchronized: bool = False,
         memory_budget: Optional[int] = None,
@@ -105,7 +108,7 @@ class OnlineParaMount:
     ):
         self.builder = PosetBuilder(num_threads)
         self._view = self.builder.view()
-        self._subroutine = make_bounded_subroutine(
+        self._subroutine = make_enumerator(
             subroutine, self._view, memory_budget=memory_budget
         )
         self._on_state = on_state

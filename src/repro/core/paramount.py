@@ -22,8 +22,9 @@ what the resilience plumbing rides on: a
 :class:`~repro.core.metrics.ExecutorReport` and land on the result), a
 checkpoint journal (:class:`~repro.resilience.CheckpointJournal`) lets a
 killed run resume enumerating only its unfinished intervals, and a BFS
-interval that exceeds its memory budget can fall back to the bounded
-lexical subroutine (``degrade_on_oom``) instead of aborting the run.
+interval that exceeds its memory budget can fall back to the default
+bounded lexical subroutine (``degrade_on_oom``) instead of aborting the
+run.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.bounded import bounded_enumeration, make_bounded_subroutine
+from repro.core.bounded import bounded_enumeration
 from repro.core.executors import Executor, SerialExecutor
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import DegradationEvent, IntervalStats, ParaMountResult
 from repro.core.scheduling import SchedulePlan, SchedulePolicy, plan_schedule
+from repro.enumeration.base import DEFAULT_SUBROUTINE, make_enumerator
 from repro.errors import OutOfMemoryError
 from repro.obs.observer import Observer, ensure_observer
 from repro.poset.poset import Poset
@@ -54,9 +56,6 @@ logger = get_logger(__name__)
 OrderSpec = Union[None, Sequence[EventId], Callable[[Poset], Sequence[EventId]]]
 ScheduleSpec = Union[None, str, SchedulePolicy]
 
-#: Subroutines that keep O(n) live state — the degradation targets.
-_LEXICAL_SUBROUTINES = ("lexical", "lexical-packed", "level-space")
-
 
 class ParaMount:
     """Parallel enumeration of all consistent global states of a poset.
@@ -66,8 +65,11 @@ class ParaMount:
     poset:
         The input poset of events.
     subroutine:
-        Sequential algorithm run inside each interval: ``"lexical"``
-        (L-Para, the default), ``"bfs"`` (B-Para) or ``"dfs"``.
+        Sequential algorithm run inside each interval, by name
+        (:data:`~repro.enumeration.base.ENUMERATORS`): ``"lexical-packed"``
+        (L-Para on the packed kernel, the default), ``"lexical"`` (its
+        reference), ``"bfs"`` (B-Para) or ``"level-space"``.  A checkpoint
+        journal resumes only under the subroutine that wrote it.
     order:
         The total order ``→p``: ``None`` (use the poset's insertion order,
         falling back to a topological sort), an explicit event-id sequence,
@@ -98,9 +100,9 @@ class ParaMount:
         states are *not* re-visited, so a user visitor sees only the fresh
         intervals' states on a resumed run).
     degrade_on_oom:
-        When true, an interval whose BFS/DFS enumeration exceeds
-        ``memory_budget`` is re-enumerated with the bounded lexical
-        subroutine (O(n) live state) instead of raising
+        When true, an interval whose BFS enumeration exceeds
+        ``memory_budget`` is re-enumerated with the default subroutine
+        (bounded lexical, O(n) live state) instead of raising
         :class:`~repro.errors.OutOfMemoryError`; each fallback is recorded
         as a ``"subroutine"`` degradation in the result.
     schedule:
@@ -136,7 +138,7 @@ class ParaMount:
     def __init__(
         self,
         poset: Poset,
-        subroutine: str = "lexical",
+        subroutine: str = DEFAULT_SUBROUTINE,
         order: OrderSpec = None,
         executor: Optional[Executor] = None,
         memory_budget: Optional[int] = None,
@@ -196,7 +198,7 @@ class ParaMount:
         cannot call back into this process (the distributed backend)
         refuses a run with a visitor or sanitizer.
         """
-        subroutine = make_bounded_subroutine(
+        subroutine = make_enumerator(
             self.subroutine_name, self.poset, memory_budget=self.memory_budget
         )
         wrapped = self._wrap_visitor(visit)
@@ -258,11 +260,6 @@ class ParaMount:
                 journal.observer = obs
             if plan.split_intervals:
                 obs.counter("intervals_split_total").inc(plan.split_intervals)
-            # The packed subroutine reports when its bitmask fast path was
-            # unavailable (poset too large) and it fell back to the array
-            # kernel — exported so perf dashboards can spot the slow path.
-            if getattr(subroutine, "fallback_reason", None):
-                obs.counter("packed_kernel_fallbacks_total").inc()
         if obs.progress is not None:
             obs.progress.set_total(len(plan.tasks))
             for _ in completed:
@@ -294,14 +291,13 @@ class ParaMount:
                         subroutine, interval, task_visit, clock=task_clock
                     )
                 except OutOfMemoryError as exc:
-                    if (
-                        not self.degrade_on_oom
-                        or self.subroutine_name in _LEXICAL_SUBROUTINES
-                    ):
+                    if not self.degrade_on_oom:
                         raise
                     # Bounded lexical keeps O(n) live state: always fits.
-                    fallback = make_bounded_subroutine(
-                        "lexical", self.poset, memory_budget=self.memory_budget
+                    fallback = make_enumerator(
+                        DEFAULT_SUBROUTINE,
+                        self.poset,
+                        memory_budget=self.memory_budget,
                     )
                     stats = bounded_enumeration(
                         fallback, interval, task_visit, clock=task_clock
@@ -311,19 +307,20 @@ class ParaMount:
                             DegradationEvent(
                                 kind="subroutine",
                                 from_name=self.subroutine_name,
-                                to_name="lexical",
+                                to_name=DEFAULT_SUBROUTINE,
                                 reason=f"interval {interval.event}: {exc}",
                             )
                         )
                     logger.warning(
-                        "interval %s degraded %s -> lexical: %s",
+                        "interval %s degraded %s -> %s: %s",
                         interval.event,
                         self.subroutine_name,
+                        DEFAULT_SUBROUTINE,
                         exc,
                         extra={
                             "degrade_kind": "subroutine",
                             "degrade_from": self.subroutine_name,
-                            "degrade_to": "lexical",
+                            "degrade_to": DEFAULT_SUBROUTINE,
                             "interval_event": str(interval.event),
                         },
                     )
@@ -332,7 +329,7 @@ class ParaMount:
                             "degrade_subroutine",
                             "enumerate",
                             event=str(interval.event),
-                            to="lexical",
+                            to=DEFAULT_SUBROUTINE,
                         )
                 if journal is not None:
                     journal.record(stats)

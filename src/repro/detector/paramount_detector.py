@@ -30,6 +30,7 @@ from repro.core.online import OnlineParaMount
 from repro.detector.hb import HBFrontEnd, poset_from_trace
 from repro.detector.planner import DetectionPlanner
 from repro.detector.report import DetectionReport
+from repro.enumeration.base import DEFAULT_SUBROUTINE
 from repro.poset.builder import BuilderView
 from repro.predicates.base import StatePredicate
 from repro.predicates.data_race import DataRacePredicate
@@ -86,7 +87,7 @@ class ParaMountDetector:
 
     def __init__(
         self,
-        subroutine: str = "lexical-packed",
+        subroutine: str = DEFAULT_SUBROUTINE,
         predicate_factory: PredicateFactory = _default_predicate_factory,
         memory_budget: Optional[int] = None,
         static_pruner=None,

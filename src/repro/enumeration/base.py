@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from importlib import import_module
 from typing import List, Optional
 
 from repro.errors import EnumerationError
@@ -27,6 +28,8 @@ __all__ = [
     "EnumerationResult",
     "Enumerator",
     "CollectingVisitor",
+    "ENUMERATORS",
+    "DEFAULT_SUBROUTINE",
     "make_enumerator",
 ]
 
@@ -111,30 +114,37 @@ class Enumerator(ABC):
             )
 
 
+#: The enumerators every driver and the CLI accept, by name → ``(module,
+#: class)``; each module imports this one, so it is imported on first use.
+#: The DFS and Squire enumerators are test oracles and stay out.
+ENUMERATORS = {
+    "lexical-packed": ("repro.enumeration.packed", "PackedLexicalEnumerator"),
+    "level-space": ("repro.enumeration.levels", "LevelEnumerator"),
+    "bfs": ("repro.enumeration.bfs", "BFSEnumerator"),
+    "lexical": ("repro.enumeration.lexical", "LexicalEnumerator"),
+}
+
+#: The subroutine every driver defaults to: L-Para's bounded lexical
+#: algorithm on the packed kernel.
+DEFAULT_SUBROUTINE = "lexical-packed"
+
+
 def make_enumerator(
     name: str, poset: Poset, memory_budget: Optional[int] = None
 ) -> Enumerator:
-    """Factory by algorithm name: ``"bfs"``, ``"lexical"``,
-    ``"lexical-packed"``, ``"level-space"``, ``"dfs"`` or ``"squire"``."""
-    from repro.enumeration.bfs import BFSEnumerator
-    from repro.enumeration.dfs import DFSEnumerator
-    from repro.enumeration.levels import LevelEnumerator
-    from repro.enumeration.lexical import LexicalEnumerator
-    from repro.enumeration.packed import PackedLexicalEnumerator
-    from repro.enumeration.squire import SquireEnumerator
+    """Instantiate the enumerator registered as ``name`` in
+    :data:`ENUMERATORS`.
 
-    table = {
-        "bfs": BFSEnumerator,
-        "lexical": LexicalEnumerator,
-        "lexical-packed": PackedLexicalEnumerator,
-        "level-space": LevelEnumerator,
-        "dfs": DFSEnumerator,
-        "squire": SquireEnumerator,
-    }
+    ``memory_budget`` caps its live intermediate states (models a bounded
+    heap).  Subroutines travel by *name* through every executor: dist
+    workers instantiate them from the name and the shipped poset, so
+    neither closures nor packed tables cross the wire.
+    """
     try:
-        cls = table[name]
+        module, cls = ENUMERATORS[name]
     except KeyError:
         raise EnumerationError(
-            f"unknown enumerator {name!r}; expected one of {sorted(table)}"
+            f"unknown enumerator {name!r}; expected one of {sorted(ENUMERATORS)}"
         ) from None
-    return cls(poset, memory_budget=memory_budget)
+    factory = getattr(import_module(module), cls)
+    return factory(poset, memory_budget=memory_budget)

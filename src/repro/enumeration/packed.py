@@ -24,17 +24,16 @@ whole runs at C speed and only computes successors at backtracking
 positions ``k ≤ n-2``.  With no visitor the run contributes to the state
 count in O(1), which is what the counting benchmarks measure.
 
-Two interchangeable successor kernels (both property-tested against the
-reference):
+Two successor kernels, each property-tested against the reference; every
+call picks one by poset size (``num_events ≤ BITMASK_MAX_EVENTS``),
+checked per call because an online poset keeps growing:
 
-* ``"array"`` — the one-round closure over the row-major clock table;
-  works for any poset and is the guaranteed fallback.
 * ``"bitmask"`` — closure as an OR of per-event downset bitmasks and
-  per-thread popcounts; selected automatically when every event fits in
-  the bit budget (``num_events ≤ BITMASK_MAX_EVENTS``), checked on every
-  call because an online poset keeps growing.  When the poset is too
-  large the enumerator records ``fallback_reason`` and the ParaMount
-  driver bumps the ``packed_kernel_fallbacks_total`` counter.
+  per-thread popcounts; the faster kernel while every event fits in
+  the bit budget.
+* ``"array"`` — the one-round closure over the row-major clock table;
+  beyond the budget every downset mask is a multi-kiloword big int and
+  this kernel is the faster one.
 
 The enumerator only reads table entries at or below the interval's upper
 bound, all appended before the caller took that bound, so it runs safely
@@ -48,7 +47,6 @@ from bisect import bisect_right
 from typing import Optional
 
 from repro.enumeration.base import EnumerationResult, Enumerator
-from repro.errors import EnumerationError
 from repro.poset.poset import Poset
 from repro.types import Cut, CutVisitor
 
@@ -60,42 +58,21 @@ class PackedLexicalEnumerator(Enumerator):
 
     name = "lexical-packed"
 
-    #: Largest poset (in events = mask bits) the bitmask kernel accepts;
+    #: Largest poset (in events = mask bits) the bitmask kernel runs on;
     #: beyond it every downset mask is a multi-kiloword big int and the
-    #: array kernel wins, so the constructor falls back (and says why).
+    #: array kernel is faster.
     BITMASK_MAX_EVENTS = 4096
 
-    def __init__(
-        self,
-        poset: Poset,
-        memory_budget: Optional[int] = None,
-        kernel: str = "auto",
-    ):
+    def __init__(self, poset: Poset, memory_budget: Optional[int] = None):
         super().__init__(poset, memory_budget)
         self.tables = poset.packed_tables()
-        #: Why the bitmask fast path was not taken (``None`` when it was,
-        #: or when the caller forced a kernel).  The driver exports this
-        #: as the ``packed_kernel_fallbacks_total`` counter.
-        self.fallback_reason: Optional[str] = None
-        self._auto = kernel == "auto"
-        if self._auto:
-            kernel = self._select_kernel()
-        elif kernel not in ("array", "bitmask"):
-            raise EnumerationError(
-                f"unknown packed kernel {kernel!r}; "
-                "expected 'auto', 'array' or 'bitmask'"
-            )
-        #: The successor kernel in use: ``"array"`` or ``"bitmask"``.
-        self.kernel = kernel
 
-    def _select_kernel(self) -> str:
-        events = self.tables.num_events
-        if events <= self.BITMASK_MAX_EVENTS:
+    @property
+    def kernel(self) -> str:
+        """The successor kernel a call made now runs: ``"bitmask"`` while
+        every event fits the mask budget, else ``"array"``."""
+        if self.tables.num_events <= self.BITMASK_MAX_EVENTS:
             return "bitmask"
-        self.fallback_reason = (
-            f"poset has {events} events > bitmask budget "
-            f"{self.BITMASK_MAX_EVENTS}; using the array kernel"
-        )
         return "array"
 
     def enumerate_interval(
@@ -123,8 +100,6 @@ class PackedLexicalEnumerator(Enumerator):
             if cut[j] > hi[j]:
                 return EnumerationResult(states=0, work=work, peak_live=0)
 
-        if self._auto and self.kernel == "bitmask":
-            self.kernel = self._select_kernel()  # the poset may have grown
         use_mask = self.kernel == "bitmask"
         if use_mask:
             downs, tmask = tables.masks()

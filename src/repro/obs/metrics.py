@@ -90,11 +90,6 @@ METRIC_INVENTORY: Dict[str, Tuple[str, str]] = {
     "intervals_split_total": (
         "counter", "Oversized intervals split by the adaptive scheduler."
     ),
-    "packed_kernel_fallbacks_total": (
-        "counter",
-        "Packed-subroutine runs that fell back from the bitmask kernel "
-        "to the array kernel (poset exceeded BITMASK_MAX_EVENTS).",
-    ),
     # executors / resilience
     "steals_total": (
         "counter", "Tasks executed by a worker other than the one dealt to."

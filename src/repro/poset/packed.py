@@ -44,41 +44,21 @@ Downset masks (lazy, :meth:`PackedPosetTables.masks`)
     thread predecessor's mask, the masks of the events its clock names on
     the other threads, and its own bit; those events come earlier in
     ``order``, so one pass in bit order computes them all.
-
-When numpy is importable (the ``repro[fast]`` extra) and
-``REPRO_NO_NUMPY`` is unset, the bulk build vectorizes the transpose; the
-tables themselves are always stdlib ``array('i')`` so the kernels and the
-wire format never depend on numpy.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from repro.types import Clock, EventId
 
-__all__ = ["PackedPosetTables", "build_packed_tables", "numpy_or_none"]
+__all__ = ["PackedPosetTables", "build_packed_tables"]
 
 #: Column capacity given to a thread whose columns are full and small.
 _MIN_STRIDE = 8
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` when absent or disabled.
-
-    ``REPRO_NO_NUMPY=1`` forces the pure-stdlib path (CI exercises both);
-    checked at call time, not import time, so tests can toggle it.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 class PackedPosetTables:
@@ -89,7 +69,6 @@ class PackedPosetTables:
         "rows",
         "cols",
         "order",
-        "backend",
         "_masks",
         "_mask_lock",
     )
@@ -100,14 +79,11 @@ class PackedPosetTables:
         rows: List[array],
         cols: List[array],
         order: array,
-        backend: str,
     ):
         self.num_threads = num_threads
         self.rows = rows
         self.cols = cols
         self.order = order
-        #: ``"numpy"`` or ``"pure"`` — how the bulk build ran.
-        self.backend = backend
         self._masks: Optional[Tuple[List[List[int]], List[int]]] = None
         self._mask_lock = threading.Lock()
 
@@ -119,7 +95,6 @@ class PackedPosetTables:
             rows=[array("i") for _ in range(num_threads)],
             cols=[array("i") for _ in range(num_threads)],
             order=array("i"),
-            backend="pure",
         )
 
     @property
@@ -230,24 +205,18 @@ def build_packed_tables(
     built full (stride = chain length).
     """
     n = num_threads
-    np = numpy_or_none()
     rows: List[array] = []
     cols: List[array] = []
-    for chain in vc_table:
-        length = len(chain)
-        if np is not None and length:
-            mat = np.array(chain, dtype=np.intc)  # (length, n)
-            rows.append(array("i", mat.tobytes()))
-            cols.append(array("i", np.ascontiguousarray(mat.T).tobytes()))
-        else:
-            rows.append(array("i", [v for vc in chain for v in vc]))
-            cols.append(
-                array("i", [chain[k][j] for j in range(n) for k in range(length)])
-            )
+    for clocks in vc_table:
+        row = array("i", chain.from_iterable(clocks))
+        col = array("i")
+        for j in range(n):
+            col.extend(row[j::n])  # component j of every clock, in order
+        rows.append(row)
+        cols.append(col)
     return PackedPosetTables(
         num_threads=n,
         rows=rows,
         cols=cols,
         order=array("i", [t for t, _ in insertion]),
-        backend="pure" if np is None else "numpy",
     )

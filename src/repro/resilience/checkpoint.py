@@ -118,10 +118,13 @@ class CheckpointJournal:
                 f"{digest[:12]}… — refusing to resume across posets"
             )
         if header["subroutine"] != subroutine:
+            written = header["subroutine"]
             raise CheckpointError(
                 f"checkpoint {self.path} was written with subroutine "
-                f"{header['subroutine']!r}, this run uses {subroutine!r} — "
-                f"per-interval work/memory stats would not be comparable"
+                f"{written!r}, this run uses {subroutine!r} — "
+                f"per-interval work/memory stats would not be comparable; "
+                f"pass subroutine={written!r} (--algorithm {written}) to "
+                f"resume it, or start a fresh journal"
             )
         # Journals predating adaptive scheduling have no schedule field and
         # were necessarily written one-task-per-interval.

@@ -7,6 +7,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.enumeration.base import DEFAULT_SUBROUTINE, ENUMERATORS
 from repro.util.timing import format_duration
 
 __all__ = ["main"]
@@ -777,8 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--subroutine",
-        choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
-        default="lexical-packed",
+        choices=tuple(ENUMERATORS),
+        default=DEFAULT_SUBROUTINE,
         help="ParaMount's bounded subroutine (default lexical-packed: the "
         "lexical algorithm on the packed kernel; lexical is its reference)",
     )
@@ -814,10 +815,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         "--subroutine",
-        choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
-        default="lexical",
-        help="sequential (sub)routine; lexical-packed runs the flat-table "
-        "kernels, level-space the bounded-memory level traversal",
+        choices=tuple(ENUMERATORS),
+        default=DEFAULT_SUBROUTINE,
+        help="sequential (sub)routine (default lexical-packed: the lexical "
+        "algorithm on the packed kernel); lexical is its reference, "
+        "level-space the bounded-memory level traversal",
     )
     p.add_argument(
         "--paramount",
@@ -959,8 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         "--subroutine",
-        choices=("lexical", "lexical-packed", "level-space", "bfs", "dfs", "squire"),
-        default="lexical",
+        choices=tuple(ENUMERATORS),
+        default=DEFAULT_SUBROUTINE,
     )
     p.add_argument(
         "--schedule",

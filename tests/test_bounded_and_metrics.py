@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.core.bounded import bounded_enumeration, make_bounded_subroutine
+from repro.core.bounded import bounded_enumeration
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import IntervalStats, ParaMountResult
-from repro.enumeration.base import CollectingVisitor
-from repro.errors import EnumerationError
+from repro.enumeration.base import CollectingVisitor, make_enumerator
 
 
 def test_bounded_enumeration_counts_interval(figure4_poset):
-    sub = make_bounded_subroutine("lexical", figure4_poset)
+    sub = make_enumerator("lexical", figure4_poset)
     interval = Interval(event=(1, 2), lo=(0, 2), hi=(2, 2))
     visitor = CollectingVisitor()
     stats = bounded_enumeration(sub, interval, visitor)
@@ -20,18 +19,13 @@ def test_bounded_enumeration_counts_interval(figure4_poset):
 
 
 def test_bounded_enumeration_exactly_once_per_interval(figure4_poset):
-    sub = make_bounded_subroutine("bfs", figure4_poset)
+    sub = make_enumerator("bfs", figure4_poset)
     seen = []
     for interval in compute_intervals(figure4_poset):
         visitor = CollectingVisitor()
         bounded_enumeration(sub, interval, visitor)
         seen.extend(visitor.cuts)
     assert len(seen) == len(set(seen)) == 8
-
-
-def test_make_bounded_subroutine_rejects_unknown(figure4_poset):
-    with pytest.raises(EnumerationError):
-        make_bounded_subroutine("nope", figure4_poset)
 
 
 def test_interval_stats_frozen():

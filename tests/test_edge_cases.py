@@ -118,10 +118,11 @@ def test_interval_of_last_event_is_terminal(figure4_poset):
 
 
 def test_degenerate_interval_single_state(figure4_poset):
-    from repro.core.bounded import bounded_enumeration, make_bounded_subroutine
+    from repro.core.bounded import bounded_enumeration
     from repro.core.intervals import Interval
+    from repro.enumeration.base import make_enumerator
 
-    sub = make_bounded_subroutine("lexical", figure4_poset)
+    sub = make_enumerator("lexical", figure4_poset)
     stats = bounded_enumeration(
         sub, Interval(event=(0, 2), lo=(2, 1), hi=(2, 1))
     )

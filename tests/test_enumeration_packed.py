@@ -8,6 +8,7 @@ threads, dist worker processes, checkpoint journals).
 """
 
 import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,10 @@ from repro.enumeration import (
     make_enumerator,
 )
 from repro.errors import EnumerationError
-from repro.obs.observer import Observer
 from repro.poset.builder import PosetBuilder
 from repro.poset.ideals import count_ideals
 from repro.poset.poset import Poset
-from repro.poset.packed import build_packed_tables, numpy_or_none
+from repro.poset.packed import build_packed_tables
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.poset.topological import random_topological_order
 from repro.util.cuts import cut_leq
@@ -36,6 +36,18 @@ from repro.util.rng import DeterministicRng
 from tests.conftest import build_chain_poset, build_figure4_poset, small_posets
 
 KERNELS = ("array", "bitmask")
+
+
+@contextmanager
+def packed_on(kernel, poset):
+    """A packed enumerator whose calls run ``kernel`` inside the block,
+    forced through the selection rule: no poset has at most -1 events."""
+    budget = PackedLexicalEnumerator.BITMASK_MAX_EVENTS if kernel == "bitmask" else -1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", budget)
+        enumerator = PackedLexicalEnumerator(poset)
+        assert enumerator.kernel == kernel
+        yield enumerator
 
 
 def sequence(enumerator, lo=None, hi=None):
@@ -57,11 +69,13 @@ def test_full_visit_sequence_identity(poset):
     """lexical == lexical-packed (both kernels), in order."""
     ref_result, ref = sequence(LexicalEnumerator(poset))
     for kernel in KERNELS:
-        result, cuts = sequence(PackedLexicalEnumerator(poset, kernel=kernel))
+        with packed_on(kernel, poset) as packed:
+            result, cuts = sequence(packed)
+            # counting mode (no visitor) agrees with the visited count
+            counted = packed.enumerate(None).states
         assert cuts == ref, kernel
         assert result.states == ref_result.states
-        # counting mode (no visitor) agrees with the visited count
-        assert PackedLexicalEnumerator(poset, kernel=kernel).enumerate(None).states == len(ref)
+        assert counted == len(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,7 +90,8 @@ def test_interval_visit_sequence_identity(poset):
         hi = poset.lengths
     _, ref = sequence(LexicalEnumerator(poset), lo, hi)
     for kernel in KERNELS:
-        _, cuts = sequence(PackedLexicalEnumerator(poset, kernel=kernel), lo, hi)
+        with packed_on(kernel, poset) as packed:
+            _, cuts = sequence(packed, lo, hi)
         assert cuts == ref, (kernel, lo, hi)
 
 
@@ -89,9 +104,8 @@ def test_empty_interval(kernel):
     """lo's closure escapes hi: the interval holds no consistent cut."""
     poset = build_figure4_poset()
     # (2, 0) requires e2[1] (closure (2, 1)), so hi = (2, 0) is empty
-    result, cuts = sequence(
-        PackedLexicalEnumerator(poset, kernel=kernel), (2, 0), (2, 0)
-    )
+    with packed_on(kernel, poset) as packed:
+        result, cuts = sequence(packed, (2, 0), (2, 0))
     assert result.states == 0 and cuts == []
     ref_result, ref = sequence(LexicalEnumerator(poset), (2, 0), (2, 0))
     assert ref_result.states == 0 and ref == []
@@ -102,20 +116,18 @@ def test_point_interval(kernel):
     poset = build_figure4_poset()
     for point in [(0, 0), (1, 1), (2, 2)]:
         _, ref = sequence(LexicalEnumerator(poset), point, point)
-        _, cuts = sequence(
-            PackedLexicalEnumerator(poset, kernel=kernel), point, point
-        )
+        with packed_on(kernel, poset) as packed:
+            _, cuts = sequence(packed, point, point)
         assert cuts == ref == [point]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_single_thread_chain(kernel):
     poset = build_chain_poset(1, 5)
-    _, cuts = sequence(PackedLexicalEnumerator(poset, kernel=kernel))
+    with packed_on(kernel, poset) as packed:
+        _, cuts = sequence(packed)
+        _, bounded = sequence(packed, (2,), (4,))
     assert cuts == [(c,) for c in range(6)]
-    _, bounded = sequence(
-        PackedLexicalEnumerator(poset, kernel=kernel), (2,), (4,)
-    )
     assert bounded == [(2,), (3,), (4,)]
 
 
@@ -127,7 +139,8 @@ def test_threads_with_empty_chains(kernel):
     poset = builder.build()
     assert poset.lengths == (1, 0, 1)
     _, ref = sequence(LexicalEnumerator(poset))
-    _, cuts = sequence(PackedLexicalEnumerator(poset, kernel=kernel))
+    with packed_on(kernel, poset) as packed:
+        _, cuts = sequence(packed)
     assert cuts == ref
 
 
@@ -139,33 +152,21 @@ def test_factory_and_kernel_selection():
     poset = build_figure4_poset()
     e = make_enumerator("lexical-packed", poset)
     assert isinstance(e, PackedLexicalEnumerator)
-    assert e.kernel == "bitmask" and e.fallback_reason is None
+    assert e.kernel == "bitmask"
     with pytest.raises(EnumerationError, match="lexical-packed"):
         make_enumerator("no-such-algorithm", poset)
-    with pytest.raises(EnumerationError, match="packed kernel"):
-        PackedLexicalEnumerator(poset, kernel="simd")
 
 
 def test_bitmask_budget_fallback(monkeypatch):
+    """Above the mask budget the array kernel runs, picked per call."""
     poset = build_figure4_poset()
-    monkeypatch.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", 2)
     e = PackedLexicalEnumerator(poset)
+    assert e.kernel == "bitmask"
+    monkeypatch.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", 2)
     assert e.kernel == "array"
-    assert "bitmask budget" in e.fallback_reason
     _, cuts = sequence(e)
     _, ref = sequence(LexicalEnumerator(poset))
     assert cuts == ref
-
-
-def test_fallback_counter_reaches_observer(monkeypatch):
-    monkeypatch.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", 0)
-    poset = build_figure4_poset()
-    observer = Observer()
-    result = ParaMount(
-        poset, subroutine="lexical-packed", observer=observer
-    ).run()
-    assert result.states == 8
-    assert observer.counter("packed_kernel_fallbacks_total").value() == 1
 
 
 def decoded_downsets(tables):
@@ -249,30 +250,13 @@ def test_downset_masks_match_happened_before():
     assert decoded_downsets(bare.packed_tables()) == expected_downsets(poset)
 
 
-def test_numpy_and_pure_backends_build_identical_tables(monkeypatch):
+def test_numpy_and_pure_backends_build_identical_tables():
+    """The one (stdlib) bulk build holds the poset's clocks."""
     poset = random_computation(RandomComputationSpec(4, 16, 0.4, seed=9))
-
-    def build():
-        return build_packed_tables(
-            poset.num_threads, poset.vc_table(), poset.insertion
-        )
-
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert numpy_or_none() is None
-    pure = build()
-    assert pure.backend == "pure"
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    other = build()
-    if numpy_or_none() is None:  # numpy not installed: both paths are pure
-        assert other.backend == "pure"
-    else:
-        assert other.backend == "numpy"
-    for a, b in zip(other.rows, pure.rows):
-        assert list(a) == list(b)
-    for a, b in zip(other.cols, pure.cols):
-        assert list(a) == list(b)
-    assert list(other.order) == list(pure.order)
-    assert_same_clocks(pure, poset)
+    tables = build_packed_tables(
+        poset.num_threads, poset.vc_table(), poset.insertion
+    )
+    assert_same_clocks(tables, poset)
 
 
 def test_poset_pickles_without_packed_cache():
@@ -348,7 +332,7 @@ def test_appended_tables_equal_frozen_tables(poset, data):
 def test_split_steal_eight_workers_identical(subroutine):
     poset = random_computation(RandomComputationSpec(5, 30, 0.4, seed=11))
     baseline: dict = {}
-    serial = ParaMount(poset).run(
+    serial = ParaMount(poset, "lexical").run(
         lambda c: baseline.__setitem__(c, baseline.get(c, 0) + 1)
     )
     seen: dict = {}
@@ -370,7 +354,7 @@ def test_multiprocessing_backend_packed():
         poset, "lexical-packed", executor=DistributedExecutor(workers=2)
     ).run()
     assert result.states == expected
-    serial = ParaMount(poset).run()
+    serial = ParaMount(poset, "lexical").run()
     assert result.interval_sizes() == serial.interval_sizes()
 
 

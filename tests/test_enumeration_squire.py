@@ -4,9 +4,7 @@ from itertools import product
 
 from hypothesis import given, settings
 
-from repro.core.paramount import ParaMount
 from repro.enumeration import CollectingVisitor, SquireEnumerator, verify_enumerator
-from repro.poset.ideals import count_ideals
 from repro.util.cuts import cut_leq
 
 from tests.conftest import build_chain_poset, small_posets
@@ -65,8 +63,3 @@ def test_bounded_matches_filter(poset):
     SquireEnumerator(poset).enumerate_interval(lo, hi, visitor)
     assert visitor.as_set() == expected
 
-
-@settings(max_examples=25, deadline=None)
-@given(small_posets())
-def test_works_as_paramount_subroutine(poset):
-    assert ParaMount(poset, subroutine="squire").run().states == count_ideals(poset)

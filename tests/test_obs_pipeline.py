@@ -308,4 +308,4 @@ def test_degradation_warning_and_span_on_oom(tmp_path):
     assert result.degradations  # every interval fell back
     marks = [s for s in observer.spans() if s.name == "degrade_subroutine"]
     assert len(marks) == len(result.degradations)
-    assert all(s.attrs["to"] == "lexical" for s in marks)
+    assert all(s.attrs["to"] == "lexical-packed" for s in marks)

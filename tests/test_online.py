@@ -147,7 +147,7 @@ def test_packed_visits_same_cut_sequence_online(poset, kernel, split_budget):
         om, packed = insertion_sequences(
             poset, "lexical-packed", split_budget=split_budget
         )
-    assert om._subroutine.kernel == kernel
+        assert om._subroutine.kernel == kernel
     assert packed == reference
 
 

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.executors import SerialExecutor, WorkStealingThreadExecutor
+from repro.core.online import OnlineParaMount
 from repro.core.paramount import ParaMount
-from repro.enumeration.base import CollectingVisitor
+from repro.detector.paramount_detector import ParaMountDetector
+from repro.enumeration.base import ENUMERATORS, CollectingVisitor, make_enumerator
 from repro.errors import EnumerationError
 from repro.poset.ideals import count_ideals
 from repro.poset.topological import lexicographic_topological_order
+from repro.tools.cli import build_parser
 
 from tests.conftest import small_posets
 
@@ -34,8 +37,38 @@ def test_visitor_sees_each_state_once(figure4_poset):
 
 
 def test_subroutines_agree(figure4_poset):
-    for sub in ("lexical", "bfs", "dfs"):
+    for sub in ENUMERATORS:
         assert ParaMount(figure4_poset, subroutine=sub).run().states == 8
+
+
+def _parsed(*argv):
+    return build_parser().parse_args(argv)
+
+
+#: Every entry point's default subroutine, read without running anything.
+DEFAULT_OF = {
+    "ParaMount": lambda poset: ParaMount(poset).subroutine_name,
+    "OnlineParaMount": lambda poset: OnlineParaMount(2)._subroutine.name,
+    "ParaMountDetector": lambda poset: ParaMountDetector().subroutine,
+    "cli enumerate": lambda poset: _parsed("enumerate", "p.json").algorithm,
+    "cli detect": lambda poset: _parsed("detect", "--workload", "x").subroutine,
+    "cli coordinator": lambda poset: _parsed(
+        "coordinator", "p.json", "--port", "0"
+    ).algorithm,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEFAULT_OF))
+def test_one_default_and_four_names(entry, figure4_poset):
+    """Offline and online, library and CLI, default to the packed kernel;
+    the reference-only DFS and Squire enumerators are not selectable."""
+    assert DEFAULT_OF[entry](figure4_poset) == "lexical-packed"
+    names = sorted(["lexical-packed", "level-space", "bfs", "lexical"])
+    assert sorted(ENUMERATORS) == names
+    for retired in ("dfs", "squire"):
+        with pytest.raises(EnumerationError) as info:
+            make_enumerator(retired, figure4_poset)
+        assert f"expected one of {names}" in str(info.value)
 
 
 def test_unknown_subroutine_raises(figure4_poset):

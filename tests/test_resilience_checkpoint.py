@@ -114,6 +114,26 @@ def test_subroutine_mismatch_refuses_resume(tmp_path):
         ParaMount(poset, subroutine="bfs", checkpoint=path).run()
 
 
+def test_journal_of_the_former_default_resumes_only_under_lexical(tmp_path):
+    """Journals started before ``lexical-packed`` became the default pin
+    ``lexical``: the default refuses them and names the fix, and naming
+    ``lexical`` resumes them."""
+    poset = build_figure4_poset()
+    base = ParaMount(poset).run()
+    path = tmp_path / "old.ckpt"
+    with pytest.raises(RuntimeError, match="simulated kill"):
+        ParaMount(poset, "lexical", executor=AbortAfter(2), checkpoint=path).run()
+    with pytest.raises(CheckpointError) as refused:
+        ParaMount(poset, checkpoint=path).run()
+    message = str(refused.value)
+    assert "subroutine='lexical'" in message
+    assert "--algorithm lexical" in message
+    assert "fresh journal" in message
+    resumed = ParaMount(poset, "lexical", checkpoint=path).run()
+    assert resumed.resumed_intervals == 2
+    assert resumed.states == base.states
+
+
 def test_bounds_mismatch_refuses_resume(tmp_path):
     """Same poset, different total order →p: the recomputed interval
     bounds diverge from the journaled ones."""

@@ -100,7 +100,7 @@ def test_bfs_over_budget_degrades_to_lexical():
     assert result.degraded
     assert all(d.kind == "subroutine" for d in result.degradations)
     assert all(
-        (d.from_name, d.to_name) == ("bfs", "lexical")
+        (d.from_name, d.to_name) == ("bfs", "lexical-packed")
         for d in result.degradations
     )
     assert "memory budget" in result.degradations[0].reason

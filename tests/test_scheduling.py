@@ -387,5 +387,5 @@ def test_legacy_unsplit_journal_still_resumes(tmp_path):
     del header["schedule"]
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     serial = ParaMount(poset, order=order).run()
-    resumed = ParaMount(poset, order=order, checkpoint=path).run()
+    resumed = ParaMount(poset, "lexical", order=order, checkpoint=path).run()
     assert resumed.states == serial.states

@@ -102,7 +102,7 @@ def test_cli_detect_rv_statuses(capsys):
 def test_cli_capture_and_enumerate(tmp_path, capsys):
     poset_path = str(tmp_path / "p.json")
     assert main(["capture-poset", "banking", "--out", poset_path]) == 0
-    assert main(["enumerate", poset_path, "--algorithm", "squire"]) == 0
+    assert main(["enumerate", poset_path, "--algorithm", "bfs"]) == 0
     out = capsys.readouterr().out
     assert "states" in out
 
