@@ -3,13 +3,15 @@
 Single-core states/sec of every lexical-order subroutine (``lexical``,
 ``lexical-packed``) plus the space-efficient level
 traversal (``level-space``) on the Table-2 raw posets (one event per
-access): raytracer, sor, tsp.  Unlike the Table-1 bench, whose artifacts
-land only under ``benchmarks/results/``, this one pins the hot-path
-numbers in a **root-level** ``BENCH_enumeration_core.json`` so a perf
-regression in the enumeration core shows up in review like every other
-layer's gate.
+access): raytracer, sor and tsp (4 threads each) and hedc (8 threads,
+the one raw poset wide enough for the bitmask kernel's prefix state to
+pay; its reference ``lexical`` walk takes about 30 s).  Unlike the
+Table-1 bench, whose artifacts land only under ``benchmarks/results/``,
+this one pins the hot-path numbers in a **root-level**
+``BENCH_enumeration_core.json`` so a perf regression in the enumeration
+core shows up in review like every other layer's gate.
 
-Acceptance (ISSUE 9): ``lexical-packed`` ≥ 5× ``lexical`` on the
+Acceptance: ``lexical-packed`` ≥ 5× ``lexical`` on the
 raytracer raw poset (single core, counting mode), every subroutine
 enumerates the identical state count, and the measured peak-memory curve
 (:func:`repro.analysis.memory.peak_memory_curve`) shows ``level-space``
@@ -33,7 +35,7 @@ from repro.workloads.registry import DETECTION_WORKLOADS
 
 SMOKE = bool(int(os.environ.get("BENCH_ENUM_SMOKE", "0")))
 
-NAMES = ("sor",) if SMOKE else ("raytracer", "sor", "tsp")
+NAMES = ("sor",) if SMOKE else ("raytracer", "sor", "tsp", "hedc")
 SUBROUTINES = ("lexical", "lexical-packed", "level-space")
 
 #: The workload the speedup gate applies to, and the required ratio.

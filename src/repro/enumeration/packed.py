@@ -28,16 +28,40 @@ Two successor kernels, each property-tested against the reference; every
 call picks one by poset size (``num_events ≤ BITMASK_MAX_EVENTS``),
 checked per call because an online poset keeps growing:
 
-* ``"bitmask"`` — closure as an OR of per-event downset bitmasks and
-  per-thread popcounts; the faster kernel while every event fits in
-  the bit budget.
+* ``"bitmask"`` — closure as an OR of per-event downset bitmasks over a
+  prefix state kept between probes (below): a probe is a few big-int
+  operations, and per-thread popcounts are taken only for an accepted
+  successor.  The faster kernel while every event fits in the bit budget.
 * ``"array"`` — the one-round closure over the row-major clock table;
   beyond the budget every downset mask is a multi-kiloword big int and
   this kernel is the faster one.
 
+**Prefix state and run bound.**  A successor at position ``k`` leaves
+``cut[0..k-1]`` untouched, so neither kernel recomputes what depends on
+that prefix alone.  The bitmask kernel keeps ``pre[k]``, the OR of the
+downsets of ``cut[0..k-1]``'s frontier events.  The candidate closure at
+``k`` is ``pre[k] | downs[k][nxt-1] | lo_suffix[k+1]``; it keeps the
+prefix pinned iff its events on threads ``< k`` are the cut's own there
+(one AND and compare), and it stays in the interval iff it is a subset of
+the events ``≤ hi`` taken coordinate by coordinate (a split
+sub-interval's ``hi`` need not be a consistent cut, so a closure can
+escape it).  Every visited cut is consistent and ``≥ lo``, so an accepted
+successor sets thread ``k`` to ``nxt`` exactly; the later coordinates are
+the closure's popcounts, and the state is rebuilt past ``k`` only.  It is
+built on a call's first probe that stays within ``hi``: many short
+intervals never make one.  Both kernels cache ``lim[j]``, how far the
+last thread may run under ``cut[0..j-1]``, and after a successor at
+``k`` re-bisect only ``lim[k+1..n-1]``.  ``work`` counts these inner
+steps: probes, prefix positions built or rebuilt, and re-bisected
+columns.
+
 The enumerator only reads table entries at or below the interval's upper
 bound, all appended before the caller took that bound, so it runs safely
-beside concurrent appends (Theorem 3's non-interference argument).
+beside concurrent appends (Theorem 3's non-interference argument).  The
+prefix state reads the thread masks when it is built, by which time
+other threads may have appended events: a thread mask may then hold bits
+of later events, but no downset the kernel ORs contains one, so the
+subset tests are unaffected.
 """
 
 from __future__ import annotations
@@ -101,79 +125,98 @@ class PackedLexicalEnumerator(Enumerator):
                 return EnumerationResult(states=0, work=work, peak_live=0)
 
         use_mask = self.kernel == "bitmask"
-        if use_mask:
-            downs, tmask = tables.masks()
-            # OR of the lower bound's suffix downsets, per start position.
-            lo_suffix = [0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                lo_suffix[i] = lo_suffix[i + 1] | (
-                    downs[i][lo[i] - 1] if lo[i] else 0
-                )
+        pre = None  # the bitmask prefix state, built on the first probe ≤ hi
         lo_arr = array("i", lo)
         scratch = array("i", cut)
         t = n - 1
         # one read: a concurrent append may replace the array, never resize it
         col_t = tables.cols[t]
         stride = len(col_t) // n
+        # lim[j]: how far thread t may run under cut[0..j-1], one bisect per
+        # column below hi[t]; a successor at k keeps cut[0..k-1], so
+        # lim[0..k] stay exact and the next run re-bisects from column k
+        lim = [hi[t]] * n
+        k = 0
         states = 0
 
         while True:
             # ---- extend the run on the last thread (sorted columns) ---- #
             c0 = cut[t]
-            cmax = hi[t]
-            for j in range(t):
-                if cmax <= c0:
-                    break
-                off = j * stride
-                p = bisect_right(col_t, cut[j], off + c0, off + cmax) - off
-                if p < cmax:
-                    cmax = p
-            work += n
+            cmax = lim[k]
+            for j in range(k, t):
+                if cmax > c0:
+                    off = j * stride
+                    p = bisect_right(col_t, cut[j], off + c0, off + cmax) - off
+                    if p < cmax:
+                        cmax = p
+                lim[j + 1] = cmax
+            work += t - k
             run = cmax - c0 + 1
             states += run
             if visit is None:
                 work += 1  # O(1) per run in counting mode
             else:
                 work += run
-                pre = tuple(cut[:t])
+                prefix = tuple(cut[:t])
                 for c in range(c0, cmax + 1):
-                    visit(pre + (c,))
+                    visit(prefix + (c,))
             cut[t] = cmax
 
             # ---- lexical successor at a position k ≤ n-2 --------------- #
-            found = False
             for k in range(n - 2, -1, -1):
                 work += 1
                 nxt = cut[k] + 1
                 if nxt > hi[k]:
                     continue
                 if use_mask:
-                    # closure = OR of the candidate frontier's downsets;
-                    # per-thread counts are popcounts of the mask.
-                    mask = downs[k][nxt - 1] | lo_suffix[k + 1]
-                    for i in range(k):
-                        ci = cut[i]
-                        if ci:
-                            mask |= downs[i][ci - 1]
-                    work += n
-                    feasible = True
-                    for j in range(k):
-                        if (mask & tmask[j]).bit_count() != cut[j]:
-                            feasible = False
-                            break
-                    if not feasible:
+                    if pre is None:
+                        downs, tmask = tables.masks()
+                        # lo_suffix[i]: OR of lo's downsets on threads ≥ i
+                        lo_suffix = [0] * n
+                        acc = 0
+                        for i in range(t, 0, -1):
+                            if lo[i]:
+                                acc |= downs[i][lo[i] - 1]
+                            lo_suffix[i] = acc
+                        # cap: the events ≤ hi, coordinate by coordinate
+                        cap = 0
+                        for j in range(n):
+                            if hi[j]:
+                                cap |= downs[j][hi[j] - 1] & tmask[j]
+                        # below[i]: the events of threads < i; pre[i]: the
+                        # OR of cut[0..i-1]'s downsets; pinned[i]: pre[i]'s
+                        # events on threads < i, i.e. the cut's own there
+                        below = [0] * t
+                        pre = [0] * t
+                        pinned = [0] * t
+                        for i in range(1, t):
+                            below[i] = below[i - 1] | tmask[i - 1]
+                        acc = 0
+                        for i in range(k):
+                            ci = cut[i]
+                            if ci:
+                                acc |= downs[i][ci - 1]
+                            pre[i + 1] = acc
+                            pinned[i + 1] = acc & below[i + 1]
+                        work += n + k
+                    head = pre[k] | downs[k][nxt - 1]
+                    mask = head | lo_suffix[k + 1]
+                    # the closure must keep the prefix pinned and stay ≤ hi
+                    if mask & below[k] != pinned[k] or mask | cap != cap:
                         continue
-                    m = scratch
-                    in_bounds = True
-                    for j in range(k, n):
+                    # accepted: lo ≤ cut forces thread k no further than
+                    # nxt; the later coordinates are the closure's
+                    # popcounts, and the prefix state is rebuilt past k
+                    cut[k] = nxt
+                    work += t - k
+                    for j in range(k + 1, t):
+                        pre[j] = head
+                        pinned[j] = head & below[j]
                         c = (mask & tmask[j]).bit_count()
-                        if c > hi[j]:
-                            in_bounds = False
-                            break
-                        m[j] = c
-                    if not in_bounds:
-                        continue
-                    m[:k] = cut[:k]
+                        cut[j] = c
+                        if c:
+                            head |= downs[j][c - 1]
+                    cut[t] = (mask & tmask[t]).bit_count()
                 else:
                     # one-round closure over the flat clock table
                     m = scratch
@@ -205,9 +248,7 @@ class PackedLexicalEnumerator(Enumerator):
                             break
                     if not in_bounds:
                         continue
-                cut, scratch = m, cut
-                found = True
+                    cut, scratch = m, cut
                 break
-            if not found:
-                break
-        return EnumerationResult(states=states, work=work, peak_live=1)
+            else:
+                return EnumerationResult(states=states, work=work, peak_live=1)

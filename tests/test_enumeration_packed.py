@@ -78,21 +78,32 @@ def test_full_visit_sequence_identity(poset):
         assert counted == len(ref)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_posets())
-def test_interval_visit_sequence_identity(poset):
+@settings(max_examples=100, deadline=None)
+@given(small_posets(), st.data())
+def test_interval_visit_sequence_identity(poset, data):
+    """Bounds from visited cuts of the full walk, and bounds drawn per
+    coordinate (``lo ≤ hi ≤ lengths``) whose ``hi`` may be an
+    inconsistent cut, as a split sub-interval's is."""
     _, full = sequence(LexicalEnumerator(poset))
-    if len(full) < 3:
-        return
-    lo = full[len(full) // 3]
-    hi = full[2 * len(full) // 3]
-    if not cut_leq(lo, hi):
-        hi = poset.lengths
-    _, ref = sequence(LexicalEnumerator(poset), lo, hi)
-    for kernel in KERNELS:
-        with packed_on(kernel, poset) as packed:
-            _, cuts = sequence(packed, lo, hi)
-        assert cuts == ref, (kernel, lo, hi)
+    bounds = []
+    if len(full) >= 3:
+        lo = full[len(full) // 3]
+        hi = full[2 * len(full) // 3]
+        if not cut_leq(lo, hi):
+            hi = poset.lengths
+        bounds.append((lo, hi))
+    for _ in range(4):
+        hi = tuple(data.draw(st.integers(0, c), label="hi") for c in poset.lengths)
+        lo = tuple(data.draw(st.integers(0, c), label="lo") for c in hi)
+        bounds.append((lo, hi))
+    for lo, hi in bounds:
+        _, ref = sequence(LexicalEnumerator(poset), lo, hi)
+        for kernel in KERNELS:
+            with packed_on(kernel, poset) as packed:
+                _, cuts = sequence(packed, lo, hi)
+                counted = packed.enumerate_interval(lo, hi).states
+            assert cuts == ref, (kernel, lo, hi)
+            assert counted == len(ref), (kernel, lo, hi)
 
 
 # --------------------------------------------------------------------- #

@@ -35,7 +35,9 @@ def test_dist_run_reconciles_and_serves_per_host_metrics(tmp_path):
     executor = DistributedExecutor(
         workers=2,
         lease_seconds=2.0,
-        heartbeat_seconds=0.2,
+        # the worker's shortest pulse: a two-worker d-300 run can end
+        # within 0.2 s, and only pulses sent during the run carry counters
+        heartbeat_seconds=0.05,
         no_worker_grace=5.0,
         http_port=0,
     )
