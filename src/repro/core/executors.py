@@ -175,7 +175,7 @@ class WorkStealingThreadExecutor(Executor):
 
     Each worker owns a deque of tasks dealt LPT-style by task ``weight``
     (read from the task's ``weight`` attribute, defaulting to 1 — the
-    ParaMount driver sets it to the interval's size bound).  Deques hold
+    ParaMount driver sets it to the run's summed size bound).  Deques hold
     tasks in descending weight, so a worker always runs its largest
     remaining task next; a worker whose deque drains steals the largest
     pending task across all other deques.  Combined with interval

@@ -172,7 +172,8 @@ class ParaMountResult:
     retries: int = 0
     #: Intervals restored from a checkpoint journal instead of re-enumerated.
     resumed_intervals: int = 0
-    #: Per-task stats in dispatch order (== ``intervals`` when unsplit).
+    #: Per-piece stats in dispatch order (== ``intervals`` when unsplit);
+    #: the executors ran them grouped into runs, one task per run.
     tasks: List[IntervalStats] = field(default_factory=list)
     #: Schedule that shaped the task list ("fifo", "largest", "split-steal").
     schedule: str = "fifo"

@@ -7,7 +7,9 @@ Given a poset, ParaMount:
 2. derives every event's interval ``I(e) = [Gmin(e), Gbnd(e)]``
    (:mod:`repro.core.intervals`);
 3. hands the intervals to an executor, each enumerated independently by the
-   bounded sequential subroutine (Algorithm 2);
+   bounded sequential subroutine (Algorithm 2) — oversized intervals split
+   and consecutive tiny ones coalesced into runs, one task per run
+   (:mod:`repro.core.scheduling`);
 4. aggregates counts and cost meters into a
    :class:`~repro.core.metrics.ParaMountResult`.
 
@@ -39,7 +41,12 @@ from repro.core.bounded import bounded_enumeration
 from repro.core.executors import Executor, SerialExecutor
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import DegradationEvent, IntervalStats, ParaMountResult
-from repro.core.scheduling import SchedulePlan, SchedulePolicy, plan_schedule
+from repro.core.scheduling import (
+    SchedulePlan,
+    SchedulePolicy,
+    coalesce,
+    plan_schedule,
+)
 from repro.enumeration.base import DEFAULT_SUBROUTINE, make_enumerator
 from repro.errors import OutOfMemoryError
 from repro.obs.observer import Observer, ensure_observer
@@ -94,11 +101,14 @@ class ParaMount:
         twice across intervals).
     checkpoint:
         Optional interval checkpoint journal — a
-        :class:`~repro.resilience.CheckpointJournal` or a path.  Completed
-        intervals are appended as they finish; on a later run with the
-        same journal, only unfinished intervals are re-enumerated (their
-        states are *not* re-visited, so a user visitor sees only the fresh
-        intervals' states on a resumed run).
+        :class:`~repro.resilience.CheckpointJournal` or a path.  Each task
+        is a run of consecutive pieces (intervals or split sub-intervals,
+        :func:`~repro.core.scheduling.coalesce`); a finished run appends
+        one record per piece in one write, so a kill loses at most the
+        in-flight runs, none larger than the plan's largest piece.  On a
+        later run with the same journal, only unfinished pieces are
+        re-enumerated (their states are *not* re-visited, so a user
+        visitor sees only the fresh pieces' states on a resumed run).
     degrade_on_oom:
         When true, an interval whose BFS enumeration exceeds
         ``memory_budget`` is re-enumerated with the default subroutine
@@ -227,6 +237,7 @@ class ParaMount:
             for iv in plan.tasks
             if (iv.event, iv.lo, iv.hi) not in completed
         ]
+        runs = coalesce(plan, pending, self.intervals)
         journal = self.checkpoint
         degradations: List[DegradationEvent] = []
         log_lock = threading.Lock()
@@ -265,110 +276,124 @@ class ParaMount:
             for _ in completed:
                 obs.progress.on_task_done(0, 0.0)
 
-        def make_task(interval: Interval) -> Callable[[], IntervalStats]:
+        def enumerate_piece(interval: Interval) -> Optional[IntervalStats]:
+            if deadline_at is not None and time.monotonic() >= deadline_at:
+                # past the wall-clock budget: skip instead of starting
+                with log_lock:
+                    deadline_skips.append(interval.event)
+                return None
             if sanitizer is None:
                 task_visit = wrapped
             else:
                 # observe every enumerated state even with no user visitor,
                 # so the partition check covers the whole lattice.
-                def task_visit(cut, _iv=interval):
-                    sanitizer.observe_state(_iv, cut)
+                def task_visit(cut):
+                    sanitizer.observe_state(interval, cut)
                     if wrapped is not None:
                         wrapped(cut)
 
-            def task() -> Optional[IntervalStats]:
-                if (
-                    deadline_at is not None
-                    and time.monotonic() >= deadline_at
-                ):
-                    # past the wall-clock budget: skip instead of starting
-                    with log_lock:
-                        deadline_skips.append(interval.event)
-                    return None
-                t_start = task_clock() if task_clock is not None else 0.0
-                try:
-                    stats = bounded_enumeration(
-                        subroutine, interval, task_visit, clock=task_clock
-                    )
-                except OutOfMemoryError as exc:
-                    if not self.degrade_on_oom:
-                        raise
-                    # Bounded lexical keeps O(n) live state: always fits.
-                    fallback = make_enumerator(
-                        DEFAULT_SUBROUTINE,
-                        self.poset,
-                        memory_budget=self.memory_budget,
-                    )
-                    stats = bounded_enumeration(
-                        fallback, interval, task_visit, clock=task_clock
-                    )
-                    with log_lock:
-                        degradations.append(
-                            DegradationEvent(
-                                kind="subroutine",
-                                from_name=self.subroutine_name,
-                                to_name=DEFAULT_SUBROUTINE,
-                                reason=f"interval {interval.event}: {exc}",
-                            )
+            t_start = task_clock() if task_clock is not None else 0.0
+            try:
+                stats = bounded_enumeration(
+                    subroutine, interval, task_visit, clock=task_clock
+                )
+            except OutOfMemoryError as exc:
+                if not self.degrade_on_oom:
+                    raise
+                # Bounded lexical keeps O(n) live state: always fits.
+                fallback = make_enumerator(
+                    DEFAULT_SUBROUTINE,
+                    self.poset,
+                    memory_budget=self.memory_budget,
+                )
+                stats = bounded_enumeration(
+                    fallback, interval, task_visit, clock=task_clock
+                )
+                with log_lock:
+                    degradations.append(
+                        DegradationEvent(
+                            kind="subroutine",
+                            from_name=self.subroutine_name,
+                            to_name=DEFAULT_SUBROUTINE,
+                            reason=f"interval {interval.event}: {exc}",
                         )
-                    logger.warning(
-                        "interval %s degraded %s -> %s: %s",
-                        interval.event,
-                        self.subroutine_name,
-                        DEFAULT_SUBROUTINE,
-                        exc,
-                        extra={
-                            "degrade_kind": "subroutine",
-                            "degrade_from": self.subroutine_name,
-                            "degrade_to": DEFAULT_SUBROUTINE,
-                            "interval_event": str(interval.event),
-                        },
                     )
-                    if obs.enabled:
-                        obs.instant(
-                            "degrade_subroutine",
-                            "enumerate",
-                            event=str(interval.event),
-                            to=DEFAULT_SUBROUTINE,
-                        )
-                if journal is not None:
-                    journal.record(stats)
+                logger.warning(
+                    "interval %s degraded %s -> %s: %s",
+                    interval.event,
+                    self.subroutine_name,
+                    DEFAULT_SUBROUTINE,
+                    exc,
+                    extra={
+                        "degrade_kind": "subroutine",
+                        "degrade_from": self.subroutine_name,
+                        "degrade_to": DEFAULT_SUBROUTINE,
+                        "interval_event": str(interval.event),
+                    },
+                )
                 if obs.enabled:
-                    obs.record(
-                        f"I({interval.event})",
+                    obs.instant(
+                        "degrade_subroutine",
                         "enumerate",
-                        t_start,
-                        obs.clock() - t_start,
-                        attrs={
-                            "event": str(interval.event),
-                            "states": stats.states,
-                            "work": stats.work,
-                        },
+                        event=str(interval.event),
+                        to=DEFAULT_SUBROUTINE,
                     )
-                obs.task_done(stats)
-                return stats
+            if obs.enabled:
+                obs.record(
+                    f"I({interval.event})",
+                    "enumerate",
+                    t_start,
+                    obs.clock() - t_start,
+                    attrs={
+                        "event": str(interval.event),
+                        "states": stats.states,
+                        "work": stats.work,
+                    },
+                )
+            obs.task_done(stats)
+            return stats
+
+        def make_task(
+            run: List[Interval],
+        ) -> Callable[[], List[Optional[IntervalStats]]]:
+            def task() -> List[Optional[IntervalStats]]:
+                out = [enumerate_piece(interval) for interval in run]
+                if journal is not None:
+                    finished = [stats for stats in out if stats is not None]
+                    if finished:
+                        journal.record(*finished)
+                return out
 
             # Work-stealing executors deal and steal by this weight.
-            task.weight = interval.size_bound
-            # Descriptor-shipping executors read the interval back off the
+            task.weight = sum(iv.size_bound for iv in run)
+            # Descriptor-shipping executors read the pieces back off the
             # closure instead of sending the closure itself over the wire.
-            task.interval = interval
+            task.intervals = run
             return task
 
         result = ParaMountResult()
         # O(n·|E|) to build →p and all interval bounds (§3.4).
         result.order_work = self.poset.num_events * self.poset.num_threads
-        with Stopwatch() as sw:
-            with obs.span("map_tasks", "schedule", tasks=len(pending)):
-                report = self.executor.map_tasks(
-                    [make_task(iv) for iv in pending]
-                )
+        try:
+            with Stopwatch() as sw:
+                with obs.span(
+                    "map_tasks", "schedule", tasks=len(runs), pieces=len(pending)
+                ):
+                    report = self.executor.map_tasks(
+                        [make_task(run) for run in runs]
+                    )
+        finally:
+            if journal is not None:
+                journal.close()
         by_task: Dict[tuple, IntervalStats] = dict(completed)
-        for interval, stats in zip(pending, report.results):
-            if stats is not None:
-                by_task[(interval.event, interval.lo, interval.hi)] = stats
-        # Per-task stats in dispatch order; then fold the (possibly split)
-        # tasks back into one record per interval, in →p order.
+        for run, run_stats in zip(runs, report.results):
+            if run_stats is None:
+                continue
+            for interval, stats in zip(run, run_stats):
+                if stats is not None:
+                    by_task[(interval.event, interval.lo, interval.hi)] = stats
+        # Per-piece stats in dispatch order; then fold the (possibly split)
+        # pieces back into one record per interval, in →p order.
         by_event: Dict[EventId, IntervalStats] = {}
         for task_iv in plan.tasks:
             stats = by_task.get((task_iv.event, task_iv.lo, task_iv.hi))
@@ -382,10 +407,10 @@ class ParaMount:
         for interval in self.intervals:  # aggregate in →p order
             stats = by_event.get(interval.event)
             if stats is not None:
-                # Report the parent's bounds even if some sub-task failed.
-                result.add_interval(
-                    replace(stats, lo=interval.lo, hi=interval.hi)
-                )
+                if stats.lo != interval.lo or stats.hi != interval.hi:
+                    # Report the parent's bounds even if some piece failed.
+                    stats = replace(stats, lo=interval.lo, hi=interval.hi)
+                result.add_interval(stats)
         result.wall_time = sw.elapsed
         result.resumed_intervals = len(completed)
         result.degradations.extend(degradations)
@@ -398,12 +423,16 @@ class ParaMount:
                 "deadline expired with %d task(s) unstarted",
                 len(deadline_skips),
             )
-        # The executor's provenance, with each failure named by its event.
+        # The executor's provenance: a failed run fails each of its
+        # pieces, every failure named by its piece's event.
         for failure in report.failures:
-            event = None
-            if 0 <= failure.task_index < len(pending):
-                event = pending[failure.task_index].event
-            result.failures.append(replace(failure, event=event))
+            if 0 <= failure.task_index < len(runs):
+                result.failures.extend(
+                    replace(failure, event=interval.event)
+                    for interval in runs[failure.task_index]
+                )
+            else:
+                result.failures.append(failure)
         result.degradations.extend(report.degradations)
         result.retries = report.retries
         result.steals = report.steals

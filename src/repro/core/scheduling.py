@@ -23,7 +23,14 @@ many workers run.  This module is the scheduling layer between
 * **work stealing** is performed by the executors
   (:class:`~repro.core.executors.WorkStealingThreadExecutor`, and the
   :mod:`repro.dist` lease table, which re-dispatches reclaimed leases
-  heaviest first); this module supplies the task weights they use.
+  heaviest first); this module supplies the task weights they use;
+* **coalescing** (:func:`coalesce`), the dual of splitting: consecutive
+  pieces in ``→p`` order join one *run*, the unit every executor
+  dispatches, while the run's summed size bound stays within the plan's
+  :attr:`~SchedulePlan.cap` — the largest piece's bound, or the split
+  budget if smaller.  No run outweighs a piece the plan already has, so
+  tiny intervals stop paying one task's fixed cost each without any task
+  growing past today's largest.
 
 Sub-intervals keep their parent's ``event`` identity, so per-event
 statistics, checkpoint identity (journal records are keyed by
@@ -42,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.intervals import Interval
 from repro.errors import IntervalError
 from repro.poset.poset import Poset
-from repro.types import Cut, EventId
+from repro.types import EventId
 from repro.util.cuts import cut_join, cut_leq
 
 __all__ = [
@@ -52,6 +59,7 @@ __all__ = [
     "split_interval",
     "validate_split",
     "plan_schedule",
+    "coalesce",
 ]
 
 #: Schedule names accepted by ``ParaMount(schedule=...)`` and the CLI.
@@ -73,12 +81,12 @@ class SchedulePolicy:
     The named presets (``SchedulePolicy.parse``):
 
     ``"fifo"``
-        The pre-scheduling behavior: one task per interval, dispatched in
+        The pre-scheduling behavior: no splitting, tasks dispatched in
         ``→p`` order.  Kept as an escape hatch — preferable when tasks are
         near-uniform (splitting buys nothing) or when a run must be
         byte-compatible with a journal written before scheduling existed.
     ``"largest"``
-        One task per interval, dispatched largest-first (LPT).
+        No splitting, tasks dispatched largest-first (LPT).
     ``"split-steal"`` / ``"split"`` / ``"adaptive"``
         Largest-first plus recursive splitting of oversized intervals;
         the executors balance the pieces by stealing.  This is the
@@ -119,10 +127,15 @@ class SchedulePolicy:
 
 @dataclass
 class SchedulePlan:
-    """The concrete task list produced by :func:`plan_schedule`."""
+    """The concrete piece list produced by :func:`plan_schedule`.
+
+    A *piece* is an interval or a split sub-interval; journals hold one
+    record per piece.  :func:`coalesce` groups the pieces into the runs
+    the executors dispatch.
+    """
 
     policy: SchedulePolicy
-    #: Tasks in dispatch order (sub-intervals keep the parent's event).
+    #: Pieces in dispatch order (sub-intervals keep the parent's event).
     tasks: List[Interval]
     #: Per-task size budget used for splitting (``None`` when unsplit).
     budget: Optional[int]
@@ -133,17 +146,12 @@ class SchedulePlan:
     split_intervals: int = 0
     #: Pieces per split parent event (1 for unsplit parents is omitted).
     parts_of: Dict[EventId, int] = field(default_factory=dict)
-
-    def descriptors(self) -> List[Tuple[EventId, Cut, Cut]]:
-        """The task triples in dispatch order — the wire form of the plan.
-
-        Each ``(event, lo, hi)`` triple is simultaneously the checkpoint
-        :class:`~repro.resilience.checkpoint.TaskKey` and everything a
-        remote worker needs (with the poset) to re-run the task, which is
-        what lets the distributed backend ship descriptors instead of
-        closures.
-        """
-        return [(iv.event, iv.lo, iv.hi) for iv in self.tasks]
+    #: Largest summed size bound of a coalesced run: the largest piece's
+    #: bound, or the split budget if smaller.
+    cap: int = 0
+    #: True when ``tasks`` are in largest-first order (more than one
+    #: worker under a largest-first policy), ``→p`` order otherwise.
+    largest_first: bool = False
 
 
 def pivot_split(
@@ -295,9 +303,13 @@ def plan_schedule(
                 parts_of[interval.event] = len(parts)
             shaped.extend(parts)
         tasks = shaped
-    if policy.largest_first and workers > 1:
+    largest_first = policy.largest_first and workers > 1
+    if largest_first:
         # Stable sort: equally-sized tasks stay in →p order.
         tasks.sort(key=lambda iv: -iv.size_bound)
+    cap = max((iv.size_bound for iv in tasks), default=0)
+    if budget is not None:
+        cap = min(cap, budget)
     descriptor = (
         "unsplit"
         if budget is None
@@ -310,4 +322,52 @@ def plan_schedule(
         descriptor=descriptor,
         split_intervals=split_intervals,
         parts_of=parts_of,
+        cap=cap,
+        largest_first=largest_first,
     )
+
+
+def coalesce(
+    plan: SchedulePlan,
+    pending: Sequence[Interval],
+    order: Sequence[Interval],
+) -> List[List[Interval]]:
+    """Group the ``pending`` pieces of ``plan`` into runs, one per task.
+
+    The dual of Figure-6a splitting: walking the pieces in ``→p`` order
+    (``order`` is the partition in ``→p``; split pieces of one interval stay
+    in plan order), each piece joins the current run while the run's summed
+    size bound stays within ``plan.cap``; a piece at or above the cap forms
+    its own run.  A serial plan keeps its runs in ``→p`` order, so the
+    serial visit sequence is the partition's; a largest-first plan
+    dispatches its runs largest-first by summed size bound.
+
+    Only the pending pieces are grouped — a resumed run regroups what is
+    left — while the cap comes from the whole plan, so no run of any
+    resumption outweighs a piece of the plan.  The grouping is not part of
+    a journal's identity: records stay one per piece.
+    """
+    if plan.largest_first:
+        rank = {iv.event: i for i, iv in enumerate(order)}
+        pending = sorted(pending, key=lambda iv: rank[iv.event])
+    runs: List[List[Interval]] = []
+    weights: List[int] = []
+    run: List[Interval] = []
+    weight = 0
+    for piece in pending:
+        bound = piece.size_bound
+        if run and weight + bound > plan.cap:
+            runs.append(run)
+            weights.append(weight)
+            run = []
+            weight = 0
+        run.append(piece)
+        weight += bound
+    if run:
+        runs.append(run)
+        weights.append(weight)
+    if plan.largest_first:
+        # Stable: equally heavy runs keep →p order.
+        by_weight = sorted(range(len(runs)), key=lambda i: -weights[i])
+        runs = [runs[i] for i in by_weight]
+    return runs

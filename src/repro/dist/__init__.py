@@ -13,12 +13,12 @@ local worker processes and remote hosts alike:
   sockets, plus seeded wire-level fault injection;
 * :mod:`repro.dist.lease` — the lease table: pending → leased → committed,
   with heartbeat-extended expiry and exactly-one-commit semantics;
-* :mod:`repro.dist.coordinator` — plans the schedule, leases interval
-  descriptors to workers, re-dispatches expired leases, commits
-  acknowledgements to the journal;
+* :mod:`repro.dist.coordinator` — leases runs of interval descriptors
+  (:func:`~repro.core.scheduling.coalesce`) to workers, re-dispatches
+  expired leases, commits each run's acknowledgement to the journal;
 * :mod:`repro.dist.worker` — connects, verifies the poset digest,
-  enumerates leased intervals, acknowledges results; starts local
-  worker processes with :mod:`multiprocessing`;
+  enumerates a leased run's intervals, acknowledges them in one message;
+  starts local worker processes with :mod:`multiprocessing`;
 * :mod:`repro.dist.executor` — :class:`DistributedExecutor`, pluggable
   into :class:`~repro.core.paramount.ParaMount` like any other executor,
   running in-process whatever no worker finished.

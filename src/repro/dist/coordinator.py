@@ -2,7 +2,13 @@
 
 One coordinator serves one distributed run.  It binds a listening socket,
 accepts worker connections on a background thread, and answers each
-worker's pull-based ``request`` messages with interval leases; a monitor
+worker's pull-based ``request`` messages with leases.  A lease carries one
+*run* — the ``(event, lo, hi)`` descriptors of consecutive interval pieces
+(:func:`repro.core.scheduling.coalesce`) — and the worker acknowledges the
+whole run in one message; the coordinator commits it once (the first ack
+wins) and journals its records in one write.  Spans and the per-host
+``enumeration_seconds`` histogram stay per piece, so they reconcile with
+the journal's one record per piece.  A monitor
 loop in the calling thread watches for lease expiry, wall-clock deadline,
 and worker exhaustion.  All shared state — the :class:`LeaseTable` and
 the connected-worker set — is serialized through one condition variable,
@@ -18,7 +24,7 @@ Robustness properties, and where they live:
 * **partition** (dropped ack) — same as a hang from the coordinator's
   viewpoint: lease expiry recovers it, and if the original ack limps in
   later, :meth:`LeaseTable.commit` drops the duplicate so the journal
-  still holds exactly one record per interval;
+  still holds exactly one record per piece;
 * **stale digest** — every acknowledgement carries the worker's poset
   digest; a mismatch is counted, refused, and the worker disconnected
   before it can corrupt the commit log;
@@ -62,6 +68,13 @@ def _key_from_wire(obj: Dict[str, Any]) -> TaskKey:
     return (tuple(obj["event"]), tuple(obj["lo"]), tuple(obj["hi"]))
 
 
+def _run_from_wire(msg: Dict[str, Any]) -> List[TaskKey]:
+    tasks = msg.get("tasks")
+    if not isinstance(tasks, list) or not tasks:
+        raise WireError(f"{msg.get('type')} names no run: {tasks!r}")
+    return [_key_from_wire(t) for t in tasks]
+
+
 def _shutdown_and_close(sock: socket.socket) -> None:
     """Close ``sock`` so that every holder notices at once.
 
@@ -85,15 +98,17 @@ class Coordinator:
 
     Usage::
 
-        coord = Coordinator(poset, "bounded", journal=journal)
+        coord = Coordinator(poset, "lexical-packed", journal=journal)
         coord.start()                      # binds; coord.address is live
         ...spawn/point workers at coord.address...
-        committed, undone = coord.execute(plan.descriptors(), weights)
+        committed, undone = coord.execute(runs, weights)
         coord.stop()
 
-    ``journal`` (optional) is the commit log: the first acknowledgement of
-    each task is recorded through it, under its process-level file lock,
-    before the task is considered done.
+    ``runs`` lists each task's piece descriptors; a task is keyed by its
+    first piece.  ``journal`` (optional) is the commit log: the first
+    acknowledgement of each run is recorded through it, one record per
+    piece in one write, under its process-level file lock, before the run
+    is considered done.
     """
 
     def __init__(
@@ -132,6 +147,8 @@ class Coordinator:
         from repro.dist.lease import LeaseTable
 
         self.table = LeaseTable(lease_seconds=lease_seconds)
+        #: run key (its first piece) -> the run's piece descriptors
+        self._runs: Dict[TaskKey, List[TaskKey]] = {}
         self._workers: Dict[str, socket.socket] = {}
         self._draining = False
         self._closing = False
@@ -140,10 +157,10 @@ class Coordinator:
         self._executing = False
         self._ever_connected = False
         self._last_worker_at = time.monotonic()
-        #: permanent task failures: key -> (attempts, error string, worker)
+        #: permanent run failures: key -> (attempts, error string, worker)
         self.failures: Dict[TaskKey, Tuple[int, str, str]] = {}
         self.stale_acks = 0
-        #: hosts that committed at least one interval
+        #: hosts that committed at least one run
         self.hosts: List[str] = []
         #: ``None`` disables the ops endpoint; ``0`` picks a free port.
         self._http_port = http_port
@@ -210,21 +227,25 @@ class Coordinator:
 
     def execute(
         self,
-        keys: Sequence[TaskKey],
+        runs: Sequence[Sequence[TaskKey]],
         weights: Optional[Sequence[int]] = None,
-        completed: Optional[Dict[TaskKey, IntervalStats]] = None,
+        completed: Optional[Dict[TaskKey, List[IntervalStats]]] = None,
         deadline_at: Optional[float] = None,
-    ) -> Tuple[Dict[TaskKey, IntervalStats], List[TaskKey]]:
-        """Run the task list to completion (or deadline / worker loss).
+    ) -> Tuple[Dict[TaskKey, List[IntervalStats]], List[TaskKey]]:
+        """Run the runs to completion (or deadline / worker loss).
 
-        ``completed`` pre-commits journal-restored tasks so they are never
-        dispatched.  Returns ``(committed, undone)``: stats for every task
-        that committed, and the tasks left neither committed nor
-        permanently failed — the executor's in-process fallback runs those.
+        Each run is a list of piece descriptors, keyed by its first.
+        ``completed`` pre-commits journal-restored runs so they are never
+        dispatched.  Returns ``(committed, undone)``: the per-piece stats
+        of every run that committed, and the run keys left neither
+        committed nor permanently failed — the executor's in-process
+        fallback runs those.
         """
         obs = self.observer
         with self._cond:
-            self.table.add_tasks(keys, weights)
+            for run in runs:
+                self._runs[run[0]] = list(run)
+            self.table.add_tasks([run[0] for run in runs], weights)
             for key, stats in (completed or {}).items():
                 self.table.mark_committed(key, stats)
             self._executing = True
@@ -471,7 +492,7 @@ class Coordinator:
                     key, attempt = leased
                     reply = {
                         "type": "lease",
-                        "task": _key_wire(key),
+                        "tasks": [_key_wire(k) for k in self._runs[key]],
                         "attempt": attempt,
                         "digest": self.digest,
                     }
@@ -493,18 +514,27 @@ class Coordinator:
                 f"stale digest in ack from {name}: "
                 f"{str(msg.get('digest'))[:12]}…"
             )
-        key = _key_from_wire(msg["task"])
-        stats = IntervalStats(
-            event=key[0],
-            lo=key[1],
-            hi=key[2],
-            states=int(msg["states"]),
-            work=int(msg["work"]),
-            peak_live=int(msg["peak_live"]),
-            seconds=float(msg.get("seconds", 0.0)),
-        )
+        keys = _run_from_wire(msg)
+        key = keys[0]
+        results = msg.get("results")
+        if self._runs.get(key) != keys or not (
+            isinstance(results, list) and len(results) == len(keys)
+        ):
+            raise WireError(f"ack from {name} does not match a leased run")
+        run_stats = [
+            IntervalStats(
+                event=k[0],
+                lo=k[1],
+                hi=k[2],
+                states=int(r["states"]),
+                work=int(r["work"]),
+                peak_live=int(r["peak_live"]),
+                seconds=float(r.get("seconds", 0.0)),
+            )
+            for k, r in zip(keys, results)
+        ]
         with self._cond:
-            first = self.table.commit(key, stats)
+            first = self.table.commit(key, run_stats)
             if first and name not in self.hosts:
                 self.hosts.append(name)
             self._cond.notify_all()
@@ -515,31 +545,33 @@ class Coordinator:
         # journal outside the condition lock: commit() already decided
         # uniqueness, and the journal has its own thread + file locks
         if self.journal is not None:
-            self.journal.record(stats)
-        if obs.enabled:
-            obs.record_epoch(
-                f"I({key[0]})",
-                "enumerate",
-                float(msg.get("epoch_t0", 0.0)),
-                stats.seconds,
-                worker=name,
-                attrs={
-                    "event": str(key[0]),
-                    "states": stats.states,
-                    "attempt": int(msg.get("attempt", 0)),
-                },
-            )
-            # One labeled observation per *committed* task, so the
-            # per-host histogram _count totals reconcile exactly with the
-            # checkpoint journal's committed-interval count (duplicate
-            # and stale acks never reach this line).
-            obs.histogram(
-                "enumeration_seconds", labels={"host": name}
-            ).observe(stats.seconds)
-        obs.task_done(stats)
+            self.journal.record(*run_stats)
+        attempt = int(msg.get("attempt", 0))
+        for stats, r in zip(run_stats, results):
+            if obs.enabled:
+                obs.record_epoch(
+                    f"I({stats.event})",
+                    "enumerate",
+                    float(r.get("epoch_t0", 0.0)),
+                    stats.seconds,
+                    worker=name,
+                    attrs={
+                        "event": str(stats.event),
+                        "states": stats.states,
+                        "attempt": attempt,
+                    },
+                )
+                # One labeled observation per *committed* piece, so the
+                # per-host histogram _count totals reconcile exactly with
+                # the checkpoint journal's record count (duplicate and
+                # stale acks never reach this line).
+                obs.histogram(
+                    "enumeration_seconds", labels={"host": name}
+                ).observe(stats.seconds)
+            obs.task_done(stats)
 
     def _handle_task_error(self, name: str, msg: Dict[str, Any]) -> None:
-        key = _key_from_wire(msg["task"])
+        key = _run_from_wire(msg)[0]
         payload = msg.get("payload")
         error = (
             f"{type(payload).__name__}: {payload}"
@@ -550,7 +582,7 @@ class Coordinator:
             self.table.leased.pop(key, None)
             attempts = self.table.attempts.get(key, 0)
             if attempts < self.max_task_attempts:
-                self.table.pending.insert(0, key)
+                self.table.requeue(key)
                 self.table.redispatches += 1
             else:
                 self.failures[key] = (attempts, error, name)

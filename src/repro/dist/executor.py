@@ -3,10 +3,10 @@
 Plugs into :class:`~repro.core.paramount.ParaMount` exactly like the
 in-process executors: ``map_tasks`` takes the driver's task closures and
 reports their stats in order.  The closures themselves never cross the
-wire — the driver stamps each one with its ``.interval``, and this
-executor ships only the ``(event, lo, hi)`` descriptor plus the poset
-digest; the worker re-runs the bounded subroutine from the descriptor,
-which Theorem 2 guarantees is the identical computation.
+wire — the driver stamps each one with its run's ``.intervals``, and this
+executor leases only their ``(event, lo, hi)`` descriptors plus the poset
+digest, one lease per run; the worker re-runs the bounded subroutine from
+the descriptors, which Theorem 2 guarantees is the identical computation.
 
 The driver hands over the run context through
 :meth:`~repro.core.executors.Executor.bind_run` (poset, subroutine,
@@ -62,7 +62,7 @@ class DistributedExecutor(Executor):
         first spawned worker (the victim/survivor split recovery tests
         rely on).
     lease_seconds:
-        Acknowledgement deadline per leased interval; crashed, hung, or
+        Acknowledgement deadline per leased run; crashed, hung, or
         partitioned workers are detected within one lease period.
     poset_path:
         Optional poset file for spawned workers to load themselves
@@ -150,13 +150,14 @@ class DistributedExecutor(Executor):
                 "DistributedExecutor needs bind_run(poset, subroutine, ...) "
                 "before map_tasks — run it through ParaMount"
             )
-        intervals = [getattr(task, "interval", None) for task in tasks]
-        if any(iv is None for iv in intervals):
+        runs = [getattr(task, "intervals", None) for task in tasks]
+        if not all(runs):
             raise ExecutorError(
-                "DistributedExecutor tasks must carry .interval descriptors"
+                "DistributedExecutor tasks must carry .intervals descriptors"
             )
-        keys = [(iv.event, iv.lo, iv.hi) for iv in intervals]
-        weights = [iv.size_bound for iv in intervals]
+        descriptors = [[(iv.event, iv.lo, iv.hi) for iv in run] for run in runs]
+        keys = [run[0] for run in descriptors]
+        weights = [sum(iv.size_bound for iv in run) for run in runs]
         coord = Coordinator(
             self._poset,
             self._subroutine,
@@ -182,7 +183,7 @@ class DistributedExecutor(Executor):
                     wire_faults=self.wire_faults,
                 )
             committed, undone = coord.execute(
-                keys, weights, deadline_at=self._deadline_at
+                descriptors, weights, deadline_at=self._deadline_at
             )
         finally:
             coord.stop()
@@ -228,7 +229,7 @@ class DistributedExecutor(Executor):
                 from_name=self.name,
                 to_name="serial",
                 reason=(
-                    f"{len(undone)} interval(s) undone with no remote "
+                    f"{len(undone)} run(s) undone with no remote "
                     f"workers remaining, {len(coord.failures)} failed on "
                     f"every remote attempt"
                 ),

@@ -1,6 +1,8 @@
 """Lease table: exactly-one-commit bookkeeping for distributed dispatch.
 
-Each task triple ``(event, lo, hi)`` moves through::
+A task is one run of interval pieces (:func:`repro.core.scheduling.coalesce`),
+keyed by its first piece's ``(event, lo, hi)`` triple — runs are disjoint,
+so the first piece names the run.  Each task moves through::
 
     pending ──dispatch──▶ leased ──ack──▶ committed
        ▲                    │
@@ -15,6 +17,11 @@ acknowledgement wins and is journaled; a duplicate (the original worker
 was merely slow, and its ack raced the re-dispatched copy's) is counted
 and dropped.
 
+The pending queue is an ordered dict, so membership, removal and
+re-queueing at the front cost O(1) whatever the task count: an ack's key,
+rebuilt from the wire, is never the queued object itself, and a list scan
+would compare it against every pending key under the coordinator's lock.
+
 The table itself is not synchronized; the coordinator serializes access
 through its condition-variable lock, which it also uses to wake the
 dispatch loop whenever the table changes.
@@ -23,10 +30,10 @@ dispatch loop whenever the table changes.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.metrics import IntervalStats
 from repro.resilience.checkpoint import TaskKey
 
 __all__ = ["Lease", "LeaseTable"]
@@ -40,7 +47,7 @@ class Lease:
     worker: str
     expires_at: float
     attempt: int
-    #: Size bound of the interval, for largest-first re-dispatch ordering.
+    #: Summed size bound of the run, for largest-first re-dispatch ordering.
     weight: int = 0
 
 
@@ -57,9 +64,12 @@ class LeaseTable:
     lease_seconds: float = 5.0
     clock: Callable[[], float] = time.monotonic
     #: pending keys in dispatch order (schedule order, re-dispatches first)
-    pending: List[TaskKey] = field(default_factory=list)
+    _queue: "OrderedDict[TaskKey, None]" = field(
+        default_factory=OrderedDict, repr=False
+    )
     leased: Dict[TaskKey, Lease] = field(default_factory=dict)
-    committed: Dict[TaskKey, IntervalStats] = field(default_factory=dict)
+    #: the first acknowledgement's payload per task (a run's stats)
+    committed: Dict[TaskKey, Any] = field(default_factory=dict)
     #: per-key attempt counters (monotone across re-dispatches)
     attempts: Dict[TaskKey, int] = field(default_factory=dict)
     #: per-key workers already tried, to prefer a different host on retry
@@ -74,20 +84,24 @@ class LeaseTable:
     # ------------------------------------------------------------------ #
     # setup
 
+    @property
+    def pending(self) -> List[TaskKey]:
+        """Pending keys in dispatch order (a snapshot)."""
+        return list(self._queue)
+
     def add_tasks(
         self, keys: Sequence[TaskKey], weights: Optional[Sequence[int]] = None
     ) -> None:
-        """Register the run's tasks (in dispatch order)."""
+        """Register the distributed run's tasks (in dispatch order)."""
         for i, key in enumerate(keys):
-            self.pending.append(key)
+            self._queue[key] = None
             self.attempts.setdefault(key, 0)
             if weights is not None:
                 self.weights[key] = weights[i]
 
-    def mark_committed(self, key: TaskKey, stats: IntervalStats) -> None:
+    def mark_committed(self, key: TaskKey, stats: Any) -> None:
         """Pre-commit a task restored from a checkpoint journal."""
-        if key in self.pending:
-            self.pending.remove(key)
+        self._queue.pop(key, None)
         self.committed[key] = stats
 
     # ------------------------------------------------------------------ #
@@ -101,16 +115,16 @@ class LeaseTable:
         one surviving worker there is nobody else to give it to).
         Returns ``(key, attempt)`` or ``None`` when nothing is pending.
         """
-        if not self.pending:
+        if not self._queue:
             return None
         pick = None
-        for key in self.pending:
+        for key in self._queue:
             if worker not in self.tried.get(key, ()):
                 pick = key
                 break
         if pick is None:
-            pick = self.pending[0]
-        self.pending.remove(pick)
+            pick = next(iter(self._queue))
+        del self._queue[pick]
         attempt = self.attempts[pick]
         self.attempts[pick] = attempt + 1
         self.tried.setdefault(pick, set()).add(worker)
@@ -164,21 +178,26 @@ class LeaseTable:
         self.redispatches += len(lost)
         return lost
 
+    def requeue(self, key: TaskKey) -> None:
+        """Put ``key`` back at the front of the pending queue."""
+        self._queue[key] = None
+        self._queue.move_to_end(key, last=False)
+
     def _reclaim(self, leases: List[Lease]) -> None:
-        # Each insert(0, …) pushes earlier inserts back, so inserting in
+        # Each requeue pushes earlier ones back, so requeueing in
         # ascending weight order leaves the heaviest key at the head.
         for lease in sorted(leases, key=lambda le: le.weight):
             del self.leased[lease.key]
-            self.pending.insert(0, lease.key)
+            self.requeue(lease.key)
 
     # ------------------------------------------------------------------ #
     # commit
 
-    def commit(self, key: TaskKey, stats: IntervalStats) -> bool:
+    def commit(self, key: TaskKey, stats: Any) -> bool:
         """Record an acknowledgement; True iff this is the first commit.
 
         The caller journals the stats *only* on True — that is the
-        exactly-one-record-per-interval guarantee.  A duplicate ack (the
+        exactly-one-record-per-piece guarantee.  A duplicate ack (the
         lease expired, the task was re-dispatched, and then the original
         slow worker answered anyway) is counted and dropped; by
         idempotence both copies carry identical stats, so dropping either
@@ -189,8 +208,7 @@ class LeaseTable:
             return False
         self.committed[key] = stats
         self.leased.pop(key, None)
-        if key in self.pending:  # ack raced its own expiry re-queue
-            self.pending.remove(key)
+        self._queue.pop(key, None)  # ack raced its own expiry re-queue
         return True
 
     # ------------------------------------------------------------------ #
@@ -198,7 +216,7 @@ class LeaseTable:
 
     @property
     def done(self) -> bool:
-        return not self.pending and not self.leased
+        return not self._queue and not self.leased
 
     def next_deadline(self) -> Optional[float]:
         """Earliest lease expiry (the dispatch loop's wait bound)."""
@@ -208,4 +226,4 @@ class LeaseTable:
 
     def outstanding(self) -> List[TaskKey]:
         """Every task not yet committed (pending + leased)."""
-        return list(self.pending) + list(self.leased)
+        return list(self._queue) + list(self.leased)

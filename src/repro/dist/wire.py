@@ -207,11 +207,12 @@ class WireFaults:
     ``drop_ack``/``delay_ack``/``crash``/``hang`` are per-task
     probabilities drawn from ``derive_seed(seed, "wire", key, attempt)`` —
     the same discipline as :class:`~repro.resilience.faults.FaultSpec`, in
-    a decorrelated stream.  ``kill_after=N`` additionally ``os._exit(137)``s
-    the worker process immediately before it would acknowledge its ``N``-th
-    completed task: the enumeration work is done but the result is lost
-    with the process, which is the worst-case ``kill -9`` the lease table
-    must absorb.
+    a decorrelated stream; a task is one leased run of interval pieces,
+    keyed by its first piece.  ``kill_after=N`` additionally
+    ``os._exit(137)``s the worker process immediately before it would
+    acknowledge its ``N``-th completed run: the enumeration work is done
+    but the result is lost with the process, which is the worst-case
+    ``kill -9`` the lease table must absorb.
 
     * ``drop_ack`` — enumerate, then silently discard the acknowledgement
       (a one-way partition: the coordinator sees a hung lease);

@@ -7,11 +7,12 @@ or receives the poset from the coordinator's welcome message and verifies
 the shipped digest against its own recomputation, so a corrupted transfer
 can never be enumerated.
 
-The main loop is pull-based: request a lease, enumerate the interval with
-the ordinary :func:`~repro.core.bounded.bounded_enumeration` machinery,
-acknowledge with the stats (and the digest, re-presented so the
-coordinator can refuse a stale commit), repeat.  A background heartbeat
-thread keeps live leases extended; the injected ``hang`` fault suppresses
+The main loop is pull-based: request a lease — one run of consecutive
+interval pieces — enumerate its pieces in order with the subroutine's
+``enumerate_interval``, acknowledge the whole run in one message carrying
+every piece's stats (and the digest, re-presented so the coordinator can
+refuse a stale commit), repeat.  A background heartbeat thread keeps the
+in-flight run's lease extended; the injected ``hang`` fault suppresses
 it, so a hung worker is indistinguishable from a partitioned one — which
 is the point, since lease expiry must recover both.
 
@@ -53,10 +54,11 @@ __all__ = ["run_worker", "spawn_local_workers"]
 class _Heartbeat:
     """Background lease-extension pulse, suppressible for hang faults.
 
-    Each pulse names the task the worker is *currently* enumerating
-    (``current``, a wire task dict or ``None``) so the coordinator
-    extends only that lease — a task whose acknowledgement was dropped
-    must not be kept alive by the heartbeats of its now-idle worker.
+    Each pulse names the run the worker is *currently* enumerating
+    (``current``, the wire form of its first piece, or ``None``) so the
+    coordinator extends only that lease — a run whose acknowledgement was
+    dropped must not be kept alive by the heartbeats of its now-idle
+    worker.
     """
 
     def __init__(self, sock: socket.socket, lock: threading.Lock, every: float):
@@ -65,7 +67,7 @@ class _Heartbeat:
         self._every = max(every, 0.05)
         self._stop = threading.Event()
         self._suppressed = threading.Event()
-        #: Wire form of the in-flight task; set/cleared by the work loop.
+        #: Wire form of the in-flight run; set/cleared by the work loop.
         self.current: Optional[Dict[str, Any]] = None
         #: Cumulative worker-local counters, piggybacked on every pulse so
         #: the coordinator's ``/metrics`` can show per-host-labeled series
@@ -223,22 +225,32 @@ def _work_loop(
             raise StaleDigestError(
                 digest, str(msg.get("digest")), where="lease"
             )
-        task = msg["task"]
-        event = tuple(task["event"])
-        lo = tuple(task["lo"])
-        hi = tuple(task["hi"])
+        tasks = msg["tasks"]
+        keys = [
+            (tuple(t["event"]), tuple(t["lo"]), tuple(t["hi"])) for t in tasks
+        ]
         attempt = int(msg.get("attempt", 0))
-        key = (event, lo, hi)
-        heartbeat.current = task
-        fault = faults.decide(key, attempt) if faults.active else WIRE_NONE
+        heartbeat.current = tasks[0]
+        fault = faults.decide(keys[0], attempt) if faults.active else WIRE_NONE
         if fault == WIRE_CRASH:
             os._exit(1)
         if fault == WIRE_HANG:
             heartbeat.suppress(True)
-        epoch_t0 = time.time()
-        t0 = time.perf_counter()
+        results: List[Dict[str, Any]] = []
         try:
-            result = enumerator.enumerate_interval(lo, hi)
+            for _, lo, hi in keys:
+                epoch_t0 = time.time()
+                t0 = time.perf_counter()
+                result = enumerator.enumerate_interval(lo, hi)
+                results.append(
+                    {
+                        "states": result.states,
+                        "work": result.work,
+                        "peak_live": result.peak_live,
+                        "seconds": time.perf_counter() - t0,
+                        "epoch_t0": epoch_t0,
+                    }
+                )
         except ReproError as exc:
             heartbeat.current = None
             heartbeat.suppress(False)
@@ -250,19 +262,18 @@ def _work_loop(
                     sock,
                     {
                         "type": "task-error",
-                        "task": task,
+                        "tasks": [tasks[0]],
                         "attempt": attempt,
                         "payload": exc,
                     },
                 )
             continue
-        seconds = time.perf_counter() - t0
         metrics["intervals_enumerated_total"] = (
-            metrics.get("intervals_enumerated_total", 0) + 1
+            metrics.get("intervals_enumerated_total", 0) + len(results)
         )
-        metrics["states_enumerated_total"] = (
-            metrics.get("states_enumerated_total", 0) + result.states
-        )
+        metrics["states_enumerated_total"] = metrics.get(
+            "states_enumerated_total", 0
+        ) + sum(r["states"] for r in results)
         if fault in (WIRE_HANG,):
             # the hang happens *after* the work: results exist but the
             # heartbeat stayed silent, so the lease may already be gone
@@ -270,7 +281,7 @@ def _work_loop(
             heartbeat.suppress(False)
         acked += 1
         if faults.kill_after is not None and acked >= faults.kill_after:
-            # kill -9 semantics: the interval was fully enumerated but the
+            # kill -9 semantics: the run was fully enumerated but the
             # acknowledgement dies with the process
             os._exit(137)
         drop = False
@@ -278,7 +289,7 @@ def _work_loop(
             drop = apply_wire_fault(fault, faults)
         if drop:
             # the ack dies here (one-way partition); stop claiming the
-            # task so the coordinator's lease ages out and re-dispatches
+            # run so the coordinator's lease ages out and re-dispatches
             heartbeat.current = None
             continue
         with send_lock:
@@ -286,14 +297,10 @@ def _work_loop(
                 sock,
                 {
                     "type": "ack",
-                    "task": task,
+                    "tasks": tasks,
                     "attempt": attempt,
                     "digest": digest,
-                    "states": result.states,
-                    "work": result.work,
-                    "peak_live": result.peak_live,
-                    "seconds": seconds,
-                    "epoch_t0": epoch_t0,
+                    "results": results,
                 },
             )
         heartbeat.current = None

@@ -930,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-seconds",
         type=float,
         default=5.0,
-        help="per-interval acknowledgement deadline for --backend dist; "
+        help="per-lease acknowledgement deadline for --backend dist; "
         "crashed/hung workers are detected within one lease period",
     )
     p.add_argument(

@@ -167,3 +167,28 @@ def test_next_deadline_tracks_earliest_expiry():
     assert t.next_deadline() == 5.0  # a's lease, granted at t=0
     t.heartbeat("a")
     assert t.next_deadline() == 7.0  # now b's, granted at t=2
+
+
+def test_commit_cost_does_not_grow_with_the_task_count():
+    """An ack's key is rebuilt from the wire, so it is never the queued
+    object itself; leasing and committing every task must still cost a
+    few key comparisons each, not one per pending task."""
+    calls = [0]
+
+    class CountingKey(tuple):
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            calls[0] += 1
+            return tuple.__eq__(self, other)
+
+    n = 2000
+    keys = [CountingKey(key(i)) for i in range(n)]
+    t = LeaseTable(clock=FakeClock())
+    t.add_tasks(keys)
+    for _ in range(n):
+        leased, _ = t.next_for("a")
+        from_wire = CountingKey(tuple(leased))
+        assert t.commit(from_wire, stats(from_wire))
+    assert t.done
+    assert calls[0] < 10 * n

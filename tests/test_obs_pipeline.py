@@ -195,7 +195,10 @@ def test_checkpoint_flush_spans(tmp_path):
     ).run()
     flushes = [s for s in observer.spans() if s.category == "checkpoint"]
     named = [s for s in flushes if s.name == "flush"]
-    assert len(named) == len(result.intervals)
+    # one flush per write, one write per task (a run of interval pieces)
+    (mapped,) = [s for s in observer.spans() if s.name == "map_tasks"]
+    assert len(named) == mapped.attrs["tasks"]
+    assert sum(s.attrs["records"] for s in named) == len(result.intervals)
     assert all(s.attrs["bytes"] > 0 for s in named)
     counters = observer.snapshot()["counters"]
     assert counters["checkpoint_records_total"] == len(result.intervals)

@@ -132,20 +132,29 @@ def test_resilient_totals_exact_under_task_faults():
 
 def test_resilient_accounting_identity_with_permanent_failures():
     """Even when tasks fail permanently, the lost states are exactly the
-    failed intervals' states — nothing else is perturbed (Theorem 2)."""
+    failed intervals' states — nothing else is perturbed (Theorem 2).  A
+    task is a run of interval pieces, so a poisoned task fails each of
+    the pieces it carried."""
+
+    class Recording(ResilientExecutor):
+        def map_tasks(self, tasks):
+            self.tasks = list(tasks)
+            return super().map_tasks(tasks)
+
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
     base = ParaMount(poset).run()
     per_event = {s.event: s.states for s in base.intervals}
     spec = FaultSpec(seed=FAULT_SEED, poison=frozenset({0, 5}))
-    ex = ResilientExecutor(
+    ex = Recording(
         ladder=[SerialExecutor()],
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0),
         fault_spec=spec,
     )
     result = ParaMount(poset, executor=ex).run()
-    assert len(result.failures) == 2
+    poisoned = [iv.event for i in (0, 5) for iv in ex.tasks[i].intervals]
+    assert len(result.failures) == len(poisoned) >= 2
+    assert [f.event for f in result.failures] == poisoned
     assert {f.attempts for f in result.failures} == {2}
-    assert all(f.event is not None for f in result.failures)
     lost = sum(per_event[f.event] for f in result.failures)
     assert result.states + lost == base.states
     assert not result.complete

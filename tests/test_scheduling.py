@@ -5,14 +5,17 @@ interval yields pairwise-disjoint sub-boxes whose consistent cuts exactly
 tile the parent's.  The property test certifies it on random posets two
 independent ways — by exhaustive enumeration with ``interval_of_cut`` as
 the membership oracle, and by the exact ideal-counting DP inside
-``validate_split``.  The rest covers the plan shapes, the work-stealing
-executor, and checkpoint identity of split tasks.
+``validate_split``.  Its dual, coalescing pieces into runs, must never
+make a task heavier than the plan's largest piece.  The rest covers the
+plan shapes, the work-stealing executor, and checkpoint identity of split
+tasks.
 """
 
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import build_chain_poset, small_posets
 from repro.core.executors import SerialExecutor, WorkStealingThreadExecutor
@@ -21,6 +24,7 @@ from repro.core.metrics import ExecutorReport
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import (
     SchedulePolicy,
+    coalesce,
     pivot_split,
     plan_schedule,
     split_interval,
@@ -28,7 +32,6 @@ from repro.core.scheduling import (
 )
 from repro.enumeration.base import make_enumerator
 from repro.errors import CheckpointError, ExecutorTimeoutError
-from repro.poset.ideals import count_ideals_in_interval
 from repro.poset.topological import lexicographic_topological_order
 from repro.resilience.checkpoint import CheckpointJournal, poset_digest
 
@@ -154,6 +157,49 @@ def test_schedule_policy_parse_round_trip():
     assert SchedulePolicy.parse(policy) is policy
     with pytest.raises(ValueError):
         SchedulePolicy.parse("lifo")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    poset=small_posets(),
+    policy=st.sampled_from(["fifo", "largest", "split-steal"]),
+    workers=st.integers(min_value=1, max_value=4),
+)
+def test_no_run_outweighs_the_plans_largest_piece(poset, policy, workers):
+    """Coalescing groups every piece into exactly one run; a run's summed
+    size bound stays within the plan's cap (so within its largest piece)
+    unless the run is one piece; serial runs keep →p order and parallel
+    largest-first runs are dispatched heaviest first."""
+    intervals = compute_intervals(poset)
+    plan = plan_schedule(poset, intervals, policy, workers)
+    runs = coalesce(plan, plan.tasks, intervals)
+    largest = max(iv.size_bound for iv in plan.tasks)
+    assert plan.cap <= largest
+    pieces = [iv for run in runs for iv in run]
+    assert sorted(map(id, pieces)) == sorted(map(id, plan.tasks))
+    weights = [sum(iv.size_bound for iv in run) for run in runs]
+    for run, weight in zip(runs, weights):
+        assert weight <= largest
+        assert len(run) == 1 or weight <= plan.cap
+    if plan.largest_first:
+        assert weights == sorted(weights, reverse=True)
+    else:
+        assert pieces == plan.tasks
+
+
+def test_coalesce_joins_tiny_intervals_and_isolates_large_ones():
+    poset, order = skewed_poset()
+    intervals = compute_intervals(poset, order)
+    plan = plan_schedule(poset, intervals, "fifo", 1)
+    runs = coalesce(plan, plan.tasks, intervals)
+    assert len(runs) < len(plan.tasks)
+    for run in runs:
+        if any(iv.size_bound >= plan.cap for iv in run):
+            assert len(run) == 1
+    # a resumed run regroups only what is pending, under the same cap
+    pending = plan.tasks[1::2]
+    regrouped = coalesce(plan, pending, intervals)
+    assert [iv for run in regrouped for iv in run] == pending
 
 
 # --------------------------------------------------------------------- #
@@ -282,7 +328,8 @@ def test_fifo_schedule_keeps_old_serial_visit_order():
 
 class AbortAfter(SerialExecutor):
     """Runs ``kill_at`` tasks, then dies — but claims many workers so the
-    schedule plan matches a parallel run's."""
+    schedule plan matches a parallel run's.  ``pieces`` lists the pieces
+    the finished tasks carried."""
 
     name = "abort-after"
 
@@ -290,6 +337,7 @@ class AbortAfter(SerialExecutor):
         super().__init__()
         self.num_workers = num_workers
         self.kill_at = kill_at
+        self.pieces = []
 
     def map_tasks(self, tasks):
         done = []
@@ -297,6 +345,7 @@ class AbortAfter(SerialExecutor):
             if index >= self.kill_at:
                 raise RuntimeError(f"killed after {self.kill_at} tasks")
             done.append(task())
+            self.pieces.extend(task.intervals)
         return ExecutorReport(results=done)
 
 
@@ -308,13 +357,15 @@ def test_split_checkpoint_kill_and_resume(tmp_path):
     ).run()
     assert base.split_intervals >= 1
 
-    kill_at = 3
+    abort = AbortAfter(3)
     with pytest.raises(RuntimeError):
         ParaMount(
-            poset, order=order, executor=AbortAfter(kill_at), checkpoint=path
+            poset, order=order, executor=abort, checkpoint=path
         ).run()
+    finished = len(abort.pieces)
+    assert 3 <= finished < len(base.tasks)
     journal_lines = path.read_text().splitlines()
-    assert len(journal_lines) == 1 + kill_at  # header + finished sub-tasks
+    assert len(journal_lines) == 1 + finished  # header + finished sub-tasks
 
     resumed = ParaMount(
         poset,
@@ -322,7 +373,7 @@ def test_split_checkpoint_kill_and_resume(tmp_path):
         executor=WorkStealingThreadExecutor(4),
         checkpoint=path,
     ).run()
-    assert resumed.resumed_intervals == kill_at
+    assert resumed.resumed_intervals == finished
     assert resumed.states == base.states
     assert resumed.interval_sizes() == base.interval_sizes()
     # journal now covers every scheduled sub-task exactly once
