@@ -69,23 +69,12 @@ class OnlineParaMount:
     memory_budget:
         Per-interval cap on live intermediate states.
     strict:
-        In strict mode (the default, today's behavior) a malformed
-        insertion — an event whose arrival order is not a linear extension
-        of happened-before, a clock of the wrong width, or any other
+        In strict mode (the default) a malformed insertion — an event whose
+        clock :mod:`repro.poset.validate` refuses, or any other
         :class:`~repro.errors.ReproError` — propagates to the caller.
         With ``strict=False`` the offending event is *quarantined* instead:
         :meth:`insert` returns ``None``, the healthy stream continues, and
         the structured report is available as :attr:`quarantine`.
-    split_budget:
-        Optional size-bound budget for the inserted event's interval.  When
-        set, an interval whose
-        :attr:`~repro.core.intervals.Interval.size_bound` exceeds the
-        budget is enumerated as its Figure-6a sub-intervals (see
-        :mod:`repro.core.scheduling`) instead of in one go.  The visit
-        multiset is unchanged, but a detector that aborts or yields between
-        sub-intervals regains control every ``split_budget`` states worth
-        of box volume — the online analogue of the offline split schedule.
-        ``None`` (the default) keeps today's one-task-per-event behavior.
     observer:
         Optional :class:`repro.obs.Observer`.  Every insertion records a
         ``clock`` span (the critical section: append + stamp) and an
@@ -103,7 +92,6 @@ class OnlineParaMount:
         synchronized: bool = False,
         memory_budget: Optional[int] = None,
         strict: bool = True,
-        split_budget: Optional[int] = None,
         observer=None,
     ):
         self.builder = PosetBuilder(num_threads)
@@ -117,9 +105,6 @@ class OnlineParaMount:
         self._result = ParaMountResult()
         self._intervals: List[Interval] = []
         self.strict = strict
-        if split_budget is not None and split_budget < 1:
-            raise ValueError(f"split_budget must be ≥ 1, got {split_budget}")
-        self.split_budget = split_budget
         self.observer = ensure_observer(observer)
         self._inserted = 0
         from repro.resilience.quarantine import QuarantineReport
@@ -196,33 +181,9 @@ class OnlineParaMount:
         # time.perf_counter itself, keeping unobserved runs unchanged.
         task_clock = obs.clock if obs.enabled else None
         t_start = obs.clock() if obs.enabled else 0.0
-        if (
-            self.split_budget is not None
-            and interval.size_bound > self.split_budget
-        ):
-            from repro.core.scheduling import split_interval
-
-            # The snapshot view is safe here: sub-interval bounds stay
-            # within Gbnd(e), which never references later insertions
-            # (Theorem 3), so splitting commutes with concurrent inserts.
-            stats = None
-            pieces = 0
-            for piece in split_interval(
-                self._view, interval, self.split_budget
-            ):
-                piece_stats = bounded_enumeration(
-                    self._subroutine, piece, visit, clock=task_clock
-                )
-                pieces += 1
-                stats = (
-                    piece_stats if stats is None else stats.merged(piece_stats)
-                )
-            if obs.enabled and pieces > 1:
-                obs.counter("intervals_split_total").inc()
-        else:
-            stats = bounded_enumeration(
-                self._subroutine, interval, visit, clock=task_clock
-            )
+        stats = bounded_enumeration(
+            self._subroutine, interval, visit, clock=task_clock
+        )
         if obs.enabled:
             obs.record(
                 f"I({interval.event})",

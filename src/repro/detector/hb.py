@@ -71,7 +71,6 @@ class HBFrontEnd:
         num_threads: int,
         emit: EmitFn,
         merge_collections: bool = True,
-        skip_init_accesses: bool = False,
         track_weak_clocks: bool = False,
         sanitizer=None,
         pruner=None,
@@ -93,9 +92,6 @@ class HBFrontEnd:
         self.pruned_accesses = 0
         self.pruned_vars: Dict[str, int] = {}
         self.merge_collections = merge_collections
-        #: Drop initialization writes entirely (not used by the shipped
-        #: detectors — ParaMount keeps them but filters at predicate time).
-        self.skip_init_accesses = skip_init_accesses
         #: Also stamp events with a weak clock (process order + fork/join
         #: only) — the RV baseline's sliced-causality model.
         self.track_weak_clocks = track_weak_clocks
@@ -116,8 +112,6 @@ class HBFrontEnd:
         """Consume one trace operation in observed order."""
         tid = op.tid
         if op.is_access:
-            if self.skip_init_accesses and op.is_init:
-                return
             if self.pruner is not None and self.pruner.should_skip(op.obj):
                 self.pruned_accesses += 1
                 self.pruned_vars[op.obj] = self.pruned_vars.get(op.obj, 0) + 1

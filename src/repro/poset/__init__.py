@@ -13,6 +13,8 @@ This package provides:
   :class:`~repro.poset.poset.Poset` (chains + clock tables + HB queries),
 * :class:`~repro.poset.builder.PosetBuilder` for offline and online
   (causality-respecting, incremental) construction,
+* the clock admission rule every entry point applies
+  (:mod:`repro.poset.validate`),
 * topological sorts / linear extensions (:mod:`repro.poset.topological`),
 * lattice operations on cuts (:mod:`repro.poset.lattice`),
 * exact ideal counting for cross-validation (:mod:`repro.poset.ideals`),

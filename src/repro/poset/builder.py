@@ -7,9 +7,11 @@
   finally freezes into an immutable :class:`~repro.poset.poset.Poset`;
 * **online** (§4, Algorithm 4): the runtime monitor computes clocks itself
   (via Algorithm 3 on thread/lock clocks) and appends pre-stamped events
-  with :meth:`append_stamped`; the builder validates that insertion order
-  is a linear extension of happened-before (Property 1) — the invariant the
-  online algorithm's correctness rests on.
+  with :meth:`append_stamped`, which admits each clock through
+  :mod:`repro.poset.validate` — insertion order must be a linear extension
+  of happened-before (Property 1), the invariant the online algorithm's
+  correctness rests on.  The chains grow only through admitted appends
+  under the lock, so :meth:`build` does not check them again.
 
 The builder also exposes :meth:`snapshot_of_maxima` — the paper's
 ``P.snapshotOfMaximalEventsOfThreads()`` (Algorithm 4 line 4) — returning
@@ -25,6 +27,7 @@ from repro.errors import EventOrderError, PosetError
 from repro.poset.event import Access, Event
 from repro.poset.packed import PackedPosetTables
 from repro.poset.poset import Poset
+from repro.poset.validate import check
 from repro.types import Clock, Cut, EventId
 
 __all__ = ["PosetBuilder", "BuilderView"]
@@ -43,6 +46,9 @@ class PosetBuilder:
             raise PosetError(f"need at least one thread, got {num_threads}")
         self._n = num_threads
         self._chains: List[List[Event]] = [[] for _ in range(num_threads)]
+        #: The admitted clocks and per-thread counts the admission rule reads.
+        self._clocks: List[List[Clock]] = [[] for _ in range(num_threads)]
+        self._lengths: List[int] = [0] * num_threads
         self._insertion: List[EventId] = []
         self._lock = threading.Lock()
         #: Packed tables fed by every append once a view requested them.
@@ -88,7 +94,7 @@ class PosetBuilder:
         chain lengths always forms a consistent cut.
         """
         with self._lock:
-            return tuple(len(c) for c in self._chains)
+            return tuple(self._lengths)
 
     # ------------------------------------------------------------------ #
     # offline construction
@@ -107,7 +113,8 @@ class PosetBuilder:
         clock and the clocks of all ``deps``, with the own component
         incremented.  ``deps`` must already be present (otherwise the
         insertion order would not extend happened-before) — violations
-        raise :class:`EventOrderError`.
+        raise :class:`EventOrderError`.  A clock computed this way keeps
+        every admission rule, so it is not checked again.
         """
         with self._lock:
             if not 0 <= tid < self._n:
@@ -133,7 +140,7 @@ class PosetBuilder:
                 obj=obj,
                 accesses=tuple(accesses),
             )
-            self._append_validated(event)
+            self._admit(event)
             return event
 
     # ------------------------------------------------------------------ #
@@ -142,42 +149,22 @@ class PosetBuilder:
     def append_stamped(self, event: Event) -> Cut:
         """Append an event whose clock was computed externally (Algorithm 3).
 
-        Validates the online invariants and returns the *boundary snapshot*
-        taken atomically with the insertion — i.e. performs the whole
-        atomic block of Algorithm 4 (insert, ``Gmin`` from the clock,
-        ``Gbnd`` from the maxima snapshot) in one critical section, and
-        returns ``Gbnd``; ``Gmin`` is just ``event.vc``.
+        Admits the clock through :mod:`repro.poset.validate` and returns
+        the *boundary snapshot* taken atomically with the insertion — i.e.
+        performs the whole atomic block of Algorithm 4 (insert, ``Gmin``
+        from the clock, ``Gbnd`` from the maxima snapshot) in one critical
+        section, and returns ``Gbnd``; ``Gmin`` is just ``event.vc``.
         """
         with self._lock:
-            self._append_validated(event)
-            return tuple(len(c) for c in self._chains)
+            check(self._clocks, self._lengths, event.tid, event.idx, event.vc)
+            self._admit(event)
+            return tuple(self._lengths)
 
-    def _append_validated(self, event: Event) -> None:
+    def _admit(self, event: Event) -> None:
         tid = event.tid
-        chain = self._chains[tid]
-        expected_idx = len(chain) + 1
-        if event.idx != expected_idx:
-            raise EventOrderError(
-                f"event {event} appended out of order on thread {tid}: "
-                f"expected idx {expected_idx}"
-            )
-        if len(event.vc) != self._n:
-            raise PosetError(f"event {event} clock width != n={self._n}")
-        if event.vc[tid] != event.idx:
-            raise PosetError(f"event {event} violates vc[tid] == idx")
-        # Property 1: every causal predecessor must already be inserted.
-        for j in range(self._n):
-            if event.vc[j] > len(self._chains[j]) and j != tid:
-                raise EventOrderError(
-                    f"event {event} depends on ({j},{event.vc[j]}), "
-                    "which has not been inserted — insertion order must be "
-                    "a linear extension of happened-before"
-                )
-        if chain and not all(a <= b for a, b in zip(chain[-1].vc, event.vc)):
-            raise EventOrderError(
-                f"clock of {event} is not monotone along thread {tid}"
-            )
-        chain.append(event)
+        self._chains[tid].append(event)
+        self._clocks[tid].append(event.vc)
+        self._lengths[tid] += 1
         self._insertion.append(event.eid)
         if self._packed is not None:
             self._packed.append(tid, event.vc)
@@ -223,10 +210,7 @@ class PosetBuilder:
         """Freeze into an immutable :class:`Poset` carrying the insertion
         order as its total order ``→p``."""
         with self._lock:
-            return Poset(
-                [list(chain) for chain in self._chains],
-                insertion=list(self._insertion),
-            )
+            return Poset._admitted(self._chains, self._insertion)
 
 
 class BuilderView:
@@ -251,7 +235,7 @@ class BuilderView:
     @property
     def lengths(self) -> Cut:
         """Current per-thread chain lengths (monotonically growing)."""
-        return tuple(len(c) for c in self._builder._chains)
+        return tuple(self._builder._lengths)
 
     def vc(self, tid: int, idx: int) -> Clock:
         """Clock of inserted event ``(tid, idx)``; ``idx ≥ 1``."""

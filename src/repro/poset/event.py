@@ -61,9 +61,10 @@ class Access:
 class Event:
     """One event of a concurrent execution.
 
-    The clock invariant ``vc[tid] == idx`` always holds (checked by the
-    poset builder); it is what lets ``Gmin(e)`` be read straight off the
-    clock (paper §2.2).
+    The clock invariant ``vc[tid] == idx`` holds for every event a poset
+    or builder admits (the ``gmin-invariant`` rule of
+    :mod:`repro.poset.validate`); it is what lets ``Gmin(e)`` be read
+    straight off the clock (paper §2.2).
     """
 
     tid: int

@@ -4,6 +4,7 @@ Traces captured by the runtime monitor can be persisted and re-loaded so
 offline experiments (Table 1) run on stable inputs.  The format stores the
 event chains with their clocks and metadata plus the insertion order; it is
 deliberately plain JSON so posets can be inspected and diffed by hand.
+Loading admits every clock through :mod:`repro.poset.validate`.
 """
 
 from __future__ import annotations
@@ -70,48 +71,10 @@ def poset_from_dict(data: Dict[str, Any]) -> Poset:
             )
         chains.append(events)
     insertion = data.get("insertion")
-    poset = Poset(
+    return Poset(
         chains,
         insertion=[tuple(eid) for eid in insertion] if insertion is not None else None,
     )
-    _check_clocks(poset)
-    return poset
-
-
-def _check_clocks(poset: Poset) -> None:
-    """Reject clocks that do not model a partial order (Chauhan–Garg,
-    arXiv:1410.1209), as the packed kernel's one-round closure assumes.
-
-    ``Poset`` checks each chain.  Across chains, each component ``c =
-    vc[j]`` of event ``(t, k)``'s clock must name an existing event ``(j,
-    c)`` whose own clock ``vc`` covers (transitive closure) and which
-    does not require ``(t, k)`` (no cycle).  A component equal to the
-    thread predecessor's passed with it (clocks are monotone along a
-    chain).  Clocks computed by ``PosetBuilder.append`` or the HB front
-    end satisfy this by construction.
-    """
-    vcs = poset.vc_table()
-    lengths = poset.lengths
-    for t, clocks in enumerate(vcs):
-        prev = (0,) * poset.num_threads
-        for k, vc in enumerate(clocks, start=1):
-            for j, c in enumerate(vc):
-                if j == t or c == prev[j]:
-                    continue
-                if not 0 < c <= lengths[j]:
-                    raise PosetError(
-                        f"event ({t}, {k}) clock {vc}: component {j} = {c} "
-                        f"names no event of thread {j}, which has {lengths[j]}"
-                    )
-                named = vcs[j][c - 1]
-                for i, need in enumerate(named):
-                    if need > vc[i] or (i == t and need == k):
-                        raise PosetError(
-                            f"event ({t}, {k}) clock {vc}: component {j} names "
-                            f"event ({j}, {c}) with clock {named}, which is "
-                            f"not below it at component {i}"
-                        )
-            prev = vc
 
 
 def save_poset(poset: Poset, path: Union[str, Path]) -> None:

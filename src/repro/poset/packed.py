@@ -129,10 +129,10 @@ class PackedPosetTables:
     def append(self, tid: int, vc: Clock) -> None:
         """Add event ``(tid, lengths[tid] + 1)`` with clock ``vc``.
 
-        The caller serializes appends and guarantees that they follow a
-        linear extension of happened-before (the builder does both under
-        its lock).  ``order`` grows last, so every event it counts is
-        complete.
+        The caller serializes appends and passes only clocks admitted by
+        :mod:`repro.poset.validate`, in admission order (the builder does
+        both under its lock).  ``order`` grows last, so every event it
+        counts is complete.
         """
         n = self.num_threads
         row = self.rows[tid]

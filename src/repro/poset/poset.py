@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PosetError
 from repro.poset.event import Event
-from repro.poset.vector_clock import clock_leq
+from repro.poset.validate import check
 from repro.types import Clock, Cut, EventId
 
 __all__ = ["Poset"]
@@ -39,14 +39,15 @@ class Poset:
     Parameters
     ----------
     chains:
-        One list of :class:`Event` per thread, each already carrying a
-        valid vector clock with ``vc[tid] == idx`` (1-based, contiguous).
+        One list of :class:`Event` per thread, event ``(tid, idx)`` at
+        position ``idx`` (1-based); every clock is admitted through
+        :mod:`repro.poset.validate`.
     insertion:
         Optional explicit total order ``→p`` over the events (a list of
-        event ids forming a linear extension of happened-before).  When the
-        poset was built online this is the insertion order (paper
-        Algorithm 4); otherwise callers obtain one from
-        :mod:`repro.poset.topological`.
+        event ids).  Admission replays it, so it must be a linear extension
+        of happened-before.  When the poset was built online this is the
+        insertion order (paper Algorithm 4); otherwise callers obtain one
+        from :mod:`repro.poset.topological`.
     """
 
     __slots__ = ("_chains", "_vcs", "_lengths", "_n", "_insertion", "_packed")
@@ -56,11 +57,22 @@ class Poset:
         chains: Sequence[Sequence[Event]],
         insertion: Optional[Sequence[EventId]] = None,
     ):
+        self._store(chains, insertion)
+        self._admit()
+
+    @classmethod
+    def _admitted(cls, chains, insertion) -> "Poset":
+        """A poset over chains the builder admitted event by event, in
+        ``insertion`` order, so they are not checked a second time."""
+        poset = cls.__new__(cls)
+        poset._store(chains, insertion)
+        return poset
+
+    def _store(self, chains, insertion) -> None:
         self._n = len(chains)
         self._chains: Tuple[Tuple[Event, ...], ...] = tuple(
             tuple(chain) for chain in chains
         )
-        self._validate_chains()
         self._vcs: Tuple[Tuple[Clock, ...], ...] = tuple(
             tuple(e.vc for e in chain) for chain in self._chains
         )
@@ -68,12 +80,34 @@ class Poset:
         self._insertion: Optional[Tuple[EventId, ...]] = (
             tuple(insertion) if insertion is not None else None
         )
-        if self._insertion is not None and len(self._insertion) != self.num_events:
-            raise PosetError(
-                f"insertion order has {len(self._insertion)} entries for "
-                f"{self.num_events} events"
-            )
         self._packed = None
+
+    def _admit(self) -> None:
+        """Admit each clock through :func:`repro.poset.validate.check`: in
+        insertion order if there is one, else against the full chains."""
+        n, vcs, lengths, order = self._n, self._vcs, self._lengths, self._insertion
+        for tid, chain in enumerate(self._chains):
+            for pos, e in enumerate(chain, start=1):
+                if e.tid != tid or e.idx != pos:
+                    raise PosetError(f"event {e.eid} is stored at position {pos} of chain {tid}")
+        if order is None:
+            admitted = list(lengths)
+            for tid in range(n):
+                for idx in range(1, lengths[tid] + 1):
+                    admitted[tid] = idx - 1
+                    check(vcs, admitted, tid, idx, vcs[tid][idx - 1])
+                admitted[tid] = lengths[tid]
+            return
+        if len(order) != sum(lengths):
+            raise PosetError(
+                f"insertion order has {len(order)} entries for {sum(lengths)} events"
+            )
+        admitted = [0] * n
+        for tid, idx in order:
+            if not (0 <= tid < n and 0 < idx <= lengths[tid]):
+                raise PosetError(f"insertion order names ({tid}, {idx}), not in the poset")
+            check(vcs, admitted, tid, idx, vcs[tid][idx - 1])
+            admitted[tid] = idx
 
     def __getstate__(self):
         # The packed tables are a pure cache over the clock table; drop
@@ -87,34 +121,6 @@ class Poset:
         for key, value in state.items():
             setattr(self, key, value)
         self._packed = None
-
-    # ------------------------------------------------------------------ #
-    # validation
-
-    def _validate_chains(self) -> None:
-        n = self._n
-        for tid, chain in enumerate(self._chains):
-            for pos, e in enumerate(chain, start=1):
-                if e.tid != tid:
-                    raise PosetError(
-                        f"event {e} stored in chain {tid} but has tid {e.tid}"
-                    )
-                if e.idx != pos:
-                    raise PosetError(
-                        f"event {e} at position {pos} has idx {e.idx}"
-                    )
-                if len(e.vc) != n:
-                    raise PosetError(
-                        f"event {e} clock width {len(e.vc)} != n={n}"
-                    )
-                if e.vc[tid] != pos:
-                    raise PosetError(
-                        f"event {e} violates vc[tid] == idx: vc={e.vc}"
-                    )
-                if pos > 1 and not clock_leq(chain[pos - 2].vc, e.vc):
-                    raise PosetError(
-                        f"clock of {e} not monotone along thread {tid}"
-                    )
 
     # ------------------------------------------------------------------ #
     # basic accessors

@@ -10,10 +10,10 @@ correctness argument of the paper rests on:
   lifecycle (start before use, join only of finished threads, no
   operations after end).
 * :class:`ClockSanitizer` — fed every :class:`~repro.poset.event.Event`
-  the HB front-end emits (``HBFrontEnd(..., sanitizer=...)``): the
+  the HB front-end emits (``HBFrontEnd(..., sanitizer=...)``): the clock
+  admission rules of :mod:`repro.poset.validate`, among them the
   ``vc[tid] == idx`` invariant that lets ``Gmin(e)`` be read straight off
-  the clock (§2.2), per-thread chain contiguity, and componentwise clock
-  monotonicity along each thread.
+  the clock (§2.2).
 * :class:`EnumerationSanitizer` — fed every interval and every enumerated
   cut by the ParaMount driver (``ParaMount(..., sanitizer=...)``):
   ``Gmin(e) ≤ Gbnd(e)`` for every interval, every cut within its
@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SanitizerError
+from repro.poset.validate import violation
+from repro.types import Clock
 from repro.util.cuts import cut_leq
 
 __all__ = [
@@ -183,39 +185,29 @@ class TraceSanitizer(_Checker):
 
 
 class ClockSanitizer(_Checker):
-    """Validates the vector-clocked events the HB front-end emits."""
+    """Flags each :mod:`repro.poset.validate` rule an emitted event breaks.
+    The first clock fixes the width; every event of the right shape is
+    kept, so observation goes on after a violation."""
 
     def __init__(self, strict: bool = False):
         super().__init__(strict)
         self.events_observed = 0
-        self._last_vc: Dict[int, Tuple[int, ...]] = {}
-        self._last_idx: Dict[int, int] = {}
+        self._clocks: List[List[Clock]] = []
+        self._admitted: List[int] = []
 
     def observe_event(self, event) -> None:
         self.events_observed += 1
-        tid, idx, vc = event.tid, event.idx, event.vc
-        if not 0 <= tid < len(vc):
-            self._flag("clock-shape", f"event tid {tid} out of range for clock {vc}")
-            return
-        if vc[tid] != idx:
-            self._flag(
-                "gmin-invariant",
-                f"event ({tid},{idx}) has vc[tid]={vc[tid]} != idx (§2.2 broken)",
-            )
-        prev_idx = self._last_idx.get(tid, 0)
-        if idx != prev_idx + 1:
-            self._flag(
-                "chain-contiguity",
-                f"thread {tid} emitted idx {idx} after idx {prev_idx}",
-            )
-        self._last_idx[tid] = idx
-        prev_vc = self._last_vc.get(tid)
-        if prev_vc is not None and not cut_leq(prev_vc, vc):
-            self._flag(
-                "clock-monotone",
-                f"thread {tid} clock regressed: {prev_vc} -> {vc}",
-            )
-        self._last_vc[tid] = tuple(vc)
+        tid, vc = event.tid, event.vc
+        if not self._clocks:
+            self._clocks = [[] for _ in vc]
+            self._admitted = [0] * len(vc)
+        broken = violation(self._clocks, self._admitted, tid, event.idx, vc)
+        if broken is not None:
+            self._flag(*broken)
+            if broken[0] == "clock-shape":
+                return
+        self._clocks[tid].append(vc)
+        self._admitted[tid] += 1
 
 
 class EnumerationSanitizer(_Checker):

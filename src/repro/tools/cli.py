@@ -13,6 +13,18 @@ from repro.util.timing import format_duration
 __all__ = ["main"]
 
 
+def _load(load, path: str):
+    """``load(path)``; a file that cannot be read or is refused ends the
+    command with an ``error: <path>: <why>`` line and exit status 2."""
+    from repro.errors import ReproError
+
+    try:
+        return load(path)
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.workloads.registry import (
         DETECTION_WORKLOADS,
@@ -61,7 +73,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.workloads.registry import DETECTION_WORKLOADS, detection_workload
 
     if args.trace:
-        trace = load_trace(args.trace)
+        trace = _load(load_trace, args.trace)
         benign = frozenset()
         if trace.program_name in DETECTION_WORKLOADS:
             benign = DETECTION_WORKLOADS[trace.program_name].benign_vars
@@ -225,7 +237,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     from repro.core.simulated import CostModel, simulate_schedule
     from repro.poset.io import load_poset
 
-    poset = load_poset(args.poset)
+    poset = _load(load_poset, args.poset)
     print(f"poset: n={poset.num_threads}, {poset.num_events} events")
     dist = args.backend == "dist"
     resilient = bool(args.resume or args.faults or args.workers)
@@ -405,7 +417,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
     from repro.dist import DistributedExecutor
     from repro.poset.io import load_poset
 
-    poset = load_poset(args.poset)
+    poset = _load(load_poset, args.poset)
     observer = _make_observer(args)
     executor = DistributedExecutor(
         workers=args.workers,
@@ -476,7 +488,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    poset = load_poset(args.poset) if args.poset else None
+    poset = _load(load_poset, args.poset) if args.poset else None
     wire_faults = WireFaults.parse(args.wire_faults) if args.wire_faults else None
     try:
         return run_worker(
@@ -497,14 +509,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_render(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.obs.render import render_trace_file
 
-    try:
-        print(render_trace_file(args.trace, top=args.top))
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(_load(lambda path: render_trace_file(path, top=args.top), args.trace))
     return 0
 
 
@@ -527,7 +534,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.analysis.profile import profile_poset, render_profile
     from repro.poset.io import load_poset
 
-    poset = load_poset(args.poset)
+    poset = _load(load_poset, args.poset)
     profile = profile_poset(poset)
     print(render_profile(profile, title=f"Lattice profile: {args.poset}"))
     return 0

@@ -1,5 +1,5 @@
-"""Differential oracle: every executor, schedule and kill/resume path
-visits exactly the reference lattice.
+"""Differential oracle: every kernel, executor, schedule and kill/resume
+path visits exactly the reference lattice.
 
 Theorem 2 says the intervals partition the lattice, so however the driver
 splits, coalesces, dispatches or resumes them, every consistent cut is
@@ -14,9 +14,11 @@ stops a process: tasks already running finish and journal, later ones
 never run.  The resumed run must then visit exactly the states the
 killed run did not.
 
-Hypothesis draws small random posets, executors and schedules from a
-fixed seed; the distributed backend, whose worker processes take a while
-to start, is checked on a fixed handful of posets instead.
+Hypothesis draws small random posets, bounded subroutines (the packed
+lexical kernel on bitmasks and on arrays, ``level-space``, ``bfs``),
+executors and schedules from a fixed seed; the distributed backend, whose
+worker processes take a while to start, is checked on a fixed handful of
+posets instead.
 """
 
 import json
@@ -35,6 +37,7 @@ from repro.core.executors import (
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import plan_schedule
 from repro.dist import DistributedExecutor
+from repro.enumeration import PackedLexicalEnumerator
 from repro.enumeration.base import make_enumerator
 from repro.poset.ideals import count_ideals
 from repro.poset.random_posets import RandomComputationSpec, random_computation
@@ -102,16 +105,21 @@ def assert_one_record_per_piece(path, poset, schedule, workers):
     assert sorted(keys) == sorted((iv.event, iv.lo, iv.hi) for iv in plan.tasks)
 
 
-def check(poset, kind, schedule, kill_at, tmp_path):
+def check(poset, kind, schedule, kill_at, tmp_path, subroutine="lexical-packed"):
     """One uninterrupted run and one killed-then-resumed run of ``kind``
-    under ``schedule``, both checked against the references."""
+    under ``schedule`` and ``subroutine``, both checked against the
+    references."""
     expected = reference(poset)
     total = count_ideals(poset)
     visits = kind != "dist"  # remote workers do not call back
 
     def run(executor, path, seen):
         pm = ParaMount(
-            poset, executor=executor, schedule=schedule, checkpoint=path
+            poset,
+            subroutine=subroutine,
+            executor=executor,
+            schedule=schedule,
+            checkpoint=path,
         )
         return pm.run(
             (lambda c: seen.update([tuple(c)])) if visits else None
@@ -134,7 +142,11 @@ def check(poset, kind, schedule, kill_at, tmp_path):
     killer = KillAfter(inner, kill_at, workers)
     try:
         ParaMount(
-            poset, executor=killer, schedule=schedule, checkpoint=path
+            poset,
+            subroutine=subroutine,
+            executor=killer,
+            schedule=schedule,
+            checkpoint=path,
         ).run(lambda c: killed_seen.update([tuple(c)]))
     except Killed:
         pass
@@ -152,17 +164,30 @@ def check(poset, kind, schedule, kill_at, tmp_path):
     assert_one_record_per_piece(path, poset, schedule, workers)
 
 
+#: Kernels drawn: ``bitmask`` and ``array`` are ``lexical-packed``, the
+#: latter forced off the bitmask kernel it would run on these small posets.
+KERNELS = ["bitmask", "array", "level-space", "bfs"]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     poset=small_posets(),
+    kernel=st.sampled_from(KERNELS),
     kind=st.sampled_from(["serial", "threads2", "threads3"]),
     schedule=st.sampled_from(["fifo", "split-steal"]),
     kill_at=st.integers(min_value=0, max_value=3),
 )
 def test_in_process_runs_match_the_reference(
-    tmp_path_factory, poset, kind, schedule, kill_at
+    tmp_path_factory, poset, kernel, kind, schedule, kill_at
 ):
-    check(poset, kind, schedule, kill_at, tmp_path_factory.mktemp("diff"))
+    subroutine = "lexical-packed" if kernel in ("bitmask", "array") else kernel
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel == "array":
+            mp.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", -1)
+        check(
+            poset, kind, schedule, kill_at, tmp_path_factory.mktemp("diff"),
+            subroutine,
+        )
 
 
 @pytest.mark.parametrize("schedule", ["fifo", "split-steal"])

@@ -117,36 +117,30 @@ def test_default_subroutine_is_packed():
     assert isinstance(om._subroutine, PackedLexicalEnumerator)
 
 
-def insertion_sequences(poset, subroutine, **kwargs):
+def insertion_sequences(poset, subroutine):
     """Per inserted event, the cuts its interval visited, in order."""
     visits = []
     om = OnlineParaMount(
         poset.num_threads,
         subroutine=subroutine,
         on_state=lambda cut, e: visits.append((e.eid, cut)),
-        **kwargs,
     )
     for event in poset.events_in_order():
         om.insert(event)
     return om, visits
 
 
-@pytest.mark.parametrize("split_budget", [None, 2])
 @pytest.mark.parametrize("kernel", ["array", "bitmask"])
 @settings(max_examples=40, deadline=None)
 @given(poset=small_posets())
-def test_packed_visits_same_cut_sequence_online(poset, kernel, split_budget):
+def test_packed_visits_same_cut_sequence_online(poset, kernel):
     """Event by event, the packed kernel on the builder's live tables visits
     exactly the reference lexical sequence."""
-    _, reference = insertion_sequences(
-        poset, "lexical", split_budget=split_budget
-    )
+    _, reference = insertion_sequences(poset, "lexical")
     budget = PackedLexicalEnumerator.BITMASK_MAX_EVENTS if kernel == "bitmask" else -1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", budget)
-        om, packed = insertion_sequences(
-            poset, "lexical-packed", split_budget=split_budget
-        )
+        om, packed = insertion_sequences(poset, "lexical-packed")
         assert om._subroutine.kernel == kernel
     assert packed == reference
 

@@ -143,3 +143,45 @@ def test_cli_profile(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "global states i(P)" in out
     assert "modeled speedup (8w)" in out
+
+
+#: A poset file whose insertion order is not a linear extension: the
+#: event (1, 1) comes before (0, 1), which its clock requires.
+BAD_POSET = {
+    "version": 1,
+    "num_threads": 2,
+    "chains": [[{"vc": [1, 0]}], [{"vc": [1, 1]}]],
+    "insertion": [[1, 1], [0, 1]],
+}
+#: A trace file whose one operation runs on a thread the trace lacks.
+BAD_TRACE = {
+    "version": 1,
+    "program_name": "bad",
+    "num_threads": 1,
+    "ops": [{"seq": 0, "tid": 3, "kind": "read", "obj": "x"}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["enumerate", "{poset}"], "event (1, 1)"),
+        (["enumerate", "{poset}", "--paramount"], "event (1, 1)"),
+        (["coordinator", "{poset}", "--port", "0"], "event (1, 1)"),
+        (["worker", "--connect", "127.0.0.1:9", "--poset", "{poset}"], "event (1, 1)"),
+        (["profile", "{poset}"], "event (1, 1)"),
+        (["detect", "--trace", "{trace}"], "tid 3"),
+    ],
+    ids=["enumerate", "enumerate-paramount", "coordinator", "worker", "profile", "detect"],
+)
+def test_cli_rejected_input_is_an_error_line(tmp_path, capsys, argv, names):
+    poset, trace = tmp_path / "bad-poset.json", tmp_path / "bad-trace.json"
+    poset.write_text(json.dumps(BAD_POSET))
+    trace.write_text(json.dumps(BAD_TRACE))
+    argv = [a.format(poset=poset, trace=trace) for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    path = str(trace if "--trace" in argv else poset)
+    assert err.startswith(f"error: {path}: ") and names in err
