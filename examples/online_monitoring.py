@@ -69,12 +69,11 @@ def monitor(program: Program, seed: int = 1):
                 return "handler"
         return None
 
+    # The predicate builds one visitor per interval; its default checks
+    # every state's frontier events, read off the worker's one live view.
     predicate = MutualExclusionPredicate(resource_of)
     online = OnlineParaMount(
-        trace.num_threads,
-        on_state=lambda cut, e: predicate.check(
-            cut, online.builder.view().frontier_events(cut), e
-        ),
+        trace.num_threads, interval_visitor=predicate.interval_visitor
     )
     front_end = HBFrontEnd(trace.num_threads, emit=online.insert)
 

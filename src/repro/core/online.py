@@ -9,6 +9,8 @@ atomic block.  The interval ``I(e)`` is then enumerated *outside* the
 critical section, possibly concurrently with further insertions and other
 interval enumerations (Theorem 3: an enumeration bounded by ``Gbnd(e)``
 never looks at events inserted later, so there is no interference).
+Predicate work follows the same unit: a factory builds one visitor per
+interval, and the enumeration calls it on every state of ``I(e)``.
 
 Because the insertion order is, by construction, a linear extension of
 happened-before (the builder rejects anything else), the online intervals
@@ -27,10 +29,10 @@ from repro.core.metrics import IntervalStats, ParaMountResult
 from repro.enumeration.base import DEFAULT_SUBROUTINE, make_enumerator
 from repro.errors import ReproError
 from repro.obs.observer import ensure_observer
-from repro.poset.builder import PosetBuilder
+from repro.poset.builder import BuilderView, PosetBuilder
 from repro.poset.event import Event
 from repro.poset.poset import Poset
-from repro.types import Cut
+from repro.types import Cut, CutVisitor
 from repro.util.cuts import zero_cut
 from repro.util.log import get_logger
 
@@ -38,8 +40,9 @@ __all__ = ["OnlineParaMount"]
 
 logger = get_logger(__name__)
 
-#: Callback invoked per enumerated state: ``(cut, triggering_event)``.
-OnlineVisitor = Callable[[Cut, Event], None]
+#: Builds the visitor of one interval from ``(e, I(e), live view)``;
+#: :meth:`repro.predicates.base.StatePredicate.interval_visitor` is one.
+IntervalVisitorFactory = Callable[[Event, Interval, BuilderView], CutVisitor]
 
 
 class OnlineParaMount:
@@ -57,15 +60,20 @@ class OnlineParaMount:
         (:meth:`~repro.poset.builder.BuilderView.packed_tables`), with the
         same visit sequence as the reference ``"lexical"``;
         ``"level-space"`` and ``"bfs"`` are accepted too.
-    on_state:
-        Optional callback invoked for every enumerated global state with
-        the cut and the event whose interval produced it — this is where a
-        predicate detector plugs in (paper Figure 7).  When insertions come
-        from multiple threads the callback must be thread-safe (pass
-        ``synchronized=True`` to get a built-in mutex).
+    interval_visitor:
+        Optional factory called once per inserted event ``e`` with ``e``,
+        its interval ``I(e)`` and the worker's live
+        :class:`~repro.poset.builder.BuilderView`; the enumeration calls
+        the visitor it returns with the cut of every state of ``I(e)``.
+        This is where a predicate detector plugs in (paper Figure 7):
+        pass a predicate's
+        :meth:`~repro.predicates.base.StatePredicate.interval_visitor`.
+        When insertions come from multiple threads, state the visitors
+        share must be thread-safe (pass ``synchronized=True`` to get a
+        built-in mutex).
     synchronized:
-        Wrap ``on_state`` and the statistics in a mutex so :meth:`insert`
-        may be called from concurrently running threads.
+        Run the factory, every visit and the statistics under a mutex so
+        :meth:`insert` may be called from concurrently running threads.
     memory_budget:
         Per-interval cap on live intermediate states.
     strict:
@@ -88,7 +96,7 @@ class OnlineParaMount:
         self,
         num_threads: int,
         subroutine: str = DEFAULT_SUBROUTINE,
-        on_state: Optional[OnlineVisitor] = None,
+        interval_visitor: Optional[IntervalVisitorFactory] = None,
         synchronized: bool = False,
         memory_budget: Optional[int] = None,
         strict: bool = True,
@@ -99,7 +107,7 @@ class OnlineParaMount:
         self._subroutine = make_enumerator(
             subroutine, self._view, memory_budget=memory_budget
         )
-        self._on_state = on_state
+        self._interval_visitor = interval_visitor
         self._stats_lock = threading.Lock() if synchronized else None
         self._visit_lock = threading.Lock() if synchronized else None
         self._result = ParaMountResult()
@@ -163,19 +171,17 @@ class OnlineParaMount:
             owns_empty=owns_empty,
         )
         visit = None
-        if self._on_state is not None:
-            on_state = self._on_state
-            if self._visit_lock is not None:
-                lock = self._visit_lock
+        if self._interval_visitor is not None:
+            lock = self._visit_lock
+            if lock is None:
+                visit = self._interval_visitor(event, interval, self._view)
+            else:
+                with lock:
+                    inner = self._interval_visitor(event, interval, self._view)
 
                 def visit(cut: Cut) -> None:
                     with lock:
-                        on_state(cut, event)
-
-            else:
-
-                def visit(cut: Cut) -> None:
-                    on_state(cut, event)
+                        inner(cut)
 
         # Null observer passes clock=None: bounded_enumeration then uses
         # time.perf_counter itself, keeping unobserved runs unchanged.

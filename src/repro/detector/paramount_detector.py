@@ -31,7 +31,6 @@ from repro.detector.hb import HBFrontEnd, poset_from_trace
 from repro.detector.planner import DetectionPlanner
 from repro.detector.report import DetectionReport
 from repro.enumeration.base import DEFAULT_SUBROUTINE
-from repro.poset.builder import BuilderView
 from repro.predicates.base import StatePredicate
 from repro.predicates.data_race import DataRacePredicate
 from repro.runtime.trace import Trace
@@ -135,40 +134,29 @@ class ParaMountDetector:
             # Arbitrary (or demoted) predicate: fall through to the
             # original online enumeration path, unchanged.
 
-        # The live view resolves the frontier events of each state; every
-        # index a cut references is below its interval's Gbnd and therefore
-        # already inserted (Theorem 3).  The callbacks hold the view, bound
-        # once below, and not the worker that holds them: no reference
-        # cycle, so a finished run is freed without the cyclic collector.
-        view: BuilderView
-
-        if obs.enabled:
-            checks = obs.counter("predicate_checks_total")
-
-            def on_state(cut, event) -> None:
-                checks.inc()
-                predicate.check(cut, view.frontier_events(cut), new_event=event)
-
-        else:
-
-            def on_state(cut, event) -> None:
-                predicate.check(cut, view.frontier_events(cut), new_event=event)
-
+        # The predicate's interval visitor is the unit of predicate work:
+        # built once per inserted event over the worker's one live view,
+        # it runs on every state of I(e).  The worker holds the bound
+        # method and the predicate holds no worker: no reference cycle, so
+        # a finished run is freed without the cyclic collector.
         online = OnlineParaMount(
             trace.num_threads,
             subroutine=self.subroutine,
-            on_state=on_state,
+            interval_visitor=predicate.interval_visitor,
             memory_budget=self.memory_budget,
             observer=obs,
         )
-        view = online.builder.view()
         insert = online.insert
         if obs.enabled:
             hb_events = obs.counter("hb_events_total")
+            checks = obs.counter("predicate_checks_total")
 
             def emit(event):
                 hb_events.inc()
-                insert(event)
+                stats = insert(event)
+                if stats is not None:
+                    # One predicate evaluation per enumerated state.
+                    checks.inc(stats.states)
 
         else:
             emit = insert

@@ -37,12 +37,13 @@ from repro.detector.report import (
     STATUS_OK,
     STATUS_OOM,
     DetectionReport,
+    RaceRecord,
 )
 from repro.enumeration.bfs import BFSEnumerator
 from repro.errors import OutOfMemoryError
 from repro.poset.event import Event
 from repro.poset.poset import Poset
-from repro.predicates.data_race import DataRacePredicate
+from repro.predicates.data_race import DataRacePredicate, events_are_concurrent
 from repro.runtime.trace import Trace, TraceOp
 from repro.util.timing import Stopwatch
 
@@ -85,13 +86,6 @@ class WeakOrderRacePredicate(DataRacePredicate):
         super().__init__(filter_init=False, benign_vars=benign_vars, report=report)
 
     def _check_pair(self, a: Event, b: Event) -> bool:
-        key = (a.eid, b.eid) if a.eid <= b.eid else (b.eid, a.eid)
-        if key in self._checked_pairs:
-            return False
-        self._checked_pairs.add(key)
-        from repro.predicates.data_race import events_are_concurrent
-        from repro.detector.report import RaceRecord
-
         sliced = events_are_concurrent(a, b)  # structural (sliced) clocks
         full = _aux_concurrent(a, b)  # true happened-before clocks
         if not full and not sliced:

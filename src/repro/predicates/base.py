@@ -1,19 +1,31 @@
 """Predicate protocol.
 
 A *predicate* decides whether the user-specified condition holds in a
-global state (paper §1).  The detectors evaluate predicates on every
-enumerated state; implementations receive the state's frontier events so
-the common case (conditions over maximal events, like data races) is O(n)
-per state without re-deriving the frontier.
+global state (paper §1).  Offline detectors call
+:meth:`StatePredicate.check` on every enumerated state with the state's
+frontier events, so the common case (conditions over maximal events, like
+data races) is O(n) per state without re-deriving the frontier.
+
+Online (paper §4, Algorithm 4) the unit of predicate work is one interval
+``I(e)``: :meth:`StatePredicate.interval_visitor` builds, once per inserted
+event, the visitor the bounded enumeration calls on every state of that
+interval.  Its default resolves each state's frontier and calls
+:meth:`~StatePredicate.check`, so a predicate that implements only
+``check`` sees every state; a predicate with per-interval structure (the
+data-race predicate) overrides it and reads each state's cut directly.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.poset.event import Event
-from repro.types import Cut
+from repro.types import Cut, CutVisitor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.intervals import Interval
+    from repro.poset.builder import BuilderView
 
 __all__ = ["StatePredicate"]
 
@@ -41,6 +53,25 @@ class StatePredicate(ABC):
         Implementations may record richer findings internally; the boolean
         lets generic drivers count matching states.
         """
+
+    def interval_visitor(
+        self, event: Event, interval: "Interval", view: "BuilderView"
+    ) -> CutVisitor:
+        """The visitor evaluating this predicate on every state of the
+        online interval ``interval`` = ``I(event)``.
+
+        Called once per inserted event; ``view`` is the live poset view,
+        which resolves every event of a state in the interval (Theorem 3).
+        The default calls :meth:`check` on each state with its frontier
+        events and ``new_event=event``.
+        """
+        check = self.check
+        frontier_events = view.frontier_events
+
+        def visit(cut: Cut) -> None:
+            check(cut, frontier_events(cut), new_event=event)
+
+        return visit
 
     def matches(self) -> List[object]:
         """Findings accumulated across :meth:`check` calls (default: none)."""

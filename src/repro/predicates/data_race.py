@@ -21,14 +21,17 @@ an exhaustive pairwise oracle).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.poset.event import Event
 from repro.predicates.base import StatePredicate
-from repro.types import Cut
+from repro.types import Cut, CutVisitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+    from repro.core.intervals import Interval
     from repro.detector.report import DetectionReport
+    from repro.poset.builder import BuilderView
 
 __all__ = ["DataRacePredicate", "events_are_concurrent"]
 
@@ -44,6 +47,11 @@ def events_are_concurrent(a: Event, b: Event) -> bool:
 class DataRacePredicate(StatePredicate):
     """Algorithm 6 over event collections (Algorithm 5 is the special case
     of singleton collections).
+
+    Every route compares events through one pair routine,
+    :meth:`_check_pair` (concurrency test, conflicting accesses, init
+    filter, report), which subclasses override to change the race
+    semantics.
 
     Parameters
     ----------
@@ -70,19 +78,16 @@ class DataRacePredicate(StatePredicate):
     ):
         # Imported here, not at module level: the detector package's
         # __init__ imports this module, so a top-level import would cycle.
-        from repro.detector.report import DetectionReport
+        from repro.detector.report import DetectionReport, RaceRecord
 
         self.filter_init = filter_init
         self.benign_vars = benign_vars
         self.report = report if report is not None else DetectionReport(
             detector="data-race", benchmark="?"
         )
-        #: Pairs already checked, to skip duplicate work across states.
+        self._race_record = RaceRecord
+        #: Pairs :meth:`check` already handed to :meth:`_check_pair`.
         self._checked_pairs: Set[Tuple[Tuple[int, int], Tuple[int, int]]] = set()
-        #: The online interval being checked (its new event) and the
-        #: frontier events already compared with that event.
-        self._interval_event: Optional[Event] = None
-        self._interval_seen: Set[Tuple[int, int]] = set()
 
     def check(
         self,
@@ -90,59 +95,82 @@ class DataRacePredicate(StatePredicate):
         frontier: Sequence[Optional[Event]],
         new_event: Optional[Event] = None,
     ) -> bool:
-        """Check the state's frontier for racing access pairs.
+        """Check one state's frontier for racing access pairs.
 
-        Online (``new_event`` given): compare ``e`` against every other
-        thread's frontier event — the literal Algorithm 6.  Offline: compare
-        all frontier pairs (the shape of Figure 3's predicate).
-
-        Online, consecutive states of one interval share most frontier
-        events, so a per-interval set of the frontier events already
-        compared with ``e`` sits in front of the global pair memo.  It
-        drops nothing the memo would not: a pair is only ever compared in
-        the interval of its later-inserted event (the earlier one's
-        interval ends at a cut that excludes the later event), and the
-        memo still catches repeats when intervals interleave.
+        With ``new_event`` (the per-state form of the online check):
+        compare ``e`` against every other thread's frontier event — the
+        literal Algorithm 6.  Offline: compare all frontier pairs (the
+        shape of Figure 3's predicate).  A pair memo shared by every call
+        hands each pair to :meth:`_check_pair` once.
         """
-        found = False
         if new_event is not None:
-            if new_event is not self._interval_event:
-                self._interval_event = new_event
-                self._interval_seen = set()
-            seen = self._interval_seen
             tid = new_event.tid
-            for other in frontier:
-                if other is None or other.tid == tid:
-                    continue
-                key = (other.tid, other.idx)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found |= self._check_pair(new_event, other)
+            pairs: Iterable[Tuple[Event, Event]] = [
+                (new_event, other)
+                for other in frontier
+                if other is not None and other.tid != tid
+            ]
         else:
-            n = len(frontier)
-            for i in range(n):
-                a = frontier[i]
-                if a is None:
-                    continue
-                for j in range(i + 1, n):
-                    b = frontier[j]
-                    if b is None:
-                        continue
-                    found |= self._check_pair(a, b)
+            pairs = combinations([ev for ev in frontier if ev is not None], 2)
+        checked = self._checked_pairs
+        found = False
+        for a, b in pairs:
+            key = (a.eid, b.eid) if a.eid <= b.eid else (b.eid, a.eid)
+            if key not in checked:
+                checked.add(key)
+                found |= self._check_pair(a, b)
         return found
 
+    def interval_visitor(
+        self, event: Event, interval: "Interval", view: "BuilderView"
+    ) -> CutVisitor:
+        """Algorithm 6 on every state of ``I(e)``, each pair compared once.
+
+        Every state of the interval lies between ``interval.lo`` and
+        ``interval.hi``, so for each other thread ``j`` a flag per index in
+        ``[lo[j], hi[j]]`` records the frontier events already compared
+        with ``e``.  A state's cut is read directly; only a frontier event
+        not yet compared reaches :meth:`_check_pair`, in the order the
+        per-state :meth:`check` meets it.  Once every flag is set, the
+        remaining states of the interval cost one test each.
+
+        No memo across intervals: a pair ``(e, f)`` is only ever examined
+        in ``I(e)``, because ``f`` lies in a state ``≤ Gbnd(e)`` and so
+        precedes ``e`` in ``→p`` (``I(f)`` ends before ``e`` exists).  The
+        flags live in the visitor, so intervals enumerated concurrently
+        never share them.
+        """
+        pair = self._check_pair
+        event_at = view.event
+        tid = event.tid
+        threads = []
+        remaining = 0
+        for j, (low, high) in enumerate(zip(interval.lo, interval.hi)):
+            if j == tid or not high:
+                continue
+            seen = bytearray(high - low + 1)
+            if not low:
+                seen[0] = 1  # no event of thread j: nothing to compare
+            threads.append((j, low, seen))
+            remaining += len(seen) - seen[0]
+
+        def visit(cut: Cut) -> None:
+            nonlocal remaining
+            if remaining:
+                for j, low, seen in threads:
+                    k = cut[j] - low
+                    if not seen[k]:
+                        seen[k] = 1
+                        remaining -= 1
+                        pair(event, event_at(j, cut[j]))
+
+        return visit
+
     def _check_pair(self, a: Event, b: Event) -> bool:
-        key = (a.eid, b.eid) if a.eid <= b.eid else (b.eid, a.eid)
-        if key in self._checked_pairs:
-            # Already examined in a previous state; re-report nothing, but
-            # the pair may have raced before — treat as no new finding.
-            return False
-        self._checked_pairs.add(key)
+        """The pair routine: report every conflicting access pair of two
+        concurrent events (init writes filtered when ``filter_init``)."""
         if not events_are_concurrent(a, b):
             return False
-        from repro.detector.report import RaceRecord
-
         found = False
         for acc_a in a.accesses:
             for acc_b in b.accesses:
@@ -151,7 +179,7 @@ class DataRacePredicate(StatePredicate):
                 if self.filter_init and (acc_a.is_init or acc_b.is_init):
                     continue
                 self.report.record(
-                    RaceRecord(
+                    self._race_record(
                         var=acc_a.var,
                         first=(a.tid, acc_a.op),
                         second=(b.tid, acc_b.op),

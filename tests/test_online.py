@@ -24,7 +24,9 @@ def replay_online(poset, **kwargs):
     """Feed a poset's events in insertion order into an online worker."""
     states = []
     om = OnlineParaMount(
-        poset.num_threads, on_state=lambda cut, e: states.append(cut), **kwargs
+        poset.num_threads,
+        interval_visitor=lambda e, interval, view: states.append,
+        **kwargs,
     )
     for event in poset.events_in_order():
         om.insert(event)
@@ -123,7 +125,9 @@ def insertion_sequences(poset, subroutine):
     om = OnlineParaMount(
         poset.num_threads,
         subroutine=subroutine,
-        on_state=lambda cut, e: visits.append((e.eid, cut)),
+        interval_visitor=lambda e, interval, view: (
+            lambda cut: visits.append((e.eid, cut))
+        ),
     )
     for event in poset.events_in_order():
         om.insert(event)
@@ -158,7 +162,9 @@ def test_concurrent_inserts_with_dependencies_visit_each_state_once():
         om = OnlineParaMount(
             poset.num_threads,
             subroutine=subroutine,
-            on_state=lambda cut, e: seen.update((cut,)),
+            interval_visitor=lambda e, interval, view: (
+                lambda cut: seen.update((cut,))
+            ),
             synchronized=True,
         )
         ready = threading.Condition()

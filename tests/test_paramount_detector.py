@@ -184,8 +184,10 @@ def test_default_subroutine_detects_like_lexical(name):
 
 
 def test_pair_filter_checks_each_pair_once():
-    """The per-interval filter hands the pair memo each (new event,
-    frontier event) pair once, not once per state."""
+    """Each (new event, frontier event) pair reaches the one pair routine
+    at most once: the interval visitor compares a frontier event with the
+    new event once, not once per state, and a pair is only ever examined
+    in the interval of its later-inserted event."""
     workload = ALL_DETECTION_WORKLOADS["hedc"]
     pairs = []
 
