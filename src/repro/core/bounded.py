@@ -1,12 +1,14 @@
-"""Bounded enumeration of one interval — the paper's Algorithm 2.
+"""Bounded enumeration of one piece — the paper's Algorithm 2.
 
 The paper's insight (§3.2) is that *any* sequential enumeration algorithm
 becomes a ParaMount subroutine once it (1) respects interval bounds and
 (2) enumerates each state in the interval exactly once.  Our sequential
 enumerators already expose ``enumerate_interval``; this module packages the
-call with the interval bookkeeping (empty-state ownership) so both the
-offline driver (Algorithm 1) and the online worker (Algorithm 4) share one
-code path.  The drivers select the subroutine by name through
+call with what every piece needs on every path — its timing, its
+``I(e)`` span and the observer's ``task_done`` — so the offline driver
+(Algorithm 1) and the online worker (Algorithm 4) run one piece path, and
+:func:`locked` is how both serialize a visitor shared by concurrent
+pieces.  The drivers select the subroutine by name through
 :func:`repro.enumeration.base.make_enumerator`, the way the paper
 instantiates L-Para ("bounded lexical": ``"lexical-packed"``, the default,
 or its reference ``"lexical"``) and B-Para ("bounded BFS": ``"bfs"``, or
@@ -15,24 +17,24 @@ or its reference ``"lexical"``) and B-Para ("bounded BFS": ``"bfs"``, or
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.intervals import Interval
 from repro.core.metrics import IntervalStats
 from repro.enumeration.base import Enumerator
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.types import CutVisitor
 
-__all__ = ["bounded_enumeration"]
-
-Clock = Callable[[], float]
+__all__ = ["bounded_enumeration", "locked"]
 
 
 def bounded_enumeration(
     subroutine: Enumerator,
     interval: Interval,
     visit: Optional[CutVisitor] = None,
-    clock: Optional[Clock] = None,
+    observer: Observer = NULL_OBSERVER,
 ) -> IntervalStats:
     """Enumerate every consistent global state in ``interval`` exactly once.
 
@@ -41,25 +43,54 @@ def bounded_enumeration(
     the first interval in ``→p`` the lower bound is the zero cut, which adds
     exactly the empty global state (see :mod:`repro.core.intervals`).
 
-    ``clock`` is the seconds source that times the task (default
-    ``time.perf_counter``); the drivers pass their observer's injected
-    clock so ``IntervalStats.seconds`` and any recorded spans share one
-    timeline on every executor path.
+    The piece is timed on ``observer``'s clock, so
+    ``IntervalStats.seconds`` and the piece's ``I(e)`` span (attributes
+    ``event``, ``states`` and ``work``) share one timeline on every
+    executor path; the observer then gets the stats through
+    :meth:`~repro.obs.observer.Observer.task_done`.  The default no-op
+    observer records nothing, and the piece is timed with
+    ``time.perf_counter`` looked up at call time, so unobserved runs stay
+    on the uninstrumented path.
 
     Returns the interval's :class:`IntervalStats` (Lemma 1 gives the
     exactly-once property per interval; Theorem 2 lifts it to the whole
     lattice across intervals).
     """
-    if clock is None:
-        clock = time.perf_counter
+    clock = observer.clock if observer.enabled else time.perf_counter
     t0 = clock()
     result = subroutine.enumerate_interval(interval.lo, interval.hi, visit)
-    return IntervalStats(
+    seconds = clock() - t0
+    stats = IntervalStats(
         event=interval.event,
         lo=interval.lo,
         hi=interval.hi,
         states=result.states,
         work=result.work,
         peak_live=result.peak_live,
-        seconds=clock() - t0,
+        seconds=seconds,
     )
+    if observer.enabled:
+        observer.record(
+            f"I({interval.event})",
+            "enumerate",
+            t0,
+            seconds,
+            attrs={
+                "event": str(interval.event),
+                "states": stats.states,
+                "work": stats.work,
+            },
+        )
+        observer.task_done(stats)
+    return stats
+
+
+def locked(visit: CutVisitor, lock: threading.Lock) -> CutVisitor:
+    """``visit`` with every call made under ``lock``, for a visitor that
+    pieces running on several threads share."""
+
+    def locked_visit(cut):
+        with lock:
+            visit(cut)
+
+    return locked_visit

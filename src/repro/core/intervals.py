@@ -31,7 +31,13 @@ from repro.poset.poset import Poset
 from repro.types import Cut, EventId
 from repro.util.cuts import cut_leq, zero_cut
 
-__all__ = ["Interval", "IntervalIndex", "compute_intervals", "interval_of_cut"]
+__all__ = [
+    "Interval",
+    "IntervalIndex",
+    "compute_intervals",
+    "interval_of",
+    "interval_of_cut",
+]
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,18 @@ class Interval:
         """
         return sum(math.log2(b - a + 1) for a, b in zip(self.lo, self.hi))
 
-    def box_volume(self) -> int:
-        """Deprecated spelling of :attr:`size_bound` (kept for callers)."""
-        return self.size_bound
+
+def interval_of(event: EventId, gmin: Cut, gbnd: Cut) -> Interval:
+    """The interval ``I(e) = [Gmin(e), Gbnd(e)]`` of one event (Definition 2).
+
+    Both drivers make their intervals here: :func:`compute_intervals`
+    offline, and :meth:`repro.core.online.OnlineParaMount.insert` from the
+    builder's boundary snapshot.  The ``→p``-first event, whose ``Gbnd``
+    holds one event, owns the empty state: its ``lo`` is the zero cut.
+    """
+    if sum(gbnd) == 1:
+        return Interval(event, zero_cut(len(gbnd)), gbnd, owns_empty=True)
+    return Interval(event, gmin, gbnd)
 
 
 def compute_intervals(
@@ -105,7 +120,7 @@ def compute_intervals(
         )
     counts = [0] * n
     intervals: List[Interval] = []
-    for pos, (tid, idx) in enumerate(order):
+    for tid, idx in order:
         if idx != counts[tid] + 1:
             raise IntervalError(
                 f"order is not a linear extension: event ({tid},{idx}) "
@@ -119,12 +134,7 @@ def compute_intervals(
                 f"order is not a linear extension: Gmin({(tid, idx)})={gmin} "
                 f"exceeds Gbnd={hi}"
             )
-        if pos == 0:
-            intervals.append(
-                Interval(event=(tid, idx), lo=zero_cut(n), hi=hi, owns_empty=True)
-            )
-        else:
-            intervals.append(Interval(event=(tid, idx), lo=gmin, hi=hi))
+        intervals.append(interval_of((tid, idx), gmin, hi))
     return intervals
 
 

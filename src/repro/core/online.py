@@ -5,12 +5,16 @@ insertion happens inside one critical section that (a) appends the event to
 the poset, (b) reads ``Gmin(e)`` off the event's clock, and (c) snapshots
 the per-thread maxima as ``Gbnd(e)`` — the builder's
 :meth:`~repro.poset.builder.PosetBuilder.append_stamped` is exactly that
-atomic block.  The interval ``I(e)`` is then enumerated *outside* the
-critical section, possibly concurrently with further insertions and other
-interval enumerations (Theorem 3: an enumeration bounded by ``Gbnd(e)``
-never looks at events inserted later, so there is no interference).
-Predicate work follows the same unit: a factory builds one visitor per
-interval, and the enumeration calls it on every state of ``I(e)``.
+atomic block.  ``I(e)`` is then made by
+:func:`~repro.core.intervals.interval_of` and enumerated *outside* the
+critical section by :func:`~repro.core.bounded.bounded_enumeration` — the
+offline driver's maker and piece path, so Algorithm 4 is Algorithm 1 over
+a growing event list — possibly concurrently with further insertions and
+other interval enumerations (Theorem 3: an enumeration bounded by
+``Gbnd(e)`` never looks at events inserted later, so there is no
+interference).  Predicate work follows the same unit: a factory builds one
+visitor per interval, and the enumeration calls it on every state of
+``I(e)``.
 
 Because the insertion order is, by construction, a linear extension of
 happened-before (the builder rejects anything else), the online intervals
@@ -23,8 +27,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-from repro.core.bounded import bounded_enumeration
-from repro.core.intervals import Interval
+from repro.core.bounded import bounded_enumeration, locked
+from repro.core.intervals import Interval, interval_of
 from repro.core.metrics import IntervalStats, ParaMountResult
 from repro.enumeration.base import DEFAULT_SUBROUTINE, make_enumerator
 from repro.errors import ReproError
@@ -32,8 +36,7 @@ from repro.obs.observer import ensure_observer
 from repro.poset.builder import BuilderView, PosetBuilder
 from repro.poset.event import Event
 from repro.poset.poset import Poset
-from repro.types import Cut, CutVisitor
-from repro.util.cuts import zero_cut
+from repro.types import CutVisitor
 from repro.util.log import get_logger
 
 __all__ = ["OnlineParaMount"]
@@ -85,10 +88,10 @@ class OnlineParaMount:
         the structured report is available as :attr:`quarantine`.
     observer:
         Optional :class:`repro.obs.Observer`.  Every insertion records a
-        ``clock`` span (the critical section: append + stamp) and an
-        ``enumerate`` span per interval task, feeds
-        ``events_inserted_total`` and the canonical enumeration series,
-        and drives the observer's live progress reporter, if any.  The
+        ``clock`` span (the critical section: append + stamp), feeds
+        ``events_inserted_total`` and drives the observer's live progress
+        reporter, if any; its interval gets the same ``enumerate`` span
+        and canonical enumeration series as an offline piece.  The
         default no-op observer leaves the hot path untouched.
     """
 
@@ -108,8 +111,7 @@ class OnlineParaMount:
             subroutine, self._view, memory_budget=memory_budget
         )
         self._interval_visitor = interval_visitor
-        self._stats_lock = threading.Lock() if synchronized else None
-        self._visit_lock = threading.Lock() if synchronized else None
+        self._lock = threading.Lock() if synchronized else None
         self._result = ParaMountResult()
         self._intervals: List[Interval] = []
         self.strict = strict
@@ -163,49 +165,24 @@ class OnlineParaMount:
             obs.counter("events_inserted_total").inc()
         if obs.progress is not None:
             obs.progress.on_event()
-        owns_empty = sum(gbnd) == 1  # first event in →p owns the empty state
-        interval = Interval(
-            event=event.eid,
-            lo=zero_cut(self.num_threads) if owns_empty else event.vc,
-            hi=gbnd,
-            owns_empty=owns_empty,
-        )
+        interval = interval_of(event.eid, event.vc, gbnd)
+        factory = self._interval_visitor
+        lock = self._lock
         visit = None
-        if self._interval_visitor is not None:
-            lock = self._visit_lock
+        if factory is not None:
             if lock is None:
-                visit = self._interval_visitor(event, interval, self._view)
+                visit = factory(event, interval, self._view)
             else:
                 with lock:
-                    inner = self._interval_visitor(event, interval, self._view)
-
-                def visit(cut: Cut) -> None:
-                    with lock:
-                        inner(cut)
-
-        # Null observer passes clock=None: bounded_enumeration then uses
-        # time.perf_counter itself, keeping unobserved runs unchanged.
-        task_clock = obs.clock if obs.enabled else None
-        t_start = obs.clock() if obs.enabled else 0.0
-        stats = bounded_enumeration(
-            self._subroutine, interval, visit, clock=task_clock
-        )
-        if obs.enabled:
-            obs.record(
-                f"I({interval.event})",
-                "enumerate",
-                t_start,
-                obs.clock() - t_start,
-                attrs={"event": str(interval.event), "states": stats.states},
-            )
-        obs.task_done(stats)
-        if self._stats_lock is not None:
-            with self._stats_lock:
-                self._result.add_interval(stats)
-                self._intervals.append(interval)
-        else:
+                    visit = locked(factory(event, interval, self._view), lock)
+        stats = bounded_enumeration(self._subroutine, interval, visit, obs)
+        if lock is None:
             self._result.add_interval(stats)
             self._intervals.append(interval)
+        else:
+            with lock:
+                self._result.add_interval(stats)
+                self._intervals.append(interval)
         return stats
 
     @property

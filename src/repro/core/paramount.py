@@ -9,7 +9,11 @@ Given a poset, ParaMount:
 3. hands the intervals to an executor, each enumerated independently by the
    bounded sequential subroutine (Algorithm 2) — oversized intervals split
    and consecutive tiny ones coalesced into runs, one task per run
-   (:mod:`repro.core.scheduling`);
+   (:mod:`repro.core.scheduling`).  Each piece runs through
+   :func:`~repro.core.bounded.bounded_enumeration`, the piece path the
+   online worker shares; this driver adds only what it alone configures:
+   the deadline skip, the sanitizer wrapper and the
+   ``degrade_on_oom`` fallback;
 4. aggregates counts and cost meters into a
    :class:`~repro.core.metrics.ParaMountResult`.
 
@@ -37,7 +41,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.bounded import bounded_enumeration
+from repro.core.bounded import bounded_enumeration, locked
 from repro.core.executors import Executor, SerialExecutor
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import DegradationEvent, IntervalStats, ParaMountResult
@@ -258,12 +262,6 @@ class ParaMount:
             deadline_at=deadline_at,
             visits=visit is not None or sanitizer is not None,
         )
-        # The observer's clock times every task on every executor path, so
-        # IntervalStats.seconds and the recorded spans share one timeline.
-        # The null observer passes None: bounded_enumeration then reads
-        # time.perf_counter at call time, keeping unobserved runs (and the
-        # byte-identical no-op guarantee) on the uninstrumented path.
-        task_clock = obs.clock if obs.enabled else None
         if obs.enabled:
             if self.executor.observer is None:
                 self.executor.observer = obs
@@ -292,11 +290,8 @@ class ParaMount:
                     if wrapped is not None:
                         wrapped(cut)
 
-            t_start = task_clock() if task_clock is not None else 0.0
             try:
-                stats = bounded_enumeration(
-                    subroutine, interval, task_visit, clock=task_clock
-                )
+                return bounded_enumeration(subroutine, interval, task_visit, obs)
             except OutOfMemoryError as exc:
                 if not self.degrade_on_oom:
                     raise
@@ -306,9 +301,7 @@ class ParaMount:
                     self.poset,
                     memory_budget=self.memory_budget,
                 )
-                stats = bounded_enumeration(
-                    fallback, interval, task_visit, clock=task_clock
-                )
+                stats = bounded_enumeration(fallback, interval, task_visit, obs)
                 with log_lock:
                     degradations.append(
                         DegradationEvent(
@@ -338,20 +331,7 @@ class ParaMount:
                         event=str(interval.event),
                         to=DEFAULT_SUBROUTINE,
                     )
-            if obs.enabled:
-                obs.record(
-                    f"I({interval.event})",
-                    "enumerate",
-                    t_start,
-                    obs.clock() - t_start,
-                    attrs={
-                        "event": str(interval.event),
-                        "states": stats.states,
-                        "work": stats.work,
-                    },
-                )
-            obs.task_done(stats)
-            return stats
+                return stats
 
         def make_task(
             run: List[Interval],
@@ -460,10 +440,4 @@ class ParaMount:
     def _wrap_visitor(self, visit: Optional[CutVisitor]) -> Optional[CutVisitor]:
         if visit is None or self.executor.num_workers <= 1:
             return visit
-        lock = threading.Lock()
-
-        def locked_visit(cut):  # pragma: no cover - exercised in thread tests
-            with lock:
-                visit(cut)
-
-        return locked_visit
+        return locked(visit, threading.Lock())

@@ -100,9 +100,10 @@ class ParaMountDetector:
         self.plan = plan
         from repro.obs.observer import ensure_observer
 
-        #: Observability facade: spans the detection pass and feeds
-        #: ``hb_events_total`` / ``predicate_checks_total``; also handed to
-        #: the inner :class:`OnlineParaMount` for per-interval spans.
+        #: Observability facade: spans the detection pass and is handed to
+        #: the inner :class:`OnlineParaMount`, whose per-interval spans and
+        #: ``events_inserted_total`` / ``states_enumerated_total`` counters
+        #: count the stamped events and the predicate's states.
         self.observer = ensure_observer(observer)
 
     def run(
@@ -146,23 +147,9 @@ class ParaMountDetector:
             memory_budget=self.memory_budget,
             observer=obs,
         )
-        insert = online.insert
-        if obs.enabled:
-            hb_events = obs.counter("hb_events_total")
-            checks = obs.counter("predicate_checks_total")
-
-            def emit(event):
-                hb_events.inc()
-                stats = insert(event)
-                if stats is not None:
-                    # One predicate evaluation per enumerated state.
-                    checks.inc(stats.states)
-
-        else:
-            emit = insert
         front_end = HBFrontEnd(
             trace.num_threads,
-            emit=emit,
+            emit=online.insert,
             merge_collections=True,
             pruner=self.static_pruner,
         )

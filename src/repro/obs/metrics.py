@@ -108,12 +108,6 @@ METRIC_INVENTORY: Dict[str, Tuple[str, str]] = {
         "counter", "Malformed trace events quarantined by the online reader."
     ),
     # detector
-    "predicate_checks_total": (
-        "counter", "Predicate evaluations performed during detection."
-    ),
-    "hb_events_total": (
-        "counter", "Events stamped by the happened-before front-end."
-    ),
     "predicates_fast_pathed_total": (
         "counter", "Predicates routed to a slicing fast path by the planner."
     ),

@@ -64,10 +64,12 @@ class Observer:
     Parameters
     ----------
     clock:
-        Seconds source injected into the tracer, the metrics registry, and
-        (through the drivers) the per-task timing in
-        :func:`repro.core.bounded.bounded_enumeration` — one clock for the
-        whole run, so spans and measured stats always agree.
+        Seconds source injected into the tracer and the metrics registry,
+        and read by :func:`repro.core.bounded.bounded_enumeration`, which
+        both drivers hand this observer, to time every piece and its
+        ``I(e)`` span — one clock for the whole run, so spans and measured
+        stats always agree.  A :class:`NullObserver`'s clock is not read:
+        unobserved pieces are timed with ``time.perf_counter``.
     progress:
         Optional :class:`~repro.obs.progress.ProgressReporter` fed by the
         drivers as tasks complete.
@@ -166,7 +168,9 @@ class Observer:
     # pipeline hooks
 
     def task_done(self, stats) -> None:
-        """One enumeration task finished (called by the drivers).
+        """One enumeration piece finished (called by
+        :func:`~repro.core.bounded.bounded_enumeration`, and by the dist
+        coordinator as it commits a remote piece).
 
         Feeds the canonical series (``states_enumerated_total``,
         ``intervals_enumerated_total``, ``enumeration_seconds``), the

@@ -19,11 +19,20 @@ lexical kernel on bitmasks and on arrays, ``level-space``, ``bfs``),
 executors and schedules from a fixed seed; the distributed backend, whose
 worker processes take a while to start, is checked on a fixed handful of
 posets instead.
+
+The online driver (Algorithm 4) is one more dimension: its events arrive
+in a random linear extension of happened-before, from one thread or from
+one thread per poset thread, and it must make the intervals
+:func:`compute_intervals` makes for that order and visit the same
+reference lattice.  The detection workloads' event-collection posets are
+replayed the same way.
 """
 
 import json
+import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -34,13 +43,20 @@ from repro.core.executors import (
     SerialExecutor,
     WorkStealingThreadExecutor,
 )
+from repro.core.intervals import compute_intervals
+from repro.core.online import OnlineParaMount
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import plan_schedule
+from repro.detector.hb import poset_from_trace
 from repro.dist import DistributedExecutor
 from repro.enumeration import PackedLexicalEnumerator
 from repro.enumeration.base import make_enumerator
 from repro.poset.ideals import count_ideals
 from repro.poset.random_posets import RandomComputationSpec, random_computation
+from repro.poset.topological import random_topological_order
+from repro.runtime import run_program
+from repro.util.rng import DeterministicRng
+from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
 from tests.conftest import small_posets
 
@@ -169,6 +185,15 @@ def check(poset, kind, schedule, kill_at, tmp_path, subroutine="lexical-packed")
 KERNELS = ["bitmask", "array", "level-space", "bfs"]
 
 
+@contextmanager
+def kernel_subroutine(kernel):
+    """The subroutine name that runs ``kernel``, for the ``with`` body."""
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel == "array":
+            mp.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", -1)
+        yield "lexical-packed" if kernel in ("bitmask", "array") else kernel
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     poset=small_posets(),
@@ -180,10 +205,7 @@ KERNELS = ["bitmask", "array", "level-space", "bfs"]
 def test_in_process_runs_match_the_reference(
     tmp_path_factory, poset, kernel, kind, schedule, kill_at
 ):
-    subroutine = "lexical-packed" if kernel in ("bitmask", "array") else kernel
-    with pytest.MonkeyPatch.context() as mp:
-        if kernel == "array":
-            mp.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", -1)
+    with kernel_subroutine(kernel) as subroutine:
         check(
             poset, kind, schedule, kill_at, tmp_path_factory.mktemp("diff"),
             subroutine,
@@ -195,3 +217,126 @@ def test_in_process_runs_match_the_reference(
 def test_dist_local_runs_match_the_reference(tmp_path, seed, schedule):
     poset = random_computation(RandomComputationSpec(4, 40, 0.5, seed=seed))
     check(poset, "dist", schedule, 2, tmp_path)
+
+
+# --------------------------------------------------------------------- #
+# the online driver
+
+
+def online_worker(poset, subroutine, seen, synchronized=False):
+    """An online worker whose every interval visitor counts into ``seen``."""
+    return OnlineParaMount(
+        poset.num_threads,
+        subroutine=subroutine,
+        interval_visitor=lambda e, interval, view: (
+            lambda cut: seen.update([tuple(cut)])
+        ),
+        synchronized=synchronized,
+    )
+
+
+def check_online(poset, order, subroutine, expected):
+    """Insert ``poset``'s events in ``order`` and check the worker against
+    the offline partition of that order and the references (``expected``
+    is ``reference(poset)``)."""
+    seen = Counter()
+    om = online_worker(poset, subroutine, seen)
+    for tid, idx in order:
+        om.insert(poset.event(tid, idx))
+    assert om.intervals == compute_intervals(poset, order)
+    assert seen == expected
+    assert om.result.states == count_ideals(poset)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(poset=small_posets(), seed=st.integers(min_value=0, max_value=2**16))
+def test_online_inserts_in_any_linear_extension_match_the_reference(
+    poset, seed
+):
+    order = random_topological_order(poset, DeterministicRng(seed))
+    expected = reference(poset)
+    for kernel in KERNELS:
+        with kernel_subroutine(kernel) as subroutine:
+            check_online(poset, order, subroutine, expected)
+
+
+def insert_from_threads(om, poset):
+    """One inserting thread per poset thread, each waiting until its
+    event's dependencies are in, under a short switch interval."""
+    n = poset.num_threads
+    ready = threading.Condition()
+    errors = []
+
+    def run(tid):
+        try:
+            for idx in range(1, poset.lengths[tid] + 1):
+                event = poset.event(tid, idx)
+                with ready:
+                    ready.wait_for(
+                        lambda: all(
+                            om.builder.chain_length(j) >= event.vc[j]
+                            for j in range(n)
+                            if j != tid
+                        ),
+                        timeout=30,
+                    )
+                om.insert(event)
+                with ready:
+                    ready.notify_all()
+        except BaseException as exc:  # surfaced by the assertion below
+            errors.append(exc)
+            raise
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(poset=small_posets())
+def test_synchronized_online_inserts_match_the_reference(poset):
+    """Concurrent inserts: the order is whichever the threads made, so the
+    worker's intervals are those of the order its builder recorded."""
+    expected = reference(poset)
+    for kernel in KERNELS:
+        with kernel_subroutine(kernel) as subroutine:
+            seen = Counter()
+            om = online_worker(poset, subroutine, seen, synchronized=True)
+            insert_from_threads(om, poset)
+            order = om.builder.insertion_order()
+            assert Counter(om.intervals) == Counter(
+                compute_intervals(poset, order)
+            )
+            assert seen == expected
+            assert om.result.states == count_ideals(poset)
+
+
+def online_replays_match_offline(workload, seed):
+    """Replay one schedule's event-collection poset (the poset the
+    detector builds) through the online worker in 3 random linear
+    extensions, each checked as :func:`check_online` does."""
+    trace = run_program(
+        workload.build(), seed=seed, stickiness=workload.stickiness
+    )
+    poset = poset_from_trace(trace, merge_collections=True)
+    expected = reference(poset)
+    rng = DeterministicRng(seed)
+    for _ in range(3):
+        order = random_topological_order(poset, rng)
+        check_online(poset, order, "lexical-packed", expected)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_DETECTION_WORKLOADS))
+def test_online_replays_of_detection_posets_match_the_reference(name):
+    """The small slice; CI sweeps seeds 0–9 with the same function."""
+    for seed in range(3):
+        online_replays_match_offline(ALL_DETECTION_WORKLOADS[name], seed)

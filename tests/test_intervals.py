@@ -78,7 +78,7 @@ def test_interval_contains_and_volume():
     iv = Interval(event=(0, 1), lo=(1, 0), hi=(2, 2))
     assert iv.contains((1, 1))
     assert not iv.contains((0, 0))
-    assert iv.box_volume() == 2 * 3
+    assert iv.size_bound == 2 * 3
 
 
 def test_size_bound_is_cached():

@@ -137,7 +137,17 @@ def test_online_insert_counters_and_spans():
     assert counters["states_enumerated_total"] == 8
     cats = spans_by_category(observer)
     assert len([s for s in cats["clock"] if s.name == "append_stamped"]) == 4
-    assert len([s for s in cats["enumerate"] if not s.is_instant]) == 4
+    online_spans = [s for s in cats["enumerate"] if not s.is_instant]
+    assert len(online_spans) == 4
+    # Both drivers' pieces record the same span attributes.
+    offline = Observer()
+    ParaMount(poset, observer=offline).run()
+    offline_spans = [
+        s for s in spans_by_category(offline)["enumerate"] if not s.is_instant
+    ]
+    assert {frozenset(s.attrs) for s in online_spans} == {
+        frozenset(s.attrs) for s in offline_spans
+    }
 
 
 def test_online_quarantine_emits_instant_and_counter():
@@ -179,8 +189,8 @@ def test_detector_wires_observer_through_capture_and_detection():
     detect_spans = [s for s in observer.spans() if s.category == "detect"]
     assert len(detect_spans) == 1
     counters = observer.snapshot()["counters"]
-    assert counters["hb_events_total"] == report.poset_events
-    assert counters["predicate_checks_total"] == report.states_enumerated
+    assert counters["events_inserted_total"] == report.poset_events
+    assert counters["states_enumerated_total"] == report.states_enumerated
 
 
 # --------------------------------------------------------------------- #
