@@ -3,9 +3,9 @@
 The paper's insight (§3.2) is that *any* sequential enumeration algorithm
 becomes a ParaMount subroutine once it (1) respects interval bounds and
 (2) enumerates each state in the interval exactly once.  Our sequential
-enumerators already expose ``enumerate_interval``; this module packages the
-call with what every piece needs on every path — its timing, its
-``I(e)`` span and the observer's ``task_done`` — so the offline driver
+enumerators already expose a trusted ``walk`` of an interval; this module
+packages the call with what every piece needs on every path — its timing,
+its ``I(e)`` span and the observer's ``task_done`` — so the offline driver
 (Algorithm 1) and the online worker (Algorithm 4) run one piece path, and
 :func:`locked` is how both serialize a visitor shared by concurrent
 pieces.  The drivers select the subroutine by name through
@@ -43,6 +43,15 @@ def bounded_enumeration(
     the first interval in ``→p`` the lower bound is the zero cut, which adds
     exactly the empty global state (see :mod:`repro.core.intervals`).
 
+    The piece runs on the subroutine's unchecked
+    :meth:`~repro.enumeration.base.Enumerator.walk`, so ``interval`` must
+    have ``lo ≤ hi ≤ lengths`` with ``lo`` a consistent cut.  Its two
+    makers guarantee it: :func:`~repro.core.intervals.interval_of` takes
+    ``lo`` from an admitted, hence transitively closed, clock or the zero
+    cut, below ``Gbnd(e)``, and :func:`~repro.core.scheduling.pivot_split`
+    keeps the parent's ``lo`` or joins it with a clock, keeping ``lo ≤
+    hi``.  Bounds from anywhere else go to ``enumerate_interval``.
+
     The piece is timed on ``observer``'s clock, so
     ``IntervalStats.seconds`` and the piece's ``I(e)`` span (attributes
     ``event``, ``states`` and ``work``) share one timeline on every
@@ -58,7 +67,7 @@ def bounded_enumeration(
     """
     clock = observer.clock if observer.enabled else time.perf_counter
     t0 = clock()
-    result = subroutine.enumerate_interval(interval.lo, interval.hi, visit)
+    result = subroutine.walk(interval.lo, interval.hi, visit)
     seconds = clock() - t0
     stats = IntervalStats(
         event=interval.event,

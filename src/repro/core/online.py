@@ -192,8 +192,18 @@ class OnlineParaMount:
 
     @property
     def intervals(self) -> List[Interval]:
-        """The intervals processed so far, in insertion order."""
-        return list(self._intervals)
+        """The intervals enumerated so far, in insertion order: the ``→p``
+        order the builder recorded, which
+        :class:`~repro.core.intervals.IntervalIndex` needs.
+
+        Inserts from several threads may finish their intervals in another
+        order, so the list is put in insertion order here, when it is read,
+        and :meth:`insert` pays nothing for it.
+        """
+        done = {interval.event: interval for interval in self._intervals}
+        return [
+            done[eid] for eid in self.builder.insertion_order() if eid in done
+        ]
 
     def snapshot_poset(self) -> Poset:
         """Freeze the poset built so far (e.g. at program termination)."""

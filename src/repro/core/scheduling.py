@@ -236,10 +236,13 @@ def validate_split(
     """Partition-preservation check for one split.
 
     Raises :class:`IntervalError` unless (1) every piece keeps the
-    parent's event, (2) every piece's box lies inside the parent's, so the
-    size bounds cannot exceed it, (3) the boxes are pairwise disjoint, and
-    (4) the exact consistent-cut counts — computed by the independent
-    ideal-counting DP — sum to the parent's count.
+    parent's event, (2) every piece's ``lo`` is a consistent cut with
+    ``lo ≤ hi``, the precondition of the enumerators' trusted
+    :meth:`~repro.enumeration.base.Enumerator.walk`, (3) every piece's box
+    lies inside the parent's, so the size bounds cannot exceed it, (4) the
+    boxes are pairwise disjoint, and (5) the exact consistent-cut counts —
+    computed by the independent ideal-counting DP — sum to the parent's
+    count.
     """
     from repro.poset.ideals import count_ideals_in_interval
 
@@ -247,6 +250,11 @@ def validate_split(
         if piece.event != parent.event:
             raise IntervalError(
                 f"split piece changed identity: {piece.event} != {parent.event}"
+            )
+        if not (poset.is_consistent(piece.lo) and cut_leq(piece.lo, piece.hi)):
+            raise IntervalError(
+                f"split piece [{piece.lo}, {piece.hi}] does not start at a "
+                f"consistent cut below its bound"
             )
         if not (cut_leq(parent.lo, piece.lo) and cut_leq(piece.hi, parent.hi)):
             raise IntervalError(

@@ -9,9 +9,10 @@ can never be enumerated.
 
 The main loop is pull-based: request a lease — one run of consecutive
 interval pieces — enumerate its pieces in order with the subroutine's
-``enumerate_interval``, acknowledge the whole run in one message carrying
-every piece's stats (and the digest, re-presented so the coordinator can
-refuse a stale commit), repeat.  A background heartbeat thread keeps the
+checked ``enumerate_interval`` (the bounds come off the wire),
+acknowledge the whole run in one message carrying every piece's stats
+(and the digest, re-presented so the coordinator can refuse a stale
+commit), repeat.  A background heartbeat thread keeps the
 in-flight run's lease extended; the injected ``hang`` fault suppresses
 it, so a hung worker is indistinguishable from a partitioned one — which
 is the point, since lease expiry must recover both.

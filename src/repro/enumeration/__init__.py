@@ -24,7 +24,9 @@ ParaMount parallelizes (§3.2).  Four are selectable by name
 :class:`~repro.enumeration.squire.SquireEnumerator` are test oracles.
 All of them implement the *bounded* interface the ParaMount workers
 need: ``enumerate_interval(lo, hi)`` walks exactly the consistent cuts
-``G`` with ``lo ≤ G ≤ hi`` (paper Algorithm 2's generalization).
+``G`` with ``lo ≤ G ≤ hi`` (paper Algorithm 2's generalization), after
+checking the bounds; ``walk(lo, hi)`` does the same for bounds the
+drivers made themselves, unchecked.
 """
 
 from repro.enumeration.base import (

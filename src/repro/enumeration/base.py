@@ -1,5 +1,13 @@
 """Common interface and instrumentation for enumeration algorithms.
 
+An interval ``[lo, hi]`` has two entries, so bounds are validated once,
+at the boundary, as clocks are (:mod:`repro.poset.validate`).  The public
+:meth:`Enumerator.enumerate_interval` checks a caller's bounds, here for
+every kernel, and accepts an inconsistent ``lo``.  The trusted
+:meth:`Enumerator.walk` checks nothing; the drivers call it on the
+intervals they make themselves, whose ``lo`` is a consistent cut with
+``lo ≤ hi ≤ lengths`` (see :func:`repro.core.bounded.bounded_enumeration`).
+
 Every enumerator reports an :class:`EnumerationResult` carrying, besides
 the state count, two abstract cost metrics the parallel cost model
 (:mod:`repro.core.simulated`) consumes:
@@ -69,8 +77,9 @@ class CollectingVisitor:
 class Enumerator(ABC):
     """Base class for sequential enumeration algorithms.
 
-    Subclasses implement :meth:`enumerate_interval`; the unbounded
-    :meth:`enumerate` walks the whole lattice ``[0, lengths]``.
+    Subclasses implement the trusted :meth:`walk`; the checked
+    :meth:`enumerate_interval` and the unbounded :meth:`enumerate` (the
+    whole lattice ``[0, lengths]``) call it.
     """
 
     #: Short algorithm name used in experiment tables ("bfs", "lexical", ...).
@@ -85,20 +94,37 @@ class Enumerator(ABC):
 
     def enumerate(self, visit: Optional[CutVisitor] = None) -> EnumerationResult:
         """Enumerate *all* consistent global states exactly once."""
-        return self.enumerate_interval(
-            zero_cut(self.poset.num_threads), self.poset.lengths, visit
-        )
+        poset = self.poset
+        return self.walk(zero_cut(poset.num_threads), poset.lengths, visit)
 
-    @abstractmethod
     def enumerate_interval(
         self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
     ) -> EnumerationResult:
         """Enumerate every consistent cut ``G`` with ``lo ≤ G ≤ hi``.
 
         The bounds are componentwise (the paper's ``≤`` on global states);
-        each qualifying state is visited exactly once.  Raises
-        :class:`EnumerationError` if the bounds are malformed.
+        each qualifying state is visited exactly once.  ``lo`` need not be
+        a consistent cut.  Raises :class:`EnumerationError` if the bounds
+        are malformed.
         """
+        self._check_bounds(lo, hi)
+        return self._walk_any_lo(lo, hi, visit)
+
+    @abstractmethod
+    def walk(
+        self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
+    ) -> EnumerationResult:
+        """:meth:`enumerate_interval` without its checks: the caller
+        guarantees ``lo ≤ hi ≤ lengths`` and that ``lo`` is a consistent
+        cut."""
+
+    def _walk_any_lo(
+        self, lo: Cut, hi: Cut, visit: Optional[CutVisitor]
+    ) -> EnumerationResult:
+        """:meth:`walk` from checked bounds whose ``lo`` may be
+        inconsistent.  Every kernel but ``lexical-packed`` starts from
+        ``lo``'s closure anyway, so by default this is :meth:`walk`."""
+        return self.walk(lo, hi, visit)
 
     def _check_bounds(self, lo: Cut, hi: Cut) -> None:
         n = self.poset.num_threads

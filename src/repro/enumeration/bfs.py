@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.enumeration.base import EnumerationResult, Enumerator
-from repro.errors import EnumerationError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.poset.lattice import minimal_consistent_extension
 from repro.types import Cut, CutVisitor
 from repro.util.cuts import cut_leq
@@ -30,10 +30,9 @@ class BFSEnumerator(Enumerator):
 
     name = "bfs"
 
-    def enumerate_interval(
+    def walk(
         self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
     ) -> EnumerationResult:
-        self._check_bounds(lo, hi)
         poset = self.poset
         n = poset.num_threads
         start = minimal_consistent_extension(poset, lo, fixed_prefix=0)

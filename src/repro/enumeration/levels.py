@@ -53,10 +53,9 @@ class LevelEnumerator(Enumerator):
 
     name = "level-space"
 
-    def enumerate_interval(
+    def walk(
         self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
     ) -> EnumerationResult:
-        self._check_bounds(lo, hi)
         tables = self.poset.packed_tables()
         n = tables.num_threads
         rows = tables.rows

@@ -78,10 +78,9 @@ class LexicalEnumerator(Enumerator):
 
     name = "lexical"
 
-    def enumerate_interval(
+    def walk(
         self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
     ) -> EnumerationResult:
-        self._check_bounds(lo, hi)
         poset = self.poset
         states = 0
         work = [0]

@@ -13,7 +13,9 @@ of event ``b`` forces event ``a = (i, m)`` into a cut, then ``vc(a) ≤
 vc(b)`` componentwise, so ``a``'s own requirements are already covered by
 ``b``'s row.  The least consistent cut above a frontier is therefore a
 *single* componentwise-max pass over the frontier events' rows — no
-worklist, no fixpoint iteration.
+worklist, no fixpoint iteration.  The pass over ``lo`` itself runs on the
+public ``enumerate_interval`` only: the trusted :meth:`walk` the drivers
+call starts at ``lo``, which every interval they make has consistent.
 
 **Run batching.**  In lexical order the last coordinate is least
 significant, and clock rows are monotone along a chain, so for a fixed
@@ -99,30 +101,38 @@ class PackedLexicalEnumerator(Enumerator):
             return "bitmask"
         return "array"
 
-    def enumerate_interval(
-        self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
+    def _walk_any_lo(
+        self, lo: Cut, hi: Cut, visit: Optional[CutVisitor]
     ) -> EnumerationResult:
-        self._check_bounds(lo, hi)
+        """The public entry's start: :meth:`walk` from the least consistent
+        cut ≥ ``lo`` (one-round closure), or no state if that escapes
+        ``hi``."""
         tables = self.tables
         n = tables.num_threads
         rows = tables.rows
-        work = 0
-
-        # ---- initial state: least consistent cut ≥ lo (one-round) ------ #
-        cut = array("i", lo)
+        cut = list(lo)
         for i in range(n):
             ci = cut[i]
             if ci:
                 row = rows[i]
                 rb = (ci - 1) * n
-                work += n
                 for j in range(n):
                     need = row[rb + j]
                     if need > cut[j]:
                         cut[j] = need
         for j in range(n):
             if cut[j] > hi[j]:
-                return EnumerationResult(states=0, work=work, peak_live=0)
+                return EnumerationResult(states=0, work=0, peak_live=0)
+        return self.walk(tuple(cut), hi, visit)
+
+    def walk(
+        self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
+    ) -> EnumerationResult:
+        tables = self.tables
+        n = tables.num_threads
+        rows = tables.rows
+        work = 0
+        cut = array("i", lo)  # lo is consistent: the walk's first state
 
         use_mask = self.kernel == "bitmask"
         pre = None  # the bitmask prefix state, built on the first probe ≤ hi

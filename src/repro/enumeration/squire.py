@@ -42,10 +42,9 @@ class SquireEnumerator(Enumerator):
 
     name = "squire"
 
-    def enumerate_interval(
+    def walk(
         self, lo: Cut, hi: Cut, visit: Optional[CutVisitor] = None
     ) -> EnumerationResult:
-        self._check_bounds(lo, hi)
         poset = self.poset
         n = poset.num_threads
         start = minimal_consistent_extension(poset, lo, fixed_prefix=0)

@@ -134,6 +134,14 @@ class DataRacePredicate(StatePredicate):
         per-state :meth:`check` meets it.  Once every flag is set, the
         remaining states of the interval cost one test each.
 
+        Column ``lo[j]`` gets no flag, and a thread whose box holds only
+        that column gets no flags at all: ``lo`` is ``Gmin(e) = e.vc``, so
+        the column holds no event or one in ``e``'s past, a pair that both
+        pair routines reject (RV's too: its ``weak_vc`` clock is absent
+        here, and elsewhere orders every pair ``vc`` orders).  Every other
+        event of the box is concurrent with ``e``: it was inserted before
+        ``e`` and is not in ``e``'s past.
+
         No memo across intervals: a pair ``(e, f)`` is only ever examined
         in ``I(e)``, because ``f`` lies in a state ``≤ Gbnd(e)`` and so
         precedes ``e`` in ``→p`` (``I(f)`` ends before ``e`` exists).  The
@@ -146,13 +154,12 @@ class DataRacePredicate(StatePredicate):
         threads = []
         remaining = 0
         for j, (low, high) in enumerate(zip(interval.lo, interval.hi)):
-            if j == tid or not high:
+            if j == tid or low == high:
                 continue
             seen = bytearray(high - low + 1)
-            if not low:
-                seen[0] = 1  # no event of thread j: nothing to compare
+            seen[0] = 1  # e's past, or no event of thread j
             threads.append((j, low, seen))
-            remaining += len(seen) - seen[0]
+            remaining += high - low
 
         def visit(cut: Cut) -> None:
             nonlocal remaining

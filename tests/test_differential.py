@@ -26,6 +26,11 @@ one thread per poset thread, and it must make the intervals
 :func:`compute_intervals` makes for that order and visit the same
 reference lattice.  The detection workloads' event-collection posets are
 replayed the same way.
+
+The drivers enumerate every piece on the kernels' trusted ``walk``, which
+checks nothing, so every online interval and every planned piece is
+checked for its precondition: ``lo`` a consistent cut, ``lo ≤ hi ≤
+lengths``.
 """
 
 import json
@@ -55,6 +60,7 @@ from repro.poset.ideals import count_ideals
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.poset.topological import random_topological_order
 from repro.runtime import run_program
+from repro.util.cuts import cut_leq
 from repro.util.rng import DeterministicRng
 from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
@@ -110,10 +116,19 @@ def make_executor(kind):
     return DistributedExecutor(workers=2, lease_seconds=2.0, no_worker_grace=5.0)
 
 
+def assert_walkable(poset, intervals):
+    """The trusted walk's precondition: every interval a driver makes
+    starts at a consistent cut, below its bound, below the final cut."""
+    for iv in intervals:
+        assert poset.is_consistent(iv.lo), iv
+        assert cut_leq(iv.lo, iv.hi) and cut_leq(iv.hi, poset.lengths), iv
+
+
 def assert_one_record_per_piece(path, poset, schedule, workers):
     plan = plan_schedule(
         poset, ParaMount(poset).intervals, schedule, workers
     )
+    assert_walkable(poset, plan.tasks)
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     keys = [
         (tuple(r["event"]), tuple(r["lo"]), tuple(r["hi"])) for r in records
@@ -243,6 +258,7 @@ def check_online(poset, order, subroutine, expected):
     om = online_worker(poset, subroutine, seen)
     for tid, idx in order:
         om.insert(poset.event(tid, idx))
+    assert_walkable(poset, om.intervals)
     assert om.intervals == compute_intervals(poset, order)
     assert seen == expected
     assert om.result.states == count_ideals(poset)
@@ -313,9 +329,7 @@ def test_synchronized_online_inserts_match_the_reference(poset):
             om = online_worker(poset, subroutine, seen, synchronized=True)
             insert_from_threads(om, poset)
             order = om.builder.insertion_order()
-            assert Counter(om.intervals) == Counter(
-                compute_intervals(poset, order)
-            )
+            assert om.intervals == compute_intervals(poset, order)
             assert seen == expected
             assert om.result.states == count_ideals(poset)
 

@@ -3,10 +3,12 @@
 The central correctness battery: on arbitrary small posets, BFS, lexical
 and DFS must produce exactly the same set of global states — each exactly
 once — and the count must match the independent interval-DP counter.
+Every kernel's public entry refuses malformed bounds.
 """
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 
 from repro.enumeration import (
@@ -14,8 +16,11 @@ from repro.enumeration import (
     CollectingVisitor,
     DFSEnumerator,
     LexicalEnumerator,
+    SquireEnumerator,
     verify_enumerator,
 )
+from repro.enumeration.base import ENUMERATORS, make_enumerator
+from repro.errors import EnumerationError
 from repro.poset.ideals import count_ideals
 
 from tests.conftest import small_posets
@@ -83,3 +88,25 @@ def test_bounded_equals_filtered_full(poset):
         visitor = CollectingVisitor()
         cls(poset).enumerate_interval(lo, hi, visitor)
         assert visitor.as_set() == expected, cls.name
+
+
+ORACLES = {"dfs": DFSEnumerator, "squire": SquireEnumerator}
+
+
+@pytest.mark.parametrize("name", [*sorted(ENUMERATORS), *sorted(ORACLES)])
+def test_public_entry_refuses_malformed_bounds(name, figure4_poset):
+    """``enumerate_interval`` checks a caller's bounds for every kernel:
+    the wrong width, ``lo ≰ hi`` and ``hi ≰ lengths`` (here ``(2, 2)``)."""
+    if name in ORACLES:
+        enumerator = ORACLES[name](figure4_poset)
+    else:
+        enumerator = make_enumerator(name, figure4_poset)
+    malformed = [
+        ((0,), (1, 1)),
+        ((0, 0), (1, 1, 1)),
+        ((1, 1), (0, 2)),
+        ((0, 0), (2, 3)),
+    ]
+    for lo, hi in malformed:
+        with pytest.raises(EnumerationError):
+            enumerator.enumerate_interval(lo, hi)

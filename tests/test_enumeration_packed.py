@@ -261,7 +261,7 @@ def test_downset_masks_match_happened_before():
     assert decoded_downsets(bare.packed_tables()) == expected_downsets(poset)
 
 
-def test_numpy_and_pure_backends_build_identical_tables():
+def test_bulk_build_holds_the_poset_clocks():
     """The one (stdlib) bulk build holds the poset's clocks."""
     poset = random_computation(RandomComputationSpec(4, 16, 0.4, seed=9))
     tables = build_packed_tables(

@@ -6,7 +6,9 @@ the per-state form: :meth:`DataRacePredicate.check` with ``new_event`` on
 every state's frontier list, behind the pair memo, driven by the
 base-class default visitor.  Both must report the same races, from the
 same first pairs, over the same states — for the default predicate and
-for RV's weak-order subclass, which overrides the pair routine.
+for RV's weak-order subclass, which overrides the pair routine.  The
+visitor skips the pairs ``e`` makes with its own past, so only
+concurrent pairs reach the pair routine.
 """
 
 import sys
@@ -20,7 +22,7 @@ from repro.detector import FastTrackDetector, ParaMountDetector
 from repro.detector.hb import events_from_trace
 from repro.detector.rv_runtime import WeakOrderRacePredicate
 from repro.predicates.base import StatePredicate
-from repro.predicates.data_race import DataRacePredicate
+from repro.predicates.data_race import DataRacePredicate, events_are_concurrent
 from repro.runtime import run_program
 from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
@@ -84,6 +86,30 @@ def test_weak_order_predicate_dispatches_through_its_pair_routine():
             default = _detect(DataRacePredicate, trace, workload.benign_vars)
             init_races |= weak.racy_vars - default.racy_vars
     assert init_races
+
+
+def only_concurrent_pairs_reach_the_routine(workload, seed) -> bool:
+    """Detect on one schedule and check that no HB-ordered pair reaches
+    the pair routine: the visitor skips each interval's ``lo[j]``
+    column, which holds ``e``'s past."""
+    ordered = 0
+
+    class Counting(DataRacePredicate):
+        def _check_pair(self, a, b):
+            nonlocal ordered
+            ordered += not events_are_concurrent(a, b)
+            return super()._check_pair(a, b)
+
+    _detect(Counting, _trace(workload, seed), workload.benign_vars)
+    return not ordered
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_only_concurrent_pairs_reach_the_pair_routine(name):
+    """The small slice; CI sweeps seeds 0–9 with the same function."""
+    workload = ALL_DETECTION_WORKLOADS[name]
+    for seed in SEEDS:
+        assert only_concurrent_pairs_reach_the_routine(workload, seed), seed
 
 
 def racy_vars_agree_with_fasttrack(workload, seed) -> bool:
