@@ -16,6 +16,12 @@ order (Algorithm 1).  We provide:
 True process parallelism is :class:`repro.dist.DistributedExecutor`, which
 leases interval descriptors to local or remote worker processes.
 
+One input contract: :meth:`Executor.map_tasks` takes :class:`Task` values
+and the gather's :class:`RunContext`.  Nothing about a run is written onto
+an executor, so one executor serves any number of runs, each reporting
+only to its own context's observer; wrappers (retry guards, fault
+injection) replace only a task's ``fn``.
+
 Every executor returns one :class:`~repro.core.metrics.ExecutorReport`
 per gather: the results in task order, so per-interval statistics line up
 with the ``→p`` order regardless of backend, plus the gather's provenance
@@ -36,23 +42,73 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Sequence
 
+from repro.core.intervals import Interval
 from repro.core.metrics import ExecutorReport
 from repro.errors import ExecutorTimeoutError
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.poset.poset import Poset
 from repro.util.log import get_logger
 from repro.util.rng import DeterministicRng, derive_seed
+
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import CheckpointJournal
 
 logger = get_logger(__name__)
 
 __all__ = [
     "Executor",
     "RetryPolicy",
+    "RunContext",
     "SerialExecutor",
+    "Task",
     "WorkStealingThreadExecutor",
 ]
 
-T = TypeVar("T")
+
+@dataclass(frozen=True)
+class Task:
+    """One unit of work: calling the task calls ``fn``.
+
+    ``weight`` is what work-stealing executors deal and steal by (the
+    ParaMount driver's run's summed size bound); ``pieces`` are the
+    interval pieces a descriptor-shipping executor leases instead of
+    ``fn``; ``key`` is the identity fault injection draws by, stable across
+    retried subsets (``None``: the task's position in its gather).
+    """
+
+    fn: Callable[[], Any]
+    weight: int = 1
+    pieces: Sequence[Interval] = ()
+    key: Optional[object] = None
+
+    def __call__(self) -> Any:
+        return self.fn()
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """The run a gather belongs to, passed with its tasks (empty for a
+    gather made outside a driver).
+
+    In-process executors read only ``observer``.  A descriptor-shipping
+    executor re-creates the tasks from the rest (``deadline_at`` is a
+    :func:`time.monotonic` instant) and refuses ``visits``: tasks that
+    call back for every state, for a user visitor or a sanitizer.
+    """
+
+    poset: Optional[Poset] = None
+    subroutine: Optional[str] = None
+    memory_budget: Optional[int] = None
+    journal: Optional["CheckpointJournal"] = None
+    deadline_at: Optional[float] = None
+    visits: bool = False
+    observer: Observer = NULL_OBSERVER
+
+
+#: The context of a gather made outside a driver.
+NO_CONTEXT = RunContext()
 
 
 @dataclass(frozen=True)
@@ -92,16 +148,11 @@ class RetryPolicy:
 
 
 class Executor(ABC):
-    """Maps a list of zero-argument tasks to an :class:`ExecutorReport`
+    """Maps a list of :class:`Task` values to an :class:`ExecutorReport`
     whose results are in task order."""
 
     #: Short backend name used in experiment tables.
     name: str = "abstract"
-
-    #: Optional :class:`repro.obs.Observer` — the ParaMount driver wires
-    #: its own in before mapping when observability is enabled; stealing
-    #: executors emit steal markers and counters through it.
-    observer = None
 
     def __init__(self, num_workers: int = 1):
         if num_workers < 1:
@@ -109,45 +160,35 @@ class Executor(ABC):
         #: Worker count (the paper's "number of threads").
         self.num_workers = num_workers
 
-    def bind_run(
-        self,
-        poset,
-        subroutine: str,
-        memory_budget: Optional[int] = None,
-        journal=None,
-        deadline_at: Optional[float] = None,
-        visits: bool = False,
-    ) -> None:
-        """Receive the run context before the driver's :meth:`map_tasks`.
-
-        ``visits`` says whether the driver's tasks call back into this
-        process for every state (a user visitor or a sanitizer).  The
-        in-process executors run the driver's closures as they are and
-        ignore the context; a descriptor-shipping executor re-creates the
-        tasks from it.
-        """
-
     @abstractmethod
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
-        """Run all tasks; report their results in task order."""
+    def map_tasks(
+        self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
+    ) -> ExecutorReport:
+        """Run all tasks of one gather of ``context``'s run; report their
+        results in task order."""
 
-    def _record_queue_depth(self, remaining: int) -> None:
-        """Feed the live ``queue_depth`` gauge and the trace counter track.
 
-        The gauge is updated on every completion (a set is cheap); counter
-        samples go to the trace at most every ~250ms so a million-task run
-        does not bloat the span buffers.  No-op without an enabled
-        observer — the unobserved path pays one attribute check.
-        """
-        obs = self.observer
-        if obs is None or not getattr(obs, "enabled", False):
-            return
+def _queue_depth_recorder(obs: Observer) -> Callable[[int], None]:
+    """One gather's feed of the live ``queue_depth`` gauge and the trace
+    counter track, called with the number of unfinished tasks after each
+    completion.
+
+    The gauge is updated on every completion (a set is cheap); counter
+    samples go to the trace at most every ~250ms so a million-task run
+    does not bloat the span buffers.  A no-op without an enabled observer.
+    """
+    if not obs.enabled:
+        return lambda remaining: None
+    sampled_at = [float("-inf")]
+
+    def record(remaining: int) -> None:
         obs.gauge("queue_depth").set(remaining)
         now = obs.clock()
-        last = getattr(self, "_depth_sampled_at", None)
-        if last is None or now - last >= 0.25 or remaining == 0:
-            self._depth_sampled_at = now
+        if now - sampled_at[0] >= 0.25 or remaining == 0:
+            sampled_at[0] = now
             obs.counter_sample("queue_depth", remaining)
+
+    return record
 
 
 class SerialExecutor(Executor):
@@ -158,12 +199,15 @@ class SerialExecutor(Executor):
     def __init__(self) -> None:
         super().__init__(num_workers=1)
 
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
-        results: List[T] = []
+    def map_tasks(
+        self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
+    ) -> ExecutorReport:
+        record_depth = _queue_depth_recorder(context.observer)
+        results: List[Any] = []
         n = len(tasks)
         for index, task in enumerate(tasks):
             results.append(task())
-            self._record_queue_depth(n - index - 1)
+            record_depth(n - index - 1)
         return ExecutorReport(results=results)
 
 
@@ -173,25 +217,27 @@ class WorkStealingThreadExecutor(Executor):
     Tasks run concurrently, so callers must pass thread-safe visitors (the
     ParaMount driver wraps the user's visitor in a lock).
 
-    Each worker owns a deque of tasks dealt LPT-style by task ``weight``
-    (read from the task's ``weight`` attribute, defaulting to 1 — the
-    ParaMount driver sets it to the run's summed size bound).  Deques hold
-    tasks in descending weight, so a worker always runs its largest
-    remaining task next; a worker whose deque drains steals the largest
-    pending task across all other deques.  Combined with interval
-    splitting this bounds the schedule's makespan the way LPT list
-    scheduling does, without trusting the initial deal.
+    Each worker owns a deque of tasks dealt LPT-style by
+    :attr:`Task.weight` (the ParaMount driver sets it to the run's summed
+    size bound).  Deques hold tasks in descending weight, so a worker
+    always runs its largest remaining task next; a worker whose deque
+    drains steals the largest pending task across all other deques.
+    Combined with interval splitting this bounds the schedule's makespan
+    the way LPT list scheduling does, without trusting the initial deal.
 
     The gather's report counts ``steals`` (tasks executed by a worker
     other than the one they were dealt to) and holds each worker's
-    measured busy seconds as ``worker_load``.
+    measured busy seconds as ``worker_load``.  An enabled context
+    observer gets one ``worker_start`` marker per worker lane and a
+    ``steal`` marker plus ``steals_total`` bump per steal.
 
     ``task_timeout`` bounds the *no-progress* window: if no task
     completes for that long, the gather gives up and raises
     :class:`~repro.errors.ExecutorTimeoutError` carrying the lowest
-    unfinished task index (running threads cannot be interrupted; they
-    are abandoned as daemons and their results discarded, which is safe
-    because tasks are idempotent).
+    unfinished task index.  Running threads cannot be interrupted: they
+    are abandoned as daemons and finish the task they are in; a
+    :class:`~repro.resilience.ResilientExecutor` keeps what they finish
+    instead of running it again.
     """
 
     name = "threads-steal"
@@ -201,13 +247,16 @@ class WorkStealingThreadExecutor(Executor):
         #: No-progress window in seconds (``None`` = wait forever).
         self.task_timeout = task_timeout
 
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
+    def map_tasks(
+        self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
+    ) -> ExecutorReport:
         if not tasks:
             return ExecutorReport()
-        obs = self.observer
-        observe = obs is not None and getattr(obs, "enabled", False)
+        obs = context.observer
+        observe = obs.enabled
+        record_depth = _queue_depth_recorder(obs)
         n = len(tasks)
-        weights = [getattr(task, "weight", 1) for task in tasks]
+        weights = [task.weight for task in tasks]
         k = min(self.num_workers, n)
         # LPT deal: heaviest task to the least-loaded deque.  Tasks arrive
         # at each deque in descending weight, so its front is its largest.
@@ -219,7 +268,7 @@ class WorkStealingThreadExecutor(Executor):
             loads[w] += weights[i]
         lock = threading.Lock()
         progress = threading.Condition(lock)
-        results: List[Optional[T]] = [None] * n
+        results: List[Any] = [None] * n
         finished = [False] * n
         completed = [0]
         steals = [0]
@@ -275,7 +324,7 @@ class WorkStealingThreadExecutor(Executor):
                     completed[0] += 1
                     remaining = n - completed[0]
                     progress.notify_all()
-                self._record_queue_depth(remaining)
+                record_depth(remaining)
 
         threads = [
             threading.Thread(

@@ -8,8 +8,11 @@ Given a poset, ParaMount:
    (:mod:`repro.core.intervals`);
 3. hands the intervals to an executor, each enumerated independently by the
    bounded sequential subroutine (Algorithm 2) — oversized intervals split
-   and consecutive tiny ones coalesced into runs, one task per run
-   (:mod:`repro.core.scheduling`).  Each piece runs through
+   and consecutive tiny ones coalesced into runs
+   (:mod:`repro.core.scheduling`), one :class:`~repro.core.executors.Task`
+   per run, weighted by the run's summed size bound and carrying its
+   pieces, passed with the run's :class:`~repro.core.executors.RunContext`.
+   Each piece runs through
    :func:`~repro.core.bounded.bounded_enumeration`, the piece path the
    online worker shares; this driver adds only what it alone configures:
    the deadline skip, the sanitizer wrapper and the
@@ -23,9 +26,10 @@ visited exactly once — regardless of executor, worker count, or subroutine.
 
 The same disjointness makes every interval task *idempotent*, which is
 what the resilience plumbing rides on: a
-:class:`~repro.resilience.ResilientExecutor` may retry or degrade tasks
-(its failures and degradations come back in its
-:class:`~repro.core.metrics.ExecutorReport` and land on the result), a
+:class:`~repro.resilience.ResilientExecutor` may retry or degrade tasks,
+keeping the outcome of every task that finished so that none visits or
+journals its states twice (its failures and degradations come back in
+its :class:`~repro.core.metrics.ExecutorReport` and land on the result), a
 checkpoint journal (:class:`~repro.resilience.CheckpointJournal`) lets a
 killed run resume enumerating only its unfinished intervals, and a BFS
 interval that exceeds its memory budget can fall back to the default
@@ -42,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.bounded import bounded_enumeration, locked
-from repro.core.executors import Executor, SerialExecutor
+from repro.core.executors import Executor, RunContext, SerialExecutor, Task
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import DegradationEvent, IntervalStats, ParaMountResult
 from repro.core.scheduling import (
@@ -251,24 +255,19 @@ class ParaMount:
             else None
         )
         deadline_skips: List[EventId] = []
-        # Descriptor-shipping executors get the run context the closures
-        # close over, so they can re-run tasks from (event, lo, hi)
-        # descriptors on remote hosts.
-        self.executor.bind_run(
-            self.poset,
-            self.subroutine_name,
+        # What the tasks close over, for a descriptor-shipping executor to
+        # re-run them from (event, lo, hi) descriptors on remote hosts.
+        context = RunContext(
+            poset=self.poset,
+            subroutine=self.subroutine_name,
             memory_budget=self.memory_budget,
             journal=journal,
             deadline_at=deadline_at,
             visits=visit is not None or sanitizer is not None,
+            observer=obs,
         )
-        if obs.enabled:
-            if self.executor.observer is None:
-                self.executor.observer = obs
-            if journal is not None and getattr(journal, "observer", None) is None:
-                journal.observer = obs
-            if plan.split_intervals:
-                obs.counter("intervals_split_total").inc(plan.split_intervals)
+        if obs.enabled and plan.split_intervals:
+            obs.counter("intervals_split_total").inc(plan.split_intervals)
         if obs.progress is not None:
             obs.progress.set_total(len(plan.tasks))
             for _ in completed:
@@ -333,23 +332,21 @@ class ParaMount:
                     )
                 return stats
 
-        def make_task(
-            run: List[Interval],
-        ) -> Callable[[], List[Optional[IntervalStats]]]:
-            def task() -> List[Optional[IntervalStats]]:
+        def make_task(index: int, run: List[Interval]) -> Task:
+            def enumerate_run() -> List[Optional[IntervalStats]]:
                 out = [enumerate_piece(interval) for interval in run]
                 if journal is not None:
                     finished = [stats for stats in out if stats is not None]
                     if finished:
-                        journal.record(*finished)
+                        journal.record(*finished, observer=obs)
                 return out
 
-            # Work-stealing executors deal and steal by this weight.
-            task.weight = sum(iv.size_bound for iv in run)
-            # Descriptor-shipping executors read the pieces back off the
-            # closure instead of sending the closure itself over the wire.
-            task.intervals = run
-            return task
+            return Task(
+                enumerate_run,
+                weight=sum(iv.size_bound for iv in run),
+                pieces=run,
+                key=index,
+            )
 
         result = ParaMountResult()
         # O(n·|E|) to build →p and all interval bounds (§3.4).
@@ -360,7 +357,8 @@ class ParaMount:
                     "map_tasks", "schedule", tasks=len(runs), pieces=len(pending)
                 ):
                     report = self.executor.map_tasks(
-                        [make_task(run) for run in runs]
+                        [make_task(i, run) for i, run in enumerate(runs)],
+                        context,
                     )
         finally:
             if journal is not None:

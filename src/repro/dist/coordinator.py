@@ -49,7 +49,7 @@ from repro.dist.wire import (
     send_message,
 )
 from repro.errors import WireError
-from repro.obs import NULL_OBSERVER
+from repro.obs import ensure_observer
 from repro.poset.io import poset_to_dict
 from repro.poset.poset import Poset
 from repro.resilience.checkpoint import CheckpointJournal, TaskKey, poset_digest
@@ -130,7 +130,7 @@ class Coordinator:
         self.subroutine = subroutine
         self.memory_budget = memory_budget
         self.journal = journal
-        self.observer = observer if observer is not None else NULL_OBSERVER
+        self.observer = ensure_observer(observer)
         self.digest = poset_digest(poset)
         self._poset_data = poset_to_dict(poset)
         self.lease_seconds = lease_seconds
@@ -545,7 +545,7 @@ class Coordinator:
         # journal outside the condition lock: commit() already decided
         # uniqueness, and the journal has its own thread + file locks
         if self.journal is not None:
-            self.journal.record(*run_stats)
+            self.journal.record(*run_stats, observer=obs)
         attempt = int(msg.get("attempt", 0))
         for stats, r in zip(run_stats, results):
             if obs.enabled:

@@ -1,24 +1,26 @@
 """``DistributedExecutor`` — the coordinator/worker backend as an executor.
 
 Plugs into :class:`~repro.core.paramount.ParaMount` exactly like the
-in-process executors: ``map_tasks`` takes the driver's task closures and
-reports their stats in order.  The closures themselves never cross the
-wire — the driver stamps each one with its run's ``.intervals``, and this
-executor leases only their ``(event, lo, hi)`` descriptors plus the poset
-digest, one lease per run; the worker re-runs the bounded subroutine from
-the descriptors, which Theorem 2 guarantees is the identical computation.
+in-process executors: ``map_tasks`` takes the driver's
+:class:`~repro.core.executors.Task` list and the run's
+:class:`~repro.core.executors.RunContext`, and reports the tasks' stats in
+order.  A task's ``fn`` never crosses the wire — this executor leases only
+the ``(event, lo, hi)`` descriptors of its ``pieces`` plus the poset
+digest, one lease per task; the worker re-runs the bounded subroutine
+from the descriptors relative to the context's poset, subroutine and
+memory budget, which Theorem 2 guarantees is the identical computation.
+The coordinator commits to the context's journal and reports to its
+observer, and stops leasing at its deadline.
 
-The driver hands over the run context through
-:meth:`~repro.core.executors.Executor.bind_run` (poset, subroutine,
-memory budget, journal, deadline).  Remote workers cannot call back into
-the driver, so a run that must see every state — a user visitor or a
-sanitizer — is refused there, before any worker starts.
+Remote workers cannot call back into the driver, so a run that must see
+every state — a user visitor or a sanitizer, the context's ``visits`` —
+is refused before any coordinator or worker starts.
 
 Degradation: when every remote worker is lost (or none ever connects),
 the coordinator returns the undone tasks, and tasks that failed on every
 remote attempt come back as failures; this executor runs the *original
-closures* of both serially in-process.  Those closures journal and
-observe themselves — and apply the driver's ``degrade_on_oom`` — so the
+``fn``* of both serially in-process.  Those journal and observe
+themselves — and apply the driver's ``degrade_on_oom`` — so the
 degraded tail is indistinguishable from a normal local run.  The step is
 recorded as an ``"executor"`` :class:`~repro.core.metrics.DegradationEvent`;
 only a task that fails in-process too becomes a
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
-from repro.core.executors import Executor
+from repro.core.executors import NO_CONTEXT, Executor, RunContext, Task
 from repro.core.metrics import DegradationEvent, ExecutorReport, TaskFailure
 from repro.dist.coordinator import Coordinator
 from repro.dist.wire import WireFaults
@@ -39,8 +41,6 @@ from repro.dist.worker import spawn_local_workers
 from repro.errors import ExecutorError
 
 __all__ = ["DistributedExecutor"]
-
-T = TypeVar("T")
 
 
 class DistributedExecutor(Executor):
@@ -93,14 +93,6 @@ class DistributedExecutor(Executor):
         self.poset_path = poset_path
         #: ``None`` disables the coordinator's ops endpoint; ``0`` = any port.
         self.http_port = http_port
-        #: Wired by the ParaMount driver (like every executor's).
-        self.observer = None
-        # run context, supplied by bind_run
-        self._poset = None
-        self._subroutine: Optional[str] = None
-        self._memory_budget: Optional[int] = None
-        self._journal = None
-        self._deadline_at: Optional[float] = None
         #: The last run's coordinator (tests inspect its lease table).
         self.last_coordinator: Optional[Coordinator] = None
 
@@ -113,57 +105,42 @@ class DistributedExecutor(Executor):
         return max(self.workers, 1)
 
     # ------------------------------------------------------------------ #
-    # driver hooks
 
-    def bind_run(
-        self,
-        poset,
-        subroutine: str,
-        memory_budget: Optional[int] = None,
-        journal=None,
-        deadline_at: Optional[float] = None,
-        visits: bool = False,
-    ) -> None:
-        """Receive the run context the wire descriptors are relative to.
+    def map_tasks(
+        self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
+    ) -> ExecutorReport:
+        """Lease the tasks' pieces to worker processes.
 
-        Raises :class:`ValueError` when ``visits`` is set: remote workers
-        enumerate without calling back, so a visitor or sanitizer would
-        silently see none of their states.
+        Raises :class:`ValueError` when ``context.visits`` is set: remote
+        workers enumerate without calling back, so a visitor or sanitizer
+        would silently see none of their states.
         """
-        if visits:
+        if context.visits:
             raise ValueError(
                 "DistributedExecutor cannot run a visitor or sanitizer: "
                 "remote workers do not call back into the driver; count "
                 "states without one, or use an in-process executor"
             )
-        self._poset = poset
-        self._subroutine = subroutine
-        self._memory_budget = memory_budget
-        self._journal = journal
-        self._deadline_at = deadline_at
-
-    # ------------------------------------------------------------------ #
-
-    def map_tasks(self, tasks: Sequence[Callable[[], T]]) -> ExecutorReport:
-        if self._poset is None or self._subroutine is None:
+        if context.poset is None or context.subroutine is None:
             raise ExecutorError(
-                "DistributedExecutor needs bind_run(poset, subroutine, ...) "
-                "before map_tasks — run it through ParaMount"
+                "DistributedExecutor needs the run's poset and subroutine "
+                "in its context — run it through ParaMount"
             )
-        runs = [getattr(task, "intervals", None) for task in tasks]
-        if not all(runs):
+        if not all(task.pieces for task in tasks):
             raise ExecutorError(
-                "DistributedExecutor tasks must carry .intervals descriptors"
+                "DistributedExecutor tasks must carry their interval pieces"
             )
-        descriptors = [[(iv.event, iv.lo, iv.hi) for iv in run] for run in runs]
+        descriptors = [
+            [(iv.event, iv.lo, iv.hi) for iv in task.pieces] for task in tasks
+        ]
         keys = [run[0] for run in descriptors]
-        weights = [sum(iv.size_bound for iv in run) for run in runs]
+        obs = context.observer
         coord = Coordinator(
-            self._poset,
-            self._subroutine,
-            memory_budget=self._memory_budget,
-            journal=self._journal,
-            observer=self.observer,
+            context.poset,
+            context.subroutine,
+            memory_budget=context.memory_budget,
+            journal=context.journal,
+            observer=obs,
             host=self.host,
             port=self.port,
             lease_seconds=self.lease_seconds,
@@ -183,7 +160,9 @@ class DistributedExecutor(Executor):
                     wire_faults=self.wire_faults,
                 )
             committed, undone = coord.execute(
-                descriptors, weights, deadline_at=self._deadline_at
+                descriptors,
+                [task.weight for task in tasks],
+                deadline_at=context.deadline_at,
             )
         finally:
             coord.stop()
@@ -203,8 +182,8 @@ class DistributedExecutor(Executor):
         if not rerun:
             return report
         deadline_hit = (
-            self._deadline_at is not None
-            and time.monotonic() >= self._deadline_at
+            context.deadline_at is not None
+            and time.monotonic() >= context.deadline_at
         )
         if deadline_hit:
             # drained what we could; the rest is abandoned, not degraded
@@ -221,7 +200,7 @@ class DistributedExecutor(Executor):
                         )
                     )
             return report
-        # run the original closures serially in-process
+        # run the original fns serially in-process
         idxs = [i for i, key in enumerate(keys) if key in rerun]
         report.degradations.append(
             DegradationEvent(
@@ -235,10 +214,8 @@ class DistributedExecutor(Executor):
                 ),
             )
         )
-        if self.observer is not None and getattr(self.observer, "enabled", False):
-            self.observer.instant(
-                "degrade_executor", "dist", undone=len(idxs), to="serial"
-            )
+        if obs.enabled:
+            obs.instant("degrade_executor", "dist", undone=len(idxs), to="serial")
         for i in idxs:
             try:
                 report.results[i] = tasks[i]()

@@ -50,6 +50,7 @@ except ImportError:  # pragma: no cover
 from repro.core.intervals import Interval
 from repro.core.metrics import IntervalStats
 from repro.errors import CheckpointError
+from repro.obs.observer import Observer, ensure_observer
 from repro.poset.io import poset_to_dict
 from repro.poset.poset import Poset
 from repro.types import Cut, EventId
@@ -97,16 +98,15 @@ class CheckpointJournal:
     one write, flushed before the call returns, so a kill after the flush
     never loses that run.  The append handle opens on the first write and
     stays open until :meth:`close`, which the driver calls when its run
-    ends.
+    ends.  The journal holds no observer: each writer passes its run's to
+    :meth:`record`, so one journal serves successive runs (a killed run
+    and its resume) and each run's trace holds only its own writes.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._fh: Optional[IO[str]] = None
-        #: Optional :class:`repro.obs.Observer` — the drivers wire theirs
-        #: in so every write appears as a ``checkpoint`` span.
-        self.observer = None
 
     # ------------------------------------------------------------------ #
     # resume
@@ -227,12 +227,15 @@ class CheckpointJournal:
     # ------------------------------------------------------------------ #
     # record
 
-    def record(self, *stats: IntervalStats) -> None:
+    def record(
+        self, *stats: IntervalStats, observer: Optional[Observer] = None
+    ) -> None:
         """Append one finished run's records in one write, flushed before
-        returning."""
+        returning; an enabled ``observer`` (the writer's run's) gets the
+        write as a ``flush`` span and ``checkpoint_records_total``."""
         text = "".join(map(_record_line, stats))
-        obs = self.observer
-        observe = obs is not None and getattr(obs, "enabled", False)
+        obs = ensure_observer(observer)
+        observe = obs.enabled
         t0 = obs.clock() if observe else 0.0
         with self._lock:
             fh = self._fh

@@ -6,7 +6,11 @@ interval that does complete always produces its true statistics.  Because
 intervals are idempotent (Theorem 2), any retry/degradation strategy that
 eventually re-runs the perturbed intervals must converge to the exact
 fault-free totals — which is what the resilience test suite asserts,
-per seed, on every Table-1 poset.
+per seed, on every Table-1 poset.  Visits and journal writes are side
+effects, though, so a strategy must also keep what a lost gather finished
+instead of running it again; the differential oracle
+(``tests/test_differential.py``) checks that every state is visited and
+every piece journaled exactly once under these faults.
 
 All randomness flows through :func:`repro.util.rng.derive_seed` keyed by
 ``(seed, task key, attempt)``: the same spec injects the same faults in
@@ -31,10 +35,10 @@ Worker processes are perturbed by the same discipline through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.executors import Executor
+from repro.core.executors import NO_CONTEXT, Executor, RunContext, Task
 from repro.core.metrics import ExecutorReport
 from repro.errors import InjectedFaultError, ReproError
 from repro.util.rng import DeterministicRng, derive_seed
@@ -142,9 +146,10 @@ def apply_fault(kind: str, spec: FaultSpec, key: object, attempt: int) -> None:
 
     ``crash``/``poison`` raise :class:`~repro.errors.InjectedFaultError`;
     ``hang`` sleeps for ``hang_seconds`` (long enough to trip a configured
-    no-progress timeout, after which the task would complete late — its
-    result is discarded by the aborted gather); ``slow`` sleeps briefly
-    and lets the task proceed.
+    no-progress timeout; the woken attempt then reaches its body late,
+    where a :class:`~repro.resilience.runner.ResilientExecutor` guard
+    returns the outcome of a retry that finished first instead of running
+    it); ``slow`` sleeps briefly and lets the task proceed.
     """
     if kind == FAULT_SLOW:
         time.sleep(spec.slow_seconds)
@@ -157,14 +162,16 @@ def apply_fault(kind: str, spec: FaultSpec, key: object, attempt: int) -> None:
 class FaultInjectingExecutor(Executor):
     """Wraps any executor, deterministically perturbing the tasks it runs.
 
-    Each task's stable identity is ``task.fault_key`` when the attribute is
-    present (the resilient executor stamps original indices on its
-    wrappers so retried subsets keep their identity) and the batch position
-    otherwise.  Per-key attempt counters persist across ``map_tasks``
+    Each task's stable identity is its :attr:`~repro.core.executors.Task.key`
+    (the ParaMount driver keys each task by its index, so retried subsets
+    keep their identity), or its position in the gather when the key is
+    ``None``.  Per-key attempt counters persist across ``map_tasks``
     calls, so a retried task draws a *fresh* fault decision — retries can
     succeed.
 
-    Injected crashes propagate out of the wrapped task, aborting the inner
+    Only a task's ``fn`` is wrapped: its weight, pieces and key, and the
+    gather's run context, reach the inner executor unchanged.  Injected
+    crashes propagate out of the wrapped task, aborting the inner
     executor's gather exactly like a real worker death would.  A gather
     that returns hands back the inner executor's report unchanged.
     """
@@ -179,23 +186,25 @@ class FaultInjectingExecutor(Executor):
         #: Log of ``(key, attempt, kind)`` for every injected fault.
         self.injected: List[Tuple[object, int, str]] = []
 
-    def map_tasks(self, tasks: Sequence) -> ExecutorReport:
+    def map_tasks(
+        self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
+    ) -> ExecutorReport:
         wrapped = []
         for position, task in enumerate(tasks):
-            key = getattr(task, "fault_key", position)
+            key = position if task.key is None else task.key
             attempt = self._attempts.get(key, 0)
             self._attempts[key] = attempt + 1
             kind = self.spec.decide(key, attempt)
             if kind != FAULT_NONE:
                 self.injected.append((key, attempt, kind))
             wrapped.append(self._wrap(task, kind, key, attempt))
-        return self.inner.map_tasks(wrapped)
+        return self.inner.map_tasks(wrapped, context)
 
-    def _wrap(self, task, kind: str, key: object, attempt: int):
+    def _wrap(self, task: Task, kind: str, key: object, attempt: int) -> Task:
         spec = self.spec
 
         def faulty():
             apply_fault(kind, spec, key, attempt)
-            return task()
+            return task.fn()
 
-        return faulty
+        return replace(task, fn=faulty)

@@ -13,10 +13,19 @@ cascade).  Failures are handled at two granularities:
 * **batch-level** — infrastructure failures abort a whole gather: a hung
   task (:class:`~repro.errors.ExecutorTimeoutError`) or an injected crash
   from a :class:`~repro.resilience.faults.FaultInjectingExecutor` rung.
-  The pending tasks are simply resubmitted (idempotent intervals make the
-  wasted partial work harmless); repeated breakage steps one rung down
-  the ladder, recorded as a
-  :class:`~repro.core.metrics.DegradationEvent`.
+  Tasks that finished inside the lost gather keep their outcome and only
+  the rest are resubmitted; repeated breakage steps one rung down the
+  ladder, recorded as a :class:`~repro.core.metrics.DegradationEvent`.
+
+Exactly once: a task's visits and journal writes are side effects, so the
+guard keeps each task's outcome in a per-call list and runs the body under
+a per-task lock.  An attempt that reaches its body after another attempt
+of the same task finished (a hung attempt waking after its retry) returns
+that outcome without running; one that arrives while another is inside
+the body waits for it.  An attempt already inside its body when a timeout
+abandons its gather still finishes, since threads cannot be cancelled:
+its retry waits for that outcome, so a body that never returns holds its
+retries too.
 
 Worker-process faults are handled by
 :class:`repro.dist.DistributedExecutor` instead: its lease table
@@ -31,17 +40,23 @@ driver copies onto the run's result.
 from __future__ import annotations
 
 import os
+import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from dataclasses import replace
+from typing import List, Optional, Sequence
 
 from repro.core.executors import (
+    NO_CONTEXT,
     Executor,
     RetryPolicy,
+    RunContext,
     SerialExecutor,
+    Task,
     WorkStealingThreadExecutor,
 )
 from repro.core.metrics import DegradationEvent, ExecutorReport, TaskFailure
 from repro.errors import ExecutorTimeoutError
+from repro.obs.observer import Observer
 from repro.resilience.faults import FAULT_NONE, FaultSpec, apply_fault
 from repro.util.log import get_logger
 
@@ -89,11 +104,13 @@ class ResilientExecutor(Executor):
         deterministically attributed crash/hang/slow/poison faults (the
         test harness's primary injection point).
 
-    The returned report adds up the reports of every rung gather that
-    returned (steals, per-worker load, …) on top of this executor's own
-    failures, degradations and retries.  A gather that raised lost its
-    results and its report with them, so steals made inside it are not
-    counted.
+    Every rung gather gets the caller's :class:`RunContext`, so stealing
+    rungs mark their steals on the run's observer.  The returned report
+    adds up the reports of every rung gather that returned (steals,
+    per-worker load, …) on top of this executor's own failures,
+    degradations and retries.  A gather that raised lost its report (not
+    the outcomes of the tasks it finished), so steals made inside it are
+    not counted.
     """
 
     name = "resilient"
@@ -114,71 +131,79 @@ class ResilientExecutor(Executor):
 
     # ------------------------------------------------------------------ #
 
-    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> ExecutorReport:
-        # Forward the driver-wired observer down the ladder so stealing
-        # rungs emit steal markers into the same trace.
-        obs = self.observer
-        if obs is not None and getattr(obs, "enabled", False):
-            for rung_exec in self.ladder:
-                if getattr(rung_exec, "observer", None) is None:
-                    rung_exec.observer = obs
+    def map_tasks(
+        self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
+    ) -> ExecutorReport:
+        obs = context.observer
         n = len(tasks)
         report = ExecutorReport(results=[None] * n)
         results = report.results
         fail_count = [0] * n  # task-attributed failures (charges the retry budget)
         execs = [0] * n  # executions started (the fault plan's attempt index)
+        # Each task's final outcome, set by the first attempt to finish it
+        # (or when it is given up), and the lock an attempt holds inside
+        # the task's body: visits and journal writes are side effects, so
+        # no attempt runs a body another attempt is in or has finished.
+        done: List[Optional[tuple]] = [None] * n
+        locks = [threading.Lock() for _ in range(n)]
         pending = list(range(n))
         rung = 0
         rung_breaks = 0  # batch-level breakages on the current rung
+
+        def give_up(i: int, error: str, executor: str) -> None:
+            done[i] = (_ERR, error)
+            report.failures.append(
+                TaskFailure(
+                    task_index=i,
+                    attempts=fail_count[i],
+                    error=error,
+                    executor=executor,
+                )
+            )
 
         while pending:
             executor = self.ladder[rung]
             batch = []
             for i in pending:
-                batch.append(self._guard(tasks[i], i, execs[i]))
+                batch.append(self._guard(tasks[i], i, execs[i], done, locks[i]))
                 execs[i] += 1
             try:
-                rung_report = executor.map_tasks(batch)
+                rung_report = executor.map_tasks(batch, context)
             except Exception as exc:  # timeout, injected crash
-                # The whole gather was lost; everything pending is simply
-                # resubmitted — idempotent intervals make the wasted
-                # partial work harmless.  Only a timeout names a culprit,
-                # and only the culprit is charged an attempt.
-                if isinstance(exc, ExecutorTimeoutError):
-                    offender = pending[exc.task_index]
+                # The gather was lost, but not the tasks that finished
+                # inside it: they keep their outcome, and only the rest are
+                # resubmitted.  Only a timeout names a culprit, and only
+                # the culprit is charged an attempt.
+                timed_out = isinstance(exc, ExecutorTimeoutError)
+                offender = pending[exc.task_index] if timed_out else None
+                outcomes = [(i, done[i]) for i in pending]
+                for i, outcome in outcomes:
+                    if outcome is not None:
+                        results[i] = outcome[1]
+                pending = [i for i, outcome in outcomes if outcome is None]
+                if offender in pending:
                     fail_count[offender] += 1
                     if fail_count[offender] >= self.retry.max_attempts:
-                        report.failures.append(
-                            TaskFailure(
-                                task_index=offender,
-                                attempts=fail_count[offender],
-                                error=str(exc),
-                                executor=executor.name,
-                            )
-                        )
-                        pending = [i for i in pending if i != offender]
+                        give_up(offender, str(exc), executor.name)
+                        pending.remove(offender)
+                if not pending:
+                    break
                 rung_breaks += 1
                 if rung_breaks >= self.retry.max_attempts:
                     if rung + 1 < len(self.ladder):
-                        report.degradations.append(self._degrade(rung, str(exc)))
+                        report.degradations.append(
+                            self._degrade(rung, str(exc), obs)
+                        )
                         rung += 1
                         rung_breaks = 0
                     else:
                         reason = f"batch aborted repeatedly on the last rung: {exc}"
-                        report.failures.extend(
-                            TaskFailure(
-                                task_index=i,
-                                attempts=fail_count[i],
-                                error=reason,
-                                executor=executor.name,
-                            )
-                            for i in pending
-                        )
+                        for i in pending:
+                            give_up(i, reason, executor.name)
                         break
-                if pending:
-                    report.retries += len(pending)
-                    self._observe_retries(len(pending), str(exc))
-                    time.sleep(self.retry.delay(min(rung_breaks + 1, 8)))
+                report.retries += len(pending)
+                self._observe_retries(len(pending), str(exc), obs)
+                time.sleep(self.retry.delay(min(rung_breaks + 1, 8)))
                 continue
 
             report.add(rung_report)
@@ -190,19 +215,12 @@ class ResilientExecutor(Executor):
                     continue
                 fail_count[i] += 1
                 if fail_count[i] >= self.retry.max_attempts:
-                    report.failures.append(
-                        TaskFailure(
-                            task_index=i,
-                            attempts=fail_count[i],
-                            error=payload,
-                            executor=executor.name,
-                        )
-                    )
+                    give_up(i, payload, executor.name)
                 else:
                     still.append(i)
             if still:
                 report.retries += len(still)
-                self._observe_retries(len(still), "task error")
+                self._observe_retries(len(still), "task error", obs)
                 time.sleep(
                     self.retry.delay(min(max(fail_count[i] for i in still), 8))
                 )
@@ -212,8 +230,12 @@ class ResilientExecutor(Executor):
 
     # ------------------------------------------------------------------ #
 
-    def _guard(self, task, index: int, attempt: int):
-        """Wrap a task to capture its exception and inject guarded faults."""
+    def _guard(
+        self, task: Task, index: int, attempt: int, done: list, lock: threading.Lock
+    ) -> Task:
+        """Wrap a task's ``fn`` to capture its exception, inject guarded
+        faults, and run the body under ``lock`` only while ``done[index]``
+        holds no outcome for the task."""
         spec = self.fault_spec
 
         def guarded():
@@ -222,25 +244,21 @@ class ResilientExecutor(Executor):
                     kind = spec.decide(index, attempt)
                     if kind != FAULT_NONE:
                         apply_fault(kind, spec, index, attempt)
-                return (_OK, task())
+                with lock:
+                    if done[index] is None:
+                        done[index] = (_OK, task.fn())
+                    return done[index]
             except Exception as exc:
                 return (_ERR, f"{type(exc).__name__}: {exc}")
 
-        # Stable identity for a FaultInjectingExecutor rung: retried
-        # subsets keep their original task index.
-        guarded.fault_key = index  # type: ignore[attr-defined]
-        # Scheduling weight survives the wrapping, so a work-stealing rung
-        # still deals and steals by interval size.
-        guarded.weight = getattr(task, "weight", 1)  # type: ignore[attr-defined]
-        return guarded
+        return replace(task, fn=guarded)
 
-    def _observe_retries(self, count: int, reason: str) -> None:
-        obs = self.observer
-        if obs is not None and getattr(obs, "enabled", False):
+    def _observe_retries(self, count: int, reason: str, obs: Observer) -> None:
+        if obs.enabled:
             obs.counter("retry_attempts_total").inc(count)
             obs.instant("retry", "resilience", tasks=count, reason=reason)
 
-    def _degrade(self, rung: int, reason: str) -> DegradationEvent:
+    def _degrade(self, rung: int, reason: str, obs: Observer) -> DegradationEvent:
         from_name = self.ladder[rung].name
         to_name = self.ladder[rung + 1].name
         logger.warning(
@@ -254,8 +272,7 @@ class ResilientExecutor(Executor):
                 "degrade_to": to_name,
             },
         )
-        obs = self.observer
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs.enabled:
             obs.instant(
                 "degrade_executor",
                 "resilience",

@@ -26,6 +26,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import DeadlockError, SchedulerError
+from repro.obs.observer import ensure_observer
 from repro.runtime.waitgraph import WaitEdge, WaitForGraph
 from repro.runtime.ops import (
     Acquire,
@@ -386,7 +387,8 @@ def run_program(
     scheduler = Scheduler(
         program, seed=seed, stickiness=stickiness, sanitizer=sanitizer
     )
-    if observer is None or not getattr(observer, "enabled", False):
+    observer = ensure_observer(observer)
+    if not observer.enabled:
         return scheduler.run()
     with observer.span(
         "run_program", "capture", program=str(program.name), seed=seed

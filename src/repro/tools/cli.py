@@ -171,8 +171,12 @@ def _cmd_capture_poset(args: argparse.Namespace) -> int:
 
 def _make_observer(args: argparse.Namespace):
     """Build an Observer for ``enumerate``/``coordinator`` from the
-    --trace-out/--metrics-out/--progress/--profile/--http-port flags;
-    returns ``None`` when none was requested."""
+    --trace-out/--metrics-out/--progress/--profile/--http-port flags.
+
+    Returns ``(observer, finish)``: ``observer`` is ``None`` when none was
+    requested; ``finish()`` detaches the log handler, stops the profiler
+    and writes the requested trace, metrics and profile files.
+    """
     wants_obs = bool(
         getattr(args, "trace_out", None)
         or getattr(args, "metrics_out", None)
@@ -181,8 +185,15 @@ def _make_observer(args: argparse.Namespace):
         or getattr(args, "http_port", None) is not None
     )
     if not wants_obs:
-        return None
-    from repro.obs import Observer, ProgressReporter, SpanLogHandler
+        return None, lambda: None
+    from repro.obs import (
+        Observer,
+        ProgressReporter,
+        SamplingProfiler,
+        SpanLogHandler,
+        write_chrome_trace,
+        write_prometheus,
+    )
     from repro.util.log import get_logger
 
     progress = ProgressReporter() if args.progress else None
@@ -190,44 +201,33 @@ def _make_observer(args: argparse.Namespace):
     # Warnings (degradations, quarantines, timeouts) land on the trace too.
     handler = SpanLogHandler(observer)
     get_logger("").addHandler(handler)
-    observer._cli_log_handler = handler
-    observer._cli_profiler = None
+    profiler = None
     if getattr(args, "profile", None) is not None:
-        from repro.obs import SamplingProfiler
-
-        observer._cli_profiler = SamplingProfiler(
-            observer, hz=args.profile
-        ).start()
+        profiler = SamplingProfiler(observer, hz=args.profile).start()
         print(f"sampling profiler attached at {args.profile:g} Hz")
-    return observer
 
+    def finish() -> None:
+        get_logger("").removeHandler(handler)
+        if progress is not None:
+            progress.close()
+        if profiler is not None:
+            profiler.stop()
+            base = getattr(args, "profile_out", None) or "profile"
+            speedscope = profiler.write_speedscope(f"{base}.speedscope.json")
+            profiler.write_collapsed(f"{base}.collapsed.txt")
+            samples = sum(profiler.samples.values())
+            print(
+                f"profile written to {speedscope} and {base}.collapsed.txt "
+                f"({samples} samples)"
+            )
+        if args.trace_out:
+            write_chrome_trace(args.trace_out, observer.spans())
+            print(f"trace written to {args.trace_out} ({len(observer.spans())} spans)")
+        if args.metrics_out:
+            write_prometheus(args.metrics_out, observer.snapshot())
+            print(f"metrics written to {args.metrics_out}")
 
-def _finish_observer(observer, args: argparse.Namespace) -> None:
-    if observer is None:
-        return
-    from repro.obs import write_chrome_trace, write_prometheus
-    from repro.util.log import get_logger
-
-    get_logger("").removeHandler(observer._cli_log_handler)
-    if observer.progress is not None:
-        observer.progress.close()
-    profiler = getattr(observer, "_cli_profiler", None)
-    if profiler is not None:
-        profiler.stop()
-        base = getattr(args, "profile_out", None) or "profile"
-        speedscope = profiler.write_speedscope(f"{base}.speedscope.json")
-        profiler.write_collapsed(f"{base}.collapsed.txt")
-        samples = sum(profiler.samples.values())
-        print(
-            f"profile written to {speedscope} and {base}.collapsed.txt "
-            f"({samples} samples)"
-        )
-    if args.trace_out:
-        write_chrome_trace(args.trace_out, observer.spans())
-        print(f"trace written to {args.trace_out} ({len(observer.spans())} spans)")
-    if args.metrics_out:
-        write_prometheus(args.metrics_out, observer.snapshot())
-        print(f"metrics written to {args.metrics_out}")
+    return observer, finish
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -258,7 +258,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.wire_faults and not dist:
         print("error: --wire-faults requires --backend dist", file=sys.stderr)
         return 2
-    observer = _make_observer(args)
+    observer, finish_observer = _make_observer(args)
     if observer is not None and not args.paramount:
         print(
             "error: --trace-out/--metrics-out/--progress/--profile/"
@@ -335,7 +335,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         finally:
             if ops is not None:
                 ops.close()
-            _finish_observer(observer, args)
+            finish_observer()
         print(
             f"ParaMount({args.algorithm}): {result.states} states over "
             f"{len(result.intervals)} intervals "
@@ -418,7 +418,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
     from repro.poset.io import load_poset
 
     poset = _load(load_poset, args.poset)
-    observer = _make_observer(args)
+    observer, finish_observer = _make_observer(args)
     executor = DistributedExecutor(
         workers=args.workers,
         host=args.host,
@@ -451,7 +451,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
     try:
         result = pm.run()
     finally:
-        _finish_observer(observer, args)
+        finish_observer()
     print(
         f"coordinator done: {result.states} states over "
         f"{len(result.intervals)} intervals "

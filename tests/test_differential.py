@@ -20,6 +20,12 @@ executors and schedules from a fixed seed; the distributed backend, whose
 worker processes take a while to start, is checked on a fixed handful of
 posets instead.
 
+Injected faults are one more dimension: a resilient executor whose first
+rung crashes whole gathers and whose guard fails single tasks, at a
+drawn fault seed, must still visit every state once and journal every
+piece once — visits and journal writes are side effects, so a retry must
+keep what a lost gather finished instead of running it again.
+
 The online driver (Algorithm 4) is one more dimension: its events arrive
 in a random linear extension of happened-before, from one thread or from
 one thread per poset thread, and it must make the intervals
@@ -38,6 +44,7 @@ import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +52,7 @@ from hypothesis import strategies as st
 
 from repro.core.executors import (
     Executor,
+    RetryPolicy,
     SerialExecutor,
     WorkStealingThreadExecutor,
 )
@@ -59,9 +67,10 @@ from repro.enumeration.base import make_enumerator
 from repro.poset.ideals import count_ideals
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.poset.topological import random_topological_order
+from repro.resilience import FaultInjectingExecutor, FaultSpec, ResilientExecutor
 from repro.runtime import run_program
 from repro.util.cuts import cut_leq
-from repro.util.rng import DeterministicRng
+from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
 from tests.conftest import small_posets
@@ -85,7 +94,7 @@ class KillAfter(Executor):
         self._started = 0
         self._lock = threading.Lock()
 
-    def map_tasks(self, tasks):
+    def map_tasks(self, tasks, context):
         def stoppable(task):
             def run():
                 with self._lock:
@@ -94,11 +103,9 @@ class KillAfter(Executor):
                     self._started += 1
                 return task()
 
-            run.weight = task.weight
-            run.intervals = task.intervals
-            return run
+            return replace(task, fn=run)
 
-        return self.inner.map_tasks([stoppable(task) for task in tasks])
+        return self.inner.map_tasks([stoppable(task) for task in tasks], context)
 
 
 def reference(poset):
@@ -232,6 +239,55 @@ def test_in_process_runs_match_the_reference(
 def test_dist_local_runs_match_the_reference(tmp_path, seed, schedule):
     poset = random_computation(RandomComputationSpec(4, 40, 0.5, seed=seed))
     check(poset, "dist", schedule, 2, tmp_path)
+
+
+# --------------------------------------------------------------------- #
+# injected faults
+
+
+def check_under_faults(poset, rung, schedule, seed, tmp_path):
+    """One run under injected faults at fault seed ``seed``: the first
+    rung (``serial`` or ``threads2``) crashes whole gathers, the guard
+    fails single tasks.  Every state must be visited once and every piece
+    journaled once."""
+    inner = SerialExecutor() if rung == "serial" else WorkStealingThreadExecutor(2)
+    executor = ResilientExecutor(
+        [
+            FaultInjectingExecutor(
+                inner, FaultSpec(seed, crash=0.3, max_faulty_attempts=2)
+            ),
+            SerialExecutor(),
+        ],
+        retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0),
+        fault_spec=FaultSpec(
+            derive_seed(seed, "guard"), crash=0.2, max_faulty_attempts=2
+        ),
+    )
+    seen = Counter()
+    path = tmp_path / f"{rung}-{schedule}-{seed}.ckpt"
+    result = ParaMount(
+        poset, executor=executor, schedule=schedule, checkpoint=path
+    ).run(lambda c: seen.update([tuple(c)]))
+    assert result.complete
+    assert result.states == count_ideals(poset)
+    assert seen == reference(poset)
+    assert_one_record_per_piece(path, poset, schedule, executor.num_workers)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    poset=small_posets(),
+    rung=st.sampled_from(["serial", "threads2"]),
+    schedule=st.sampled_from(["fifo", "split-steal"]),
+    seed=st.integers(min_value=0, max_value=2),
+)
+def test_runs_under_injected_faults_match_the_reference(
+    tmp_path_factory, poset, rung, schedule, seed
+):
+    """The small slice; CI sweeps fault seeds 0–9 with the same function."""
+    check_under_faults(
+        poset, rung, schedule, seed, tmp_path_factory.mktemp("faults")
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -139,8 +139,8 @@ def test_run_needing_every_state_is_refused(callback):
 @pytest.mark.parametrize(
     "name,faults,lease_seconds",
     [
-        pytest.param("d-300", WireFaults(seed=0, kill_after=3), LEASE, id="d-300"),
-        pytest.param("tsp", WireFaults(seed=0, kill_after=3), LEASE, id="tsp"),
+        pytest.param("d-300", WireFaults(seed=0, kill_after=1), LEASE, id="d-300"),
+        pytest.param("tsp", WireFaults(seed=0, kill_after=1), LEASE, id="tsp"),
         pytest.param(
             "d-300", WireFaults(seed=FAULT_SEED, crash=1.0), 0.5, id="crash"
         ),
@@ -154,7 +154,8 @@ def test_run_needing_every_state_is_refused(callback):
 )
 def test_killed_worker_recovers_exactly(tmp_path, name, faults, lease_seconds):
     """One of two workers is faulted — killed -9 (``os._exit(137)``
-    before its 3rd run ack), crashed (``os._exit(1)`` before enumerating),
+    before it acks the first run it completes, so the kill fires however
+    few runs it wins), crashed (``os._exit(1)`` before enumerating),
     or hung past its lease with heartbeats suppressed: the surviving worker
     absorbs the re-dispatched leases, the state counts are byte-identical
     to serial, and the journal holds exactly one record per interval."""

@@ -8,13 +8,14 @@ import pytest
 from repro.core.executors import (
     RetryPolicy,
     SerialExecutor,
+    Task,
     WorkStealingThreadExecutor,
 )
 from repro.errors import ExecutorTimeoutError
 
 
 def _make_tasks(n):
-    return [lambda i=i: i * i for i in range(n)]
+    return [Task(lambda i=i: i * i) for i in range(n)]
 
 
 def test_serial_order_preserved():
@@ -44,7 +45,7 @@ def test_thread_executor_runs_concurrently():
         barrier.wait()
         return True
 
-    report = WorkStealingThreadExecutor(2).map_tasks([task, task])
+    report = WorkStealingThreadExecutor(2).map_tasks([Task(task), Task(task)])
     assert report.results == [True, True]
 
 
@@ -53,7 +54,7 @@ def test_thread_executor_propagates_exceptions():
         raise RuntimeError("task failed")
 
     with pytest.raises(RuntimeError):
-        WorkStealingThreadExecutor(2).map_tasks([boom])
+        WorkStealingThreadExecutor(2).map_tasks([Task(boom)])
 
 
 def test_worker_count_validation():
@@ -83,7 +84,7 @@ def test_thread_executor_timeout_is_typed_and_names_the_task():
 
     ex = WorkStealingThreadExecutor(1, task_timeout=0.1)
     with pytest.raises(ExecutorTimeoutError) as info:
-        ex.map_tasks([fast, hung, never])
+        ex.map_tasks([Task(fast), Task(hung), Task(never)])
     assert info.value.task_index == 1
     assert info.value.timeout == pytest.approx(0.1)
     assert "task 1" in str(info.value)
@@ -94,7 +95,7 @@ def test_thread_executor_timeout_is_typed_and_names_the_task():
 def test_thread_executor_without_timeout_waits():
     ex = WorkStealingThreadExecutor(2)
     assert ex.task_timeout is None
-    assert ex.map_tasks([lambda: 1, lambda: 2]).results == [1, 2]
+    assert ex.map_tasks([Task(lambda: 1), Task(lambda: 2)]).results == [1, 2]
 
 
 def test_retry_policy_delay_schedule():

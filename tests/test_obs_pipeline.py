@@ -8,7 +8,15 @@ import io
 import logging
 import threading
 
-from repro.core.executors import RetryPolicy, SerialExecutor, WorkStealingThreadExecutor
+import pytest
+
+from repro.core.executors import (
+    RetryPolicy,
+    RunContext,
+    SerialExecutor,
+    Task,
+    WorkStealingThreadExecutor,
+)
 from repro.core.online import OnlineParaMount
 from repro.core.paramount import ParaMount
 from repro.detector.paramount_detector import ParaMountDetector
@@ -18,6 +26,7 @@ from repro.resilience import FaultSpec, ResilientExecutor
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.runtime import Fork, Join, Program, Write, run_program
 from repro.util.log import get_logger
+from repro.workloads.registry import ENUMERATION_WORKLOADS
 
 from tests.conftest import build_chain_poset, build_figure4_poset
 
@@ -77,7 +86,6 @@ def test_steal_instants_and_counter():
     run to finish.  Every steal appears as an instant plus a counter bump."""
     observer = Observer()
     executor = WorkStealingThreadExecutor(2)
-    executor.observer = observer
     release = threading.Event()
 
     def blocker():
@@ -91,10 +99,9 @@ def test_steal_instants_and_counter():
     def filler(i):
         return i
 
-    tasks = [blocker, lambda: filler(1), setter, lambda: filler(2)]
-    for task, weight in zip(tasks, (10, 10, 9, 1)):
-        task.weight = weight
-    report = executor.map_tasks(tasks)
+    fns = [blocker, lambda: filler(1), setter, lambda: filler(2)]
+    tasks = [Task(fn, weight=weight) for fn, weight in zip(fns, (10, 10, 9, 1))]
+    report = executor.map_tasks(tasks, RunContext(observer=observer))
     assert report.results == ["blocked", 1, "set", 2]
     assert report.steals > 0
     steal_spans = [s for s in observer.spans() if s.name == "steal"]
@@ -214,6 +221,49 @@ def test_checkpoint_flush_spans(tmp_path):
     assert counters["checkpoint_records_total"] == len(result.intervals)
 
 
+def test_reused_executor_and_journal_report_to_each_runs_observer(tmp_path):
+    """One thread pool and one journal serve a killed run and its resume:
+    each run's observer holds exactly its own run's lane markers, steals
+    and journal writes, and nothing of the other run's."""
+    poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
+    executor = WorkStealingThreadExecutor(2)
+    journal = CheckpointJournal(tmp_path / "run.ckpt")
+    killed, resumed = Observer(), Observer()
+    seen = [0]
+
+    def kill_midway(cut):
+        seen[0] += 1
+        if seen[0] == 20_000:
+            raise RuntimeError("killed")
+
+    with pytest.raises(RuntimeError, match="killed"):
+        ParaMount(
+            poset, executor=executor, checkpoint=journal, schedule="fifo",
+            observer=killed,
+        ).run(kill_midway)
+    result = ParaMount(
+        poset, executor=executor, checkpoint=journal, schedule="fifo",
+        observer=resumed,
+    ).run()
+    assert result.complete
+    assert 0 < result.resumed_intervals < len(result.tasks)
+
+    def named(observer, name):
+        return [s for s in observer.spans() if s.name == name]
+
+    # each run's one gather opened both lanes in its own trace
+    assert len(named(killed, "worker_start")) == 2
+    assert len(named(resumed, "worker_start")) == 2
+    assert len(named(resumed, "steal")) == result.steals
+    assert resumed.snapshot()["counters"].get("steals_total", 0) == result.steals
+    # the killed run wrote the records the resume restored; the resume
+    # wrote the rest
+    restored = sum(s.attrs["records"] for s in named(killed, "flush"))
+    fresh = sum(s.attrs["records"] for s in named(resumed, "flush"))
+    assert restored == result.resumed_intervals
+    assert fresh == len(result.tasks) - result.resumed_intervals
+
+
 def test_resilient_retries_emit_instants_and_counter():
     observer = Observer()
     ex = ResilientExecutor(
@@ -221,8 +271,10 @@ def test_resilient_retries_emit_instants_and_counter():
         retry=FAST_RETRY,
         fault_spec=FaultSpec(seed=0, poison=frozenset({1})),
     )
-    ex.observer = observer
-    report = ex.map_tasks([lambda: "a", lambda: "b", lambda: "c"])
+    report = ex.map_tasks(
+        [Task(lambda: "a"), Task(lambda: "b"), Task(lambda: "c")],
+        RunContext(observer=observer),
+    )
     assert report.results == ["a", None, "c"]
     retries = [s for s in observer.spans() if s.name == "retry"]
     assert retries  # poisoned task retried before failing permanently

@@ -38,13 +38,13 @@ class AbortAfter(Executor):
         self.k = k
         self.pieces = []
 
-    def map_tasks(self, tasks):
+    def map_tasks(self, tasks, context=None):
         results = []
         for index, task in enumerate(tasks):
             if index >= self.k:
                 raise RuntimeError("simulated kill")
             results.append(task())
-            self.pieces.extend(task.intervals)
+            self.pieces.extend(task.pieces)
         return ExecutorReport(results=results)
 
 

@@ -7,6 +7,7 @@ from repro.core.executors import (
     Executor,
     RetryPolicy,
     SerialExecutor,
+    Task,
     WorkStealingThreadExecutor,
 )
 from repro.core.paramount import ParaMount
@@ -30,7 +31,7 @@ class AlwaysBroken(Executor):
     def __init__(self):
         super().__init__(num_workers=2)
 
-    def map_tasks(self, tasks):
+    def map_tasks(self, tasks, context=None):
         raise ExecutorError("worker OOM-killed")
 
 
@@ -51,7 +52,7 @@ def test_broken_pool_descends_after_repeated_breakage():
     ex = ResilientExecutor(
         ladder=[AlwaysBroken(), SerialExecutor()], retry=FAST_RETRY
     )
-    report = ex.map_tasks([lambda i=i: i + 1 for i in range(4)])
+    report = ex.map_tasks([Task(lambda i=i: i + 1) for i in range(4)])
     assert report.results == [1, 2, 3, 4]
     assert not report.failures
     assert len(report.degradations) == 1
@@ -67,7 +68,7 @@ def test_last_rung_exhaustion_records_failures_not_raises():
     ex = ResilientExecutor(
         ladder=[SerialExecutor()], retry=FAST_RETRY, fault_spec=spec
     )
-    report = ex.map_tasks([lambda: "a", lambda: "b", lambda: "c"])
+    report = ex.map_tasks([Task(lambda: "a"), Task(lambda: "b"), Task(lambda: "c")])
     assert report.results == ["a", None, "c"]
     failures = report.failures
     assert len(failures) == 1

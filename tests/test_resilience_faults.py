@@ -12,17 +12,25 @@ seeds 0, 1 and 2.
 """
 
 import os
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.core.executors import (
+    Executor,
     RetryPolicy,
     SerialExecutor,
+    Task,
     WorkStealingThreadExecutor,
 )
+from repro.core.metrics import ExecutorReport
 from repro.core.paramount import ParaMount
-from repro.errors import InjectedFaultError, ReproError
+from repro.core.scheduling import coalesce, plan_schedule
+from repro.errors import ExecutorTimeoutError, InjectedFaultError, ReproError
 from repro.obs import Observer
+from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.resilience import (
     FAULT_CRASH,
     FAULT_NONE,
@@ -105,9 +113,9 @@ def test_injecting_executor_logs_and_retries_get_fresh_draws():
     spec = FaultSpec(seed=FAULT_SEED, crash=1.0, max_faulty_attempts=1)
     ex = FaultInjectingExecutor(SerialExecutor(), spec)
     with pytest.raises(InjectedFaultError):
-        ex.map_tasks([lambda: 1, lambda: 2])
+        ex.map_tasks([Task(lambda: 1), Task(lambda: 2)])
     # second submission of the same keys is attempt 1 → fault-free
-    assert ex.map_tasks([lambda: 1, lambda: 2]).results == [1, 2]
+    assert ex.map_tasks([Task(lambda: 1), Task(lambda: 2)]).results == [1, 2]
     # both attempt-0 faults were planned and logged (the serial inner
     # stopped at the first crash, but injection is decided at wrap time)
     assert [(k, a) for k, a, _ in ex.injected] == [(0, 0), (1, 0)]
@@ -137,9 +145,9 @@ def test_resilient_accounting_identity_with_permanent_failures():
     the pieces it carried."""
 
     class Recording(ResilientExecutor):
-        def map_tasks(self, tasks):
+        def map_tasks(self, tasks, context):
             self.tasks = list(tasks)
-            return super().map_tasks(tasks)
+            return super().map_tasks(tasks, context)
 
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
     base = ParaMount(poset).run()
@@ -151,7 +159,7 @@ def test_resilient_accounting_identity_with_permanent_failures():
         fault_spec=spec,
     )
     result = ParaMount(poset, executor=ex).run()
-    poisoned = [iv.event for i in (0, 5) for iv in ex.tasks[i].intervals]
+    poisoned = [iv.event for i in (0, 5) for iv in ex.tasks[i].pieces]
     assert len(result.failures) == len(poisoned) >= 2
     assert [f.event for f in result.failures] == poisoned
     assert {f.attempts for f in result.failures} == {2}
@@ -211,6 +219,127 @@ def test_table1_workloads_exact_under_faults(name):
     assert result.complete and not result.degraded
     assert result.states == base.states
     assert result.interval_sizes() == base.interval_sizes()
+
+
+def test_injecting_rung_keeps_the_task_weights():
+    """Fault injection wraps only a task's body: the thread rung under it
+    still deals and steals each run by its summed size bound."""
+
+    class WeightRecording(WorkStealingThreadExecutor):
+        def map_tasks(self, tasks, context):
+            self.weights = [task.weight for task in tasks]
+            return super().map_tasks(tasks, context)
+
+    poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
+    rung = WeightRecording(2)
+    ex = ResilientExecutor(
+        ladder=[FaultInjectingExecutor(rung, FaultSpec(seed=0)), SerialExecutor()]
+    )
+    pm = ParaMount(poset, executor=ex, schedule="fifo")
+    result = pm.run()
+    plan = plan_schedule(poset, pm.intervals, "fifo", ex.num_workers)
+    runs = coalesce(plan, plan.tasks, pm.intervals)
+    assert result.complete
+    assert rung.weights == [sum(iv.size_bound for iv in run) for run in runs]
+    assert max(rung.weights) > 1
+
+
+def test_retries_run_each_task_body_once(tmp_path):
+    """Crashes lose whole gathers and hangs trip the gather timeout; the
+    retries finish the tasks.  A task that finished inside a lost gather
+    is not resubmitted, and a hung attempt that wakes after its retry
+    returns the retry's outcome: every state is visited and every
+    interval journaled once.  Four threads on a short switch interval
+    stress the outcome list the attempts share."""
+    # 18 runs of a few ms each: only the injected hangs outlast the timeout
+    poset = random_computation(RandomComputationSpec(4, 120, 0.3, seed=5))
+    base = ParaMount(poset).run()
+    spec = FaultSpec(
+        seed=FAULT_SEED, crash=0.3, hang=0.3, hang_seconds=0.5,
+        max_faulty_attempts=1,
+    )
+    rung = FaultInjectingExecutor(
+        WorkStealingThreadExecutor(4, task_timeout=0.1), spec
+    )
+    ex = ResilientExecutor(ladder=[rung, SerialExecutor()], retry=FAST_RETRY)
+    visits = [0]
+
+    def count(cut):
+        visits[0] += 1
+
+    path = tmp_path / "faults.ckpt"
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = ParaMount(
+            poset, executor=ex, schedule="fifo", checkpoint=path
+        ).run(count)
+        time.sleep(spec.hang_seconds + 0.2)  # every hung attempt has woken
+    finally:
+        sys.setswitchinterval(old)
+    assert result.complete
+    assert {"crash", "hang"} <= {kind for _, _, kind in rung.injected}
+    assert visits[0] == base.states
+    assert len(path.read_text().splitlines()) == 1 + len(base.intervals)
+
+
+def test_retry_waits_for_an_abandoned_attempt_inside_its_body():
+    """A timeout abandons a gather while an attempt is inside its task's
+    body, which a thread cannot be made to leave.  The retry waits for
+    that attempt's outcome instead of running the body a second time."""
+    entered = threading.Event()
+    runs = []
+
+    def body():
+        runs.append(1)
+        entered.set()
+        time.sleep(0.2)
+        return "done"
+
+    class AbandonFirstGather(Executor):
+        """Starts the first gather's first task on a thread and abandons
+        the gather once the task is inside its body, as a no-progress
+        timeout does; runs later gathers serially."""
+
+        name = "abandon-first"
+
+        def __init__(self):
+            super().__init__(num_workers=1)
+            self.gathers = 0
+
+        def map_tasks(self, tasks, context=None):
+            self.gathers += 1
+            if self.gathers == 1:
+                threading.Thread(target=tasks[0], daemon=True).start()
+                assert entered.wait(5.0)
+                raise ExecutorTimeoutError(0, 0.0, executor=self.name)
+            return ExecutorReport(results=[task() for task in tasks])
+
+    ex = ResilientExecutor(ladder=[AbandonFirstGather()], retry=FAST_RETRY)
+    report = ex.map_tasks([Task(body)])
+    assert report.results == ["done"]
+    assert report.retries == 1
+    assert runs == [1]
+
+
+def test_given_up_task_stays_unrun_when_its_hung_attempts_wake():
+    """Every attempt of a task hangs past the timeout until it is given
+    up; the abandoned attempts that wake afterwards do not run it."""
+    runs = []
+    spec = FaultSpec(seed=FAULT_SEED, hang=1.0, hang_seconds=0.3)
+    ex = ResilientExecutor(
+        ladder=[
+            FaultInjectingExecutor(
+                WorkStealingThreadExecutor(1, task_timeout=0.05), spec
+            )
+        ],
+        retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0),
+    )
+    report = ex.map_tasks([Task(lambda: runs.append(1))])
+    time.sleep(spec.hang_seconds + 0.2)  # every hung attempt has woken
+    assert report.results == [None]
+    assert [f.attempts for f in report.failures] == [2]
+    assert runs == []
 
 
 def test_batch_level_faults_through_injecting_rung():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import build_chain_poset, small_posets
-from repro.core.executors import SerialExecutor, WorkStealingThreadExecutor
+from repro.core.executors import SerialExecutor, Task, WorkStealingThreadExecutor
 from repro.core.intervals import Interval, compute_intervals, interval_of_cut
 from repro.core.metrics import ExecutorReport
 from repro.core.paramount import ParaMount
@@ -211,8 +211,7 @@ def test_stealing_executor_preserves_order_and_results():
     for i in range(20):
         def task(i=i):
             return i * i
-        task.weight = 20 - i
-        tasks.append(task)
+        tasks.append(Task(task, weight=20 - i))
     ex = WorkStealingThreadExecutor(4)
     report = ex.map_tasks(tasks)
     assert report.results == [i * i for i in range(20)]
@@ -235,9 +234,8 @@ def test_stealing_executor_steals_from_stragglers():
     # LPT deal with these weights: deque0 = [slow(8), q3(5)],
     # deque1 = [q1(7), q2(6)].  Worker 1 drains its deque while worker 0
     # is stuck in `slow`, then steals q3 off deque0.
-    tasks = [slow, quick("q1"), quick("q2"), quick("q3")]
-    for task, weight in zip(tasks, (8, 7, 6, 5)):
-        task.weight = weight
+    fns = [slow, quick("q1"), quick("q2"), quick("q3")]
+    tasks = [Task(fn, weight=weight) for fn, weight in zip(fns, (8, 7, 6, 5))]
     ex = WorkStealingThreadExecutor(2)
     report = ex.map_tasks(tasks)
     assert report.results == ["slow", "q1", "q2", "q3"]
@@ -250,7 +248,7 @@ def test_stealing_executor_propagates_task_exception():
 
     ex = WorkStealingThreadExecutor(3)
     with pytest.raises(RuntimeError, match="interval exploded"):
-        ex.map_tasks([lambda: 1, boom, lambda: 2])
+        ex.map_tasks([Task(lambda: 1), Task(boom), Task(lambda: 2)])
 
 
 def test_stealing_executor_times_out_on_no_progress():
@@ -264,7 +262,7 @@ def test_stealing_executor_times_out_on_no_progress():
 
     ex = WorkStealingThreadExecutor(2, task_timeout=0.1)
     with pytest.raises(ExecutorTimeoutError):
-        ex.map_tasks([hang, lambda: "ok"])
+        ex.map_tasks([Task(hang), Task(lambda: "ok")])
     release.set()
 
 
@@ -339,13 +337,13 @@ class AbortAfter(SerialExecutor):
         self.kill_at = kill_at
         self.pieces = []
 
-    def map_tasks(self, tasks):
+    def map_tasks(self, tasks, context=None):
         done = []
         for index, task in enumerate(tasks):
             if index >= self.kill_at:
                 raise RuntimeError(f"killed after {self.kill_at} tasks")
             done.append(task())
-            self.pieces.extend(task.intervals)
+            self.pieces.extend(task.pieces)
         return ExecutorReport(results=done)
 
 
