@@ -42,7 +42,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.core.intervals import Interval
 from repro.core.metrics import ExecutorReport
@@ -233,9 +233,10 @@ class WorkStealingThreadExecutor(Executor):
 
     ``task_timeout`` bounds the *no-progress* window: if no task
     completes for that long, the gather gives up and raises
-    :class:`~repro.errors.ExecutorTimeoutError` carrying the lowest
-    unfinished task index.  Running threads cannot be interrupted: they
-    are abandoned as daemons and finish the task they are in; a
+    :class:`~repro.errors.ExecutorTimeoutError` carrying the index of the
+    earliest-started task still running (a queued task has not had its
+    chance).  Running threads cannot be interrupted: they are abandoned as
+    daemons and finish the task they are in; a
     :class:`~repro.resilience.ResilientExecutor` keeps what they finish
     instead of running it again.
     """
@@ -270,6 +271,8 @@ class WorkStealingThreadExecutor(Executor):
         progress = threading.Condition(lock)
         results: List[Any] = [None] * n
         finished = [False] * n
+        # indexes of the tasks being run, in the order they started
+        running: Dict[int, None] = {}
         completed = [0]
         steals = [0]
         busy = [0.0] * k
@@ -281,7 +284,9 @@ class WorkStealingThreadExecutor(Executor):
                 if stop[0] or errors:
                     return None
                 if deques[worker]:
-                    return deques[worker].popleft()
+                    index = deques[worker].popleft()
+                    running[index] = None
+                    return index
                 victim = None
                 for q in deques:
                     if q and (victim is None or weights[q[0]] > weights[victim[0]]):
@@ -290,6 +295,7 @@ class WorkStealingThreadExecutor(Executor):
                     return None
                 steals[0] += 1
                 index = victim.popleft()
+                running[index] = None
                 if observe:
                     obs.instant(
                         "steal", "schedule", task=index, weight=weights[index]
@@ -321,6 +327,7 @@ class WorkStealingThreadExecutor(Executor):
                 with progress:
                     results[index] = value
                     finished[index] = True
+                    del running[index]
                     completed[0] += 1
                     remaining = n - completed[0]
                     progress.notify_all()
@@ -346,7 +353,7 @@ class WorkStealingThreadExecutor(Executor):
                     and completed[0] < n
                 ):
                     stop[0] = True
-                    timed_out = next(i for i in range(n) if not finished[i])
+                    timed_out = next(iter(running), finished.index(False))
                     break
         if timed_out is not None:
             logger.warning(

@@ -13,12 +13,16 @@ local worker processes and remote hosts alike:
   sockets, plus seeded wire-level fault injection;
 * :mod:`repro.dist.lease` — the lease table: pending → leased → committed,
   with heartbeat-extended expiry and exactly-one-commit semantics;
-* :mod:`repro.dist.coordinator` — leases runs of interval descriptors
+* :mod:`repro.dist.coordinator` — refuses workers whose poset digest is
+  stale or missing, leases runs of interval descriptors
   (:func:`~repro.core.scheduling.coalesce`) to workers, re-dispatches
-  expired leases, commits each run's acknowledgement to the journal;
-* :mod:`repro.dist.worker` — connects, verifies the poset digest,
-  enumerates a leased run's intervals, acknowledges them in one message;
-  starts local worker processes with :mod:`multiprocessing`;
+  expired leases, commits each run's acknowledgement to the journal and
+  counts the per-host series from it;
+* :mod:`repro.dist.worker` — holds its poset before it connects (a forked
+  local worker inherits the parent's, ``repro-tools worker`` loads
+  ``--poset``), enumerates a leased run's intervals and acknowledges them
+  in one message, its only report; starts local worker processes with
+  :mod:`multiprocessing`;
 * :mod:`repro.dist.executor` — :class:`DistributedExecutor`, pluggable
   into :class:`~repro.core.paramount.ParaMount` like any other executor,
   running in-process whatever no worker finished.

@@ -6,9 +6,14 @@ worker's pull-based ``request`` messages with leases.  A lease carries one
 *run* — the ``(event, lo, hi)`` descriptors of consecutive interval pieces
 (:func:`repro.core.scheduling.coalesce`) — and the worker acknowledges the
 whole run in one message; the coordinator commits it once (the first ack
-wins) and journals its records in one write.  Spans and the per-host
-``enumeration_seconds`` histogram stay per piece, so they reconcile with
-the journal's one record per piece.  A monitor
+wins) and journals its records in one write.  The ack is the worker's
+only report: spans, the per-host ``enumeration_seconds`` histogram and
+the per-host ``states_enumerated_total`` and
+``intervals_enumerated_total`` counters are all fed from the pieces a
+first ack commits, so they reconcile with the journal's one record per
+piece.  A worker holds the poset before it connects and names its
+digest in its hello; a hello with a stale or missing digest is refused
+before the worker can hold a lease.  A monitor
 loop in the calling thread watches for lease expiry, wall-clock deadline,
 and worker exhaustion.  All shared state — the :class:`LeaseTable` and
 the connected-worker set — is serialized through one condition variable,
@@ -25,9 +30,10 @@ Robustness properties, and where they live:
   viewpoint: lease expiry recovers it, and if the original ack limps in
   later, :meth:`LeaseTable.commit` drops the duplicate so the journal
   still holds exactly one record per piece;
-* **stale digest** — every acknowledgement carries the worker's poset
-  digest; a mismatch is counted, refused, and the worker disconnected
-  before it can corrupt the commit log;
+* **stale digest** — the hello, every lease and every acknowledgement
+  carry the poset digest; a stale hello is refused before its worker
+  holds a lease, and a stale ack is counted, refused, and the worker
+  disconnected before it can corrupt the commit log;
 * **no workers left** — the monitor loop notices an empty worker set with
   work outstanding and returns the undone tasks, which the
   :class:`~repro.dist.executor.DistributedExecutor` then runs in-process
@@ -50,7 +56,6 @@ from repro.dist.wire import (
 )
 from repro.errors import WireError
 from repro.obs import ensure_observer
-from repro.poset.io import poset_to_dict
 from repro.poset.poset import Poset
 from repro.resilience.checkpoint import CheckpointJournal, TaskKey, poset_digest
 
@@ -58,6 +63,9 @@ __all__ = ["Coordinator"]
 
 #: Monitor-loop tick when no lease deadline is nearer (seconds).
 _TICK = 0.25
+
+#: Remote attempts of a run before it is left to the in-process fallback.
+_MAX_TASK_ATTEMPTS = 5
 
 
 def _key_wire(key: TaskKey) -> Dict[str, Any]:
@@ -123,20 +131,16 @@ class Coordinator:
         lease_seconds: float = 5.0,
         heartbeat_seconds: float = 1.0,
         no_worker_grace: float = 10.0,
-        max_task_attempts: int = 5,
         http_port: Optional[int] = None,
     ):
-        self.poset = poset
         self.subroutine = subroutine
         self.memory_budget = memory_budget
         self.journal = journal
         self.observer = ensure_observer(observer)
         self.digest = poset_digest(poset)
-        self._poset_data = poset_to_dict(poset)
         self.lease_seconds = lease_seconds
         self.heartbeat_seconds = heartbeat_seconds
         self.no_worker_grace = no_worker_grace
-        self.max_task_attempts = max_task_attempts
         self._host = host
         self._port = port
         self._listener: Optional[socket.socket] = None
@@ -159,15 +163,12 @@ class Coordinator:
         self._last_worker_at = time.monotonic()
         #: permanent run failures: key -> (attempts, error string, worker)
         self.failures: Dict[TaskKey, Tuple[int, str, str]] = {}
-        self.stale_acks = 0
         #: hosts that committed at least one run
         self.hosts: List[str] = []
         #: ``None`` disables the ops endpoint; ``0`` picks a free port.
         self._http_port = http_port
         #: The mounted :class:`~repro.obs.http.OpsEndpoint`, if any.
         self.ops = None
-        #: last piggybacked counter reading per host (for delta ingestion)
-        self._hb_metrics: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -300,7 +301,6 @@ class Coordinator:
                 for key in self.table.outstanding()
                 if key not in self.failures
             ]
-            self.stale_acks = self.table.stale_acks
             return committed, undone
 
     def _all_resolved(self) -> bool:
@@ -326,28 +326,6 @@ class Coordinator:
         obs.gauge("dist_workers_connected").set(len(self._workers))
         obs.counter_sample("leases_pending", pending)
         obs.counter_sample("leases_leased", leased)
-
-    def _ingest_worker_metrics(self, host: str, counters: object) -> None:
-        """Fold one heartbeat's piggybacked counters into per-host series.
-
-        Workers ship *cumulative* worker-local counters; the coordinator
-        keeps the last reading per ``(host, metric)`` and applies the
-        delta to a host-labeled counter, so the coordinator's ``/metrics``
-        shows cluster-wide ``name{host="…"}`` series that survive
-        heartbeat loss (deltas, not sets, never go backwards).
-        """
-        obs = self.observer
-        if not obs.enabled or not isinstance(counters, dict):
-            return
-        last = self._hb_metrics.setdefault(host, {})
-        for metric in sorted(counters):
-            value = counters[metric]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            delta = value - last.get(metric, 0.0)
-            if delta > 0:
-                obs.counter(metric, labels={"host": host}).inc(delta)
-            last[metric] = float(value)
 
     # ------------------------------------------------------------------ #
     # ops endpoint providers
@@ -414,13 +392,14 @@ class Coordinator:
                 raise WireError(f"expected hello, got {hello.get('type')!r}")
             name = str(hello.get("name") or f"worker-{hello.get('pid')}")
             worker_digest = hello.get("digest")
-            if worker_digest is not None and worker_digest != self.digest:
-                # stale worker: refuse before it can hold a single lease
+            if worker_digest != self.digest:
+                # a worker must hold this run's poset: refuse a stale or
+                # missing digest before it can hold a single lease
                 send_message(
                     conn,
                     {
                         "type": "reject",
-                        "reason": "stale-digest",
+                        "reason": "stale-digest" if worker_digest else "no-digest",
                         "expected": self.digest,
                         "actual": worker_digest,
                     },
@@ -437,8 +416,6 @@ class Coordinator:
                 "lease_seconds": self.lease_seconds,
                 "heartbeat_seconds": self.heartbeat_seconds,
             }
-            if worker_digest is None:  # worker has no poset: ship ours
-                welcome["poset"] = self._poset_data
             send_message(conn, welcome)
             with self._cond:
                 self._workers[name] = conn
@@ -461,16 +438,10 @@ class Coordinator:
             elif mtype == "ack":
                 self._handle_ack(conn, name, msg)
             elif mtype == "heartbeat":
-                tasks = msg.get("tasks")
-                keys = (
-                    None
-                    if tasks is None
-                    else [_key_from_wire(t) for t in tasks]
-                )
+                keys = [_key_from_wire(t) for t in msg.get("tasks") or []]
                 with self._cond:
                     self.table.heartbeat(name, keys)
                     self._cond.notify_all()
-                self._ingest_worker_metrics(name, msg.get("metrics"))
             elif mtype == "task-error":
                 self._handle_task_error(name, msg)
             elif mtype == "bye":
@@ -505,9 +476,6 @@ class Coordinator:
         obs = self.observer
         if msg.get("digest") != self.digest:
             # a worker that changed posets underneath us must never commit
-            with self._cond:
-                self.table.stale_acks += 1
-                self._cond.notify_all()
             if obs.enabled:
                 obs.counter("stale_acks_total").inc()
             raise WireError(
@@ -546,6 +514,14 @@ class Coordinator:
         # uniqueness, and the journal has its own thread + file locks
         if self.journal is not None:
             self.journal.record(*run_stats, observer=obs)
+        if obs.enabled:
+            host = {"host": name}
+            obs.counter("states_enumerated_total", labels=host).inc(
+                sum(stats.states for stats in run_stats)
+            )
+            obs.counter("intervals_enumerated_total", labels=host).inc(
+                len(run_stats)
+            )
         attempt = int(msg.get("attempt", 0))
         for stats, r in zip(run_stats, results):
             if obs.enabled:
@@ -564,7 +540,8 @@ class Coordinator:
                 # One labeled observation per *committed* piece, so the
                 # per-host histogram _count totals reconcile exactly with
                 # the checkpoint journal's record count (duplicate and
-                # stale acks never reach this line).
+                # stale acks never reach this line, nor the per-host
+                # counters above).
                 obs.histogram(
                     "enumeration_seconds", labels={"host": name}
                 ).observe(stats.seconds)
@@ -581,13 +558,16 @@ class Coordinator:
         with self._cond:
             self.table.leased.pop(key, None)
             attempts = self.table.attempts.get(key, 0)
-            if attempts < self.max_task_attempts:
+            if attempts < _MAX_TASK_ATTEMPTS:
                 self.table.requeue(key)
                 self.table.redispatches += 1
             else:
                 self.failures[key] = (attempts, error, name)
             self._cond.notify_all()
         if self.observer.enabled:
+            self.observer.counter(
+                "task_errors_total", labels={"host": name}
+            ).inc()
             self.observer.instant(
                 "task-error", "dist", worker=name, event=str(key[0])
             )
@@ -613,6 +593,4 @@ class Coordinator:
             return {
                 "leases_expired": self.table.leases_expired,
                 "redispatches": self.table.redispatches,
-                "duplicate_acks": self.table.duplicate_acks,
-                "stale_acks": self.table.stale_acks,
             }

@@ -4,13 +4,17 @@ Plugs into :class:`~repro.core.paramount.ParaMount` exactly like the
 in-process executors: ``map_tasks`` takes the driver's
 :class:`~repro.core.executors.Task` list and the run's
 :class:`~repro.core.executors.RunContext`, and reports the tasks' stats in
-order.  A task's ``fn`` never crosses the wire — this executor leases only
-the ``(event, lo, hi)`` descriptors of its ``pieces`` plus the poset
-digest, one lease per task; the worker re-runs the bounded subroutine
-from the descriptors relative to the context's poset, subroutine and
-memory budget, which Theorem 2 guarantees is the identical computation.
-The coordinator commits to the context's journal and reports to its
-observer, and stops leasing at its deadline.
+order.  A task's ``fn`` never crosses the wire, and neither does the
+poset: each worker holds the context's poset before it connects (a
+spawned local worker inherits it, an external one loads its
+``--poset``), and this executor leases only the ``(event, lo, hi)``
+descriptors of a task's ``pieces`` plus the poset digest, one lease per
+task.  The worker re-runs the bounded subroutine from the descriptors
+relative to that poset, subroutine and memory budget, which Theorem 2
+guarantees is the identical computation.  The coordinator commits to
+the context's journal and reports to its observer — worker acks are
+the only report, per-host series included — and stops leasing at the
+context's deadline.
 
 Remote workers cannot call back into the driver, so a run that must see
 every state — a user visitor or a sanitizer, the context's ``visits`` —
@@ -30,7 +34,6 @@ only a task that fails in-process too becomes a
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.executors import NO_CONTEXT, Executor, RunContext, Task
@@ -53,10 +56,10 @@ class DistributedExecutor(Executor):
         of local worker processes to start per run.
     spawn:
         Start ``workers`` local worker processes
-        (:func:`~repro.dist.worker.spawn_local_workers`) for each
-        ``map_tasks`` call.  With ``spawn=False`` the executor only
-        listens — workers are started externally with
-        ``repro-tools worker --connect``.
+        (:func:`~repro.dist.worker.spawn_local_workers`) on the context's
+        poset for each ``map_tasks`` call.  With ``spawn=False`` the
+        executor only listens — workers are started externally with
+        ``repro-tools worker --connect HOST:PORT --poset FILE``.
     wire_faults:
         Seeded :class:`~repro.dist.wire.WireFaults` injected into the
         first spawned worker (the victim/survivor split recovery tests
@@ -64,9 +67,6 @@ class DistributedExecutor(Executor):
     lease_seconds:
         Acknowledgement deadline per leased run; crashed, hung, or
         partitioned workers are detected within one lease period.
-    poset_path:
-        Optional poset file for spawned workers to load themselves
-        (otherwise the poset ships over the wire in the welcome).
     """
 
     def __init__(
@@ -79,7 +79,6 @@ class DistributedExecutor(Executor):
         heartbeat_seconds: float = 1.0,
         no_worker_grace: float = 10.0,
         wire_faults: Optional[WireFaults] = None,
-        poset_path: Optional[Path] = None,
         http_port: Optional[int] = None,
     ):
         self.workers = workers
@@ -90,7 +89,6 @@ class DistributedExecutor(Executor):
         self.heartbeat_seconds = heartbeat_seconds
         self.no_worker_grace = no_worker_grace
         self.wire_faults = wire_faults
-        self.poset_path = poset_path
         #: ``None`` disables the coordinator's ops endpoint; ``0`` = any port.
         self.http_port = http_port
         #: The last run's coordinator (tests inspect its lease table).
@@ -156,7 +154,8 @@ class DistributedExecutor(Executor):
                 procs = spawn_local_workers(
                     self.workers,
                     coord.address,
-                    poset_path=self.poset_path,
+                    context.poset,
+                    coord.digest,
                     wire_faults=self.wire_faults,
                 )
             committed, undone = coord.execute(

@@ -55,10 +55,10 @@ class Lease:
 class LeaseTable:
     """Tracks every task's lease state for one distributed run.
 
-    ``lease_seconds`` is the acknowledgement deadline; heartbeats extend
-    every lease held by the heartbeating worker by the same amount, so a
-    *live* worker chewing on a giant interval keeps its lease while a
-    killed/hung/partitioned one loses it after at most ``lease_seconds``.
+    ``lease_seconds`` is the acknowledgement deadline; a heartbeat extends
+    the leases its worker names by the same amount, so a *live* worker
+    chewing on a giant run keeps its lease while a killed/hung/partitioned
+    one loses it after at most ``lease_seconds``.
     """
 
     lease_seconds: float = 5.0
@@ -79,7 +79,6 @@ class LeaseTable:
     leases_expired: int = 0
     redispatches: int = 0
     duplicate_acks: int = 0
-    stale_acks: int = 0
 
     # ------------------------------------------------------------------ #
     # setup
@@ -137,26 +136,22 @@ class LeaseTable:
         )
         return pick, attempt
 
-    def heartbeat(
-        self, worker: str, keys: Optional[Sequence[TaskKey]] = None
-    ) -> int:
-        """Extend ``worker``'s leases; return how many were extended.
+    def heartbeat(self, worker: str, keys: Sequence[TaskKey] = ()) -> int:
+        """Extend ``worker``'s leases on ``keys``; return how many were
+        extended.
 
         ``keys`` names the tasks the worker reports it is *actively*
         working on — only those leases are extended.  A lease the worker
         no longer claims (it finished the task but its acknowledgement
         was dropped by a one-way partition) must keep aging toward
         expiry, or the heartbeat would pin the orphaned lease alive
-        forever and the task would never be re-dispatched.  ``None``
-        (a legacy heartbeat without a task list) extends everything.
+        forever and the task would never be re-dispatched.
         """
         deadline = self.clock() + self.lease_seconds
-        claimed = None if keys is None else set(keys)
         n = 0
-        for lease in self.leased.values():
-            if lease.worker == worker and (
-                claimed is None or lease.key in claimed
-            ):
+        for key in set(keys):
+            lease = self.leased.get(key)
+            if lease is not None and lease.worker == worker:
                 lease.expires_at = deadline
                 n += 1
         return n

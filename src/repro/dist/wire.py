@@ -10,9 +10,11 @@ Every message on a coordinator/worker connection is one **frame**::
 handshakes, leases, acknowledgements, heartbeats — and ``TAG_PICKLE`` (1)
 for payloads JSON cannot carry, i.e. the typed
 :class:`~repro.errors.ExecutorError` instances a worker ships back when a
-task fails.  JSON is the default so a frame capture stays human-readable
-and a malicious/corrupt peer cannot execute code through the control
-plane; pickle is accepted only for the ``error`` message's payload field.
+task fails.  No poset travels: every worker holds its own before it
+connects, and the handshake compares digests.  JSON is the default so a
+frame capture stays human-readable and a malicious/corrupt peer cannot
+execute code through the control plane; pickle is accepted only for the
+``error`` message's payload field.
 
 Frames larger than :data:`MAX_FRAME` are refused on both ends
 (:class:`~repro.errors.WireError`), and a short read anywhere raises
@@ -35,7 +37,7 @@ import pickle
 import socket
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConnectionClosedError, ReproError, WireError
@@ -62,9 +64,9 @@ __all__ = [
 TAG_JSON = 0
 TAG_PICKLE = 1
 
-#: Upper bound on one frame's body.  Generous for poset dicts (the largest
-#: Table-1 poset serializes to well under a megabyte) while bounding what a
-#: corrupt length prefix can make the receiver allocate.
+#: Upper bound on one frame's body.  Generous for the largest lease or
+#: acknowledgement (a run's piece descriptors and stats) while bounding what
+#: a corrupt length prefix can make the receiver allocate.
 MAX_FRAME = 64 * 1024 * 1024
 
 _HEADER = struct.Struct("!IB")
@@ -295,29 +297,6 @@ class WireFaults:
             else:
                 raise ReproError(f"unknown wire fault key {key!r}")
         return cls(**kwargs)  # type: ignore[arg-type]
-
-    def spec_string(self) -> str:
-        """Round-trippable CLI form (``repro-tools worker --wire-faults``)."""
-        default = WireFaults()
-        parts = [f"seed={self.seed}"]
-        for name in (
-            "drop_ack",
-            "delay_ack",
-            "crash",
-            "hang",
-            "delay_seconds",
-            "hang_seconds",
-        ):
-            v = getattr(self, name)
-            if v != getattr(default, name):
-                parts.append(f"{name}={v:g}")
-        if self.kill_after is not None:
-            parts.append(f"kill_after={self.kill_after}")
-        return ",".join(parts)
-
-    def without_kill(self) -> "WireFaults":
-        """A copy with ``kill_after`` cleared (for non-victim workers)."""
-        return replace(self, kill_after=None)
 
 
 def apply_wire_fault(kind: str, spec: WireFaults) -> bool:

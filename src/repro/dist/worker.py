@@ -1,21 +1,24 @@
-"""The worker: connects, verifies the digest, enumerates leased intervals.
+"""The worker: holds its poset, connects, enumerates leased intervals.
 
-A worker is one process with one coordinator connection.  It either loads
-its own poset file (``--poset``) — in which case the handshake *compares
-digests* and a stale worker is rejected before holding a single lease —
-or receives the poset from the coordinator's welcome message and verifies
-the shipped digest against its own recomputation, so a corrupted transfer
-can never be enumerated.
+A worker is one process with one coordinator connection, and it holds
+the run's poset before it connects: a forked local worker inherits the
+parent's :class:`~repro.poset.poset.Poset`, and ``repro-tools worker``
+loads ``--poset``.  Its hello presents the poset's digest; the
+coordinator refuses a stale or missing digest before the worker holds a
+single lease, and the worker checks the welcome's digest against its
+own.  No poset ever crosses the wire.
 
 The main loop is pull-based: request a lease — one run of consecutive
 interval pieces — enumerate its pieces in order with the subroutine's
 checked ``enumerate_interval`` (the bounds come off the wire),
 acknowledge the whole run in one message carrying every piece's stats
 (and the digest, re-presented so the coordinator can refuse a stale
-commit), repeat.  A background heartbeat thread keeps the
-in-flight run's lease extended; the injected ``hang`` fault suppresses
-it, so a hung worker is indistinguishable from a partitioned one — which
-is the point, since lease expiry must recover both.
+commit), repeat.  The ack is the worker's only report: the coordinator
+counts its per-host series from the pieces it commits.  A background
+heartbeat thread names the in-flight run, so its lease stays extended;
+the injected ``hang`` fault suppresses it, so a hung worker is
+indistinguishable from a partitioned one — which is the point, since
+lease expiry must recover both.
 
 Task failures are reported as ``task-error`` messages whose payload is
 the pickled typed exception (:class:`~repro.errors.OutOfMemoryError`
@@ -32,7 +35,6 @@ import socket
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dist.wire import (
@@ -45,21 +47,22 @@ from repro.dist.wire import (
     send_message,
 )
 from repro.errors import ConnectionClosedError, ReproError, StaleDigestError
-from repro.poset.io import load_poset, poset_from_dict
 from repro.poset.poset import Poset
-from repro.resilience.checkpoint import poset_digest
 
 __all__ = ["run_worker", "spawn_local_workers"]
+
+#: Seconds a worker waits for the coordinator to accept its connection.
+_CONNECT_TIMEOUT = 10.0
 
 
 class _Heartbeat:
     """Background lease-extension pulse, suppressible for hang faults.
 
     Each pulse names the run the worker is *currently* enumerating
-    (``current``, the wire form of its first piece, or ``None``) so the
-    coordinator extends only that lease — a run whose acknowledgement was
-    dropped must not be kept alive by the heartbeats of its now-idle
-    worker.
+    (``current``, the wire form of its first piece) and nothing else, so
+    the coordinator extends only that lease — a run whose acknowledgement
+    was dropped must not be kept alive by the heartbeats of its now-idle
+    worker, which sends none.
     """
 
     def __init__(self, sock: socket.socket, lock: threading.Lock, every: float):
@@ -70,10 +73,6 @@ class _Heartbeat:
         self._suppressed = threading.Event()
         #: Wire form of the in-flight run; set/cleared by the work loop.
         self.current: Optional[Dict[str, Any]] = None
-        #: Cumulative worker-local counters, piggybacked on every pulse so
-        #: the coordinator's ``/metrics`` can show per-host-labeled series
-        #: without a second channel.  The work loop mutates it in place.
-        self.metrics: Dict[str, float] = {}
         self._thread = threading.Thread(
             target=self._loop, name="dist-heartbeat", daemon=True
         )
@@ -92,39 +91,36 @@ class _Heartbeat:
 
     def _loop(self) -> None:
         while not self._stop.wait(self._every):
-            if self._suppressed.is_set():
-                continue
             current = self.current
-            pulse: Dict[str, Any] = {
-                "type": "heartbeat",
-                "tasks": [current] if current is not None else [],
-            }
-            if self.metrics:
-                pulse["metrics"] = dict(self.metrics)
+            if current is None or self._suppressed.is_set():
+                continue
             try:
                 with self._lock:
-                    send_message(self._sock, pulse)
+                    send_message(self._sock, {"type": "heartbeat", "tasks": [current]})
             except (ReproError, OSError):
                 return  # connection is gone; the main loop will notice
 
 
 def run_worker(
     address: Tuple[str, int],
+    poset: Poset,
+    digest: str,
     name: Optional[str] = None,
-    poset: Optional[Poset] = None,
     wire_faults: Optional[WireFaults] = None,
-    connect_timeout: float = 10.0,
 ) -> int:
-    """Run one worker against ``address`` until the coordinator drains it.
+    """Run one worker on ``poset`` against ``address`` until the
+    coordinator drains it.
 
-    Returns a process exit code: 0 after a clean drain, 3 when rejected
-    for a stale digest, 1 on a lost coordinator.  ``poset`` (optional) is
-    the worker's own copy; when ``None`` the coordinator's welcome must
-    ship one.
+    ``digest`` is :func:`~repro.resilience.checkpoint.poset_digest` of
+    ``poset`` (a forked local worker is handed the coordinator's).
+    Returns a process exit code: 0 after a clean drain, 1 on a lost
+    coordinator.  Raises :class:`~repro.errors.StaleDigestError` when the
+    coordinator refuses the worker's digest or names another poset (the
+    ``repro-tools worker`` exit code 3).
     """
     name = name or f"{socket.gethostname()}-{os.getpid()}"
     faults = wire_faults or WireFaults()
-    sock = socket.create_connection(address, timeout=connect_timeout)
+    sock = socket.create_connection(address, timeout=_CONNECT_TIMEOUT)
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
@@ -134,10 +130,8 @@ def run_worker(
             "name": name,
             "pid": os.getpid(),
             "host": socket.gethostname(),
+            "digest": digest,
         }
-        own_digest = poset_digest(poset) if poset is not None else None
-        if own_digest is not None:
-            hello["digest"] = own_digest
         with send_lock:
             send_message(sock, hello)
         welcome = recv_message(sock)
@@ -152,14 +146,10 @@ def run_worker(
             raise ConnectionClosedError(
                 f"expected welcome, got {welcome.get('type')!r}"
             )
-        digest = str(welcome["digest"])
-        if poset is None:
-            poset = poset_from_dict(welcome["poset"])
-            actual = poset_digest(poset)
-            if actual != digest:
-                raise StaleDigestError(digest, actual, where="poset transfer")
-        elif own_digest != digest:
-            raise StaleDigestError(digest, own_digest or "", where="worker")
+        if welcome.get("digest") != digest:
+            raise StaleDigestError(
+                str(welcome.get("digest")), digest, where="worker"
+            )
         subroutine = str(welcome["subroutine"])
         memory_budget = welcome.get("memory_budget")
         heartbeat = _Heartbeat(
@@ -206,7 +196,6 @@ def _work_loop(
     from repro.enumeration import make_enumerator
 
     enumerator = make_enumerator(subroutine, poset, memory_budget=memory_budget)
-    metrics = heartbeat.metrics  # shipped to the coordinator every pulse
     acked = 0
     while True:
         with send_lock:
@@ -214,8 +203,11 @@ def _work_loop(
         msg = recv_message(sock)
         mtype = msg.get("type")
         if mtype in ("drain", "shutdown"):
-            with send_lock:
-                send_message(sock, {"type": "bye"})
+            try:
+                with send_lock:
+                    send_message(sock, {"type": "bye"})
+            except (ReproError, OSError):
+                pass  # the coordinator closed first; the run is over
             return 0
         if mtype == "idle":
             time.sleep(float(msg.get("seconds", 0.05)))
@@ -255,9 +247,6 @@ def _work_loop(
         except ReproError as exc:
             heartbeat.current = None
             heartbeat.suppress(False)
-            metrics["task_errors_total"] = (
-                metrics.get("task_errors_total", 0) + 1
-            )
             with send_lock:
                 send_message(
                     sock,
@@ -269,12 +258,6 @@ def _work_loop(
                     },
                 )
             continue
-        metrics["intervals_enumerated_total"] = (
-            metrics.get("intervals_enumerated_total", 0) + len(results)
-        )
-        metrics["states_enumerated_total"] = metrics.get(
-            "states_enumerated_total", 0
-        ) + sum(r["states"] for r in results)
         if fault in (WIRE_HANG,):
             # the hang happens *after* the work: results exist but the
             # heartbeat stayed silent, so the lease may already be gone
@@ -314,17 +297,21 @@ def _work_loop(
 def spawn_local_workers(
     n: int,
     address: Tuple[str, int],
-    poset_path: Optional[Path] = None,
+    poset: Poset,
+    digest: str,
     wire_faults: Optional[WireFaults] = None,
 ) -> List[multiprocessing.Process]:
-    """Start ``n`` local worker processes connected to ``address``.
+    """Start ``n`` local worker processes on ``poset``, connected to
+    ``address``.
 
     Each child runs :func:`run_worker` under the platform's default
-    :mod:`multiprocessing` start method; a forked child shares the
-    parent's imported modules, so it starts in milliseconds rather than
-    re-importing the package.  With ``poset_path`` the child loads that
-    file itself, so the coordinator's stale-digest handshake applies;
-    otherwise the poset arrives in the welcome message.
+    :mod:`multiprocessing` start method.  A forked child inherits the
+    parent's imported modules and ``poset`` (with any packed tables the
+    parent built), so it starts in milliseconds and receives, decodes
+    and validates no copy; under ``spawn`` the poset is pickled as a
+    process argument, which needs no re-validation either.  ``digest``
+    is the coordinator's digest of ``poset``: the child presents it
+    without digesting the poset again.
 
     Only the first process (``host0``) receives ``wire_faults`` — the
     victim/survivor split every recovery test needs.  Workers are named
@@ -334,7 +321,7 @@ def spawn_local_workers(
     for i in range(n):
         proc = multiprocessing.Process(
             target=_local_worker,
-            args=(address, f"host{i}", poset_path, wire_faults if i == 0 else None),
+            args=(address, f"host{i}", poset, digest, wire_faults if i == 0 else None),
             name=f"dist-worker-host{i}",
             daemon=True,
         )
@@ -346,14 +333,14 @@ def spawn_local_workers(
 def _local_worker(
     address: Tuple[str, int],
     name: str,
-    poset_path: Optional[Path],
+    poset: Poset,
+    digest: str,
     wire_faults: Optional[WireFaults],
 ) -> None:
     """Child-process body of :func:`spawn_local_workers`; exits with the
     ``repro-tools worker`` codes (0 drained, 1 lost, 3 stale digest)."""
-    poset = load_poset(poset_path) if poset_path is not None else None
     try:
-        code = run_worker(address, name=name, poset=poset, wire_faults=wire_faults)
+        code = run_worker(address, poset, digest, name=name, wire_faults=wire_faults)
     except StaleDigestError as exc:
         print(f"worker {name} refused: {exc}", file=sys.stderr)
         code = 3

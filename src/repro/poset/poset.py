@@ -111,8 +111,9 @@ class Poset:
 
     def __getstate__(self):
         # The packed tables are a pure cache over the clock table; drop
-        # them when the poset crosses a process boundary (dist workers
-        # rebuild locally — tables, like closures, never cross the wire).
+        # them when the poset crosses a process boundary (a dist worker
+        # started under ``spawn`` rebuilds them; a forked one inherits
+        # the parent's).
         return {
             s: getattr(self, s) for s in self.__slots__ if s != "_packed"
         }

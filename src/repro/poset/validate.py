@@ -2,10 +2,11 @@
 
 Theorem 2 and the packed kernel's one-round closure hold only for clocks
 that model a partial order (Chauhan–Garg, arXiv:1410.1209).  ``Poset(...)``
-(so ``poset_from_dict``, ``poset_from_trace``, the dist welcome),
-``PosetBuilder.append_stamped`` and ``ClockSanitizer`` admit every event
-through :func:`violation`, so they all give the same verdict.  The
-rules are the keys of :data:`ERRORS`, in the order they are checked.
+(so ``poset_from_dict``, a dist worker's ``--poset`` included, and
+``poset_from_trace``), ``PosetBuilder.append_stamped`` and
+``ClockSanitizer`` admit every event through :func:`violation`, so they
+all give the same verdict.  The rules are the keys of :data:`ERRORS`, in
+the order they are checked.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ of the same task finished (a hung attempt waking after its retry) returns
 that outcome without running; one that arrives while another is inside
 the body waits for it.  An attempt already inside its body when a timeout
 abandons its gather still finishes, since threads cannot be cancelled:
-its retry waits for that outcome, so a body that never returns holds its
-retries too.
+its retry waits for that outcome.  A timeout therefore charges no attempt
+to a task whose body is running — a body that merely outlasts the
+timeout is waited for, not given up — so a body that never returns holds
+the run, as it would on the serial rung.
 
 Worker-process faults are handled by
 :class:`repro.dist.DistributedExecutor` instead: its lease table
@@ -173,7 +175,8 @@ class ResilientExecutor(Executor):
                 # The gather was lost, but not the tasks that finished
                 # inside it: they keep their outcome, and only the rest are
                 # resubmitted.  Only a timeout names a culprit, and only
-                # the culprit is charged an attempt.
+                # the culprit is charged an attempt — unless its body is
+                # running, since its retry will wait for that body.
                 timed_out = isinstance(exc, ExecutorTimeoutError)
                 offender = pending[exc.task_index] if timed_out else None
                 outcomes = [(i, done[i]) for i in pending]
@@ -181,7 +184,7 @@ class ResilientExecutor(Executor):
                     if outcome is not None:
                         results[i] = outcome[1]
                 pending = [i for i, outcome in outcomes if outcome is None]
-                if offender in pending:
+                if offender in pending and not locks[offender].locked():
                     fail_count[offender] += 1
                     if fail_count[offender] >= self.retry.max_attempts:
                         give_up(offender, str(exc), executor.name)

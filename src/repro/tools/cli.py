@@ -278,8 +278,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         policy = SchedulePolicy.parse(args.schedule)
         executor = None
         if dist:
-            from pathlib import Path
-
             from repro.dist import DistributedExecutor, WireFaults
 
             wire_faults = (
@@ -291,7 +289,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 workers=args.dist_workers,
                 lease_seconds=args.lease_seconds,
                 wire_faults=wire_faults,
-                poset_path=Path(args.poset),
                 http_port=args.http_port,
             )
             print(
@@ -418,6 +415,14 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
     from repro.poset.io import load_poset
 
     poset = _load(load_poset, args.poset)
+    if args.port == 0:
+        # workers need an address they can be given before the run binds
+        print(
+            "error: --port 0 names no address a worker can connect to; "
+            "pick a free port",
+            file=sys.stderr,
+        )
+        return 2
     observer, finish_observer = _make_observer(args)
     executor = DistributedExecutor(
         workers=args.workers,
@@ -446,7 +451,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         f"coordinator: poset n={poset.num_threads}, {poset.num_events} "
         f"events; listening on {args.host}:{args.port} "
         f"(point workers at it with: repro-tools worker --connect "
-        f"{args.host}:{args.port})"
+        f"{args.host}:{args.port} --poset {args.poset})"
     )
     try:
         result = pm.run()
@@ -480,6 +485,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.dist import WireFaults, run_worker
     from repro.errors import StaleDigestError
     from repro.poset.io import load_poset
+    from repro.resilience.checkpoint import poset_digest
 
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
@@ -488,13 +494,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    poset = _load(load_poset, args.poset) if args.poset else None
+    poset = _load(load_poset, args.poset)
     wire_faults = WireFaults.parse(args.wire_faults) if args.wire_faults else None
     try:
         return run_worker(
             (host, int(port)),
+            poset,
+            poset_digest(poset),
             name=args.name,
-            poset=poset,
             wire_faults=wire_faults,
         )
     except StaleDigestError as exc:
@@ -964,7 +971,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("poset", help="path to a saved poset JSON")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument(
+        "--port",
+        type=int,
+        required=True,
+        help="port to listen on; workers are pointed at it, so it must "
+        "be a fixed port (0 is refused)",
+    )
     p.add_argument(
         "--algorithm",
         "--subroutine",
@@ -1014,9 +1027,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="worker name (default HOSTNAME-PID)")
     p.add_argument(
         "--poset",
-        help="load this poset file instead of receiving it over the wire; "
-        "its digest must match the coordinator's or the worker is "
-        "rejected (stale-digest protection)",
+        required=True,
+        help="the run's poset file; its digest must match the "
+        "coordinator's or the worker is rejected (stale-digest "
+        "protection, exit 3)",
     )
     p.add_argument(
         "--wire-faults",

@@ -24,7 +24,10 @@ Injected faults are one more dimension: a resilient executor whose first
 rung crashes whole gathers and whose guard fails single tasks, at a
 drawn fault seed, must still visit every state once and journal every
 piece once — visits and journal writes are side effects, so a retry must
-keep what a lost gather finished instead of running it again.
+keep what a lost gather finished instead of running it again.  Wire
+faults are the dist backend's side of that dimension: a worker whose
+acks are dropped or delayed, which crashes or hangs past its lease, must
+still leave a complete count and one journal record per piece.
 
 The online driver (Algorithm 4) is one more dimension: its events arrive
 in a random linear extension of happened-before, from one thread or from
@@ -61,7 +64,7 @@ from repro.core.online import OnlineParaMount
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import plan_schedule
 from repro.detector.hb import poset_from_trace
-from repro.dist import DistributedExecutor
+from repro.dist import DistributedExecutor, WireFaults
 from repro.enumeration import PackedLexicalEnumerator
 from repro.enumeration.base import make_enumerator
 from repro.poset.ideals import count_ideals
@@ -288,6 +291,38 @@ def test_runs_under_injected_faults_match_the_reference(
     check_under_faults(
         poset, rung, schedule, seed, tmp_path_factory.mktemp("faults")
     )
+
+
+def check_under_wire_faults(poset, seed, schedule, tmp_path):
+    """One dist run whose first worker draws wire faults at fault seed
+    ``seed``: dropped and delayed acks, crashes, and hangs longer than the
+    lease.  The lease table must re-dispatch what they cost, commit each
+    run once, and the count must be the reference's.  Returns the run's
+    result, whose ``redispatches`` show what the faults cost."""
+    faults = WireFaults(
+        seed, drop_ack=0.2, delay_ack=0.2, crash=0.1, hang=0.2,
+        delay_seconds=0.05, hang_seconds=0.75,
+    )
+    executor = DistributedExecutor(
+        workers=2, lease_seconds=0.5, heartbeat_seconds=0.1,
+        no_worker_grace=5.0, wire_faults=faults,
+    )
+    path = tmp_path / f"wire-{schedule}-{seed}.ckpt"
+    result = ParaMount(
+        poset, executor=executor, schedule=schedule, checkpoint=path
+    ).run()
+    assert result.complete
+    assert result.states == count_ideals(poset)
+    assert_one_record_per_piece(path, poset, schedule, executor.num_workers)
+    return result
+
+
+@pytest.mark.parametrize("schedule", ["fifo", "split-steal"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dist_runs_under_wire_faults_match_the_reference(tmp_path, seed, schedule):
+    """The small slice; CI sweeps fault seeds 0–9 with the same function."""
+    poset = random_computation(RandomComputationSpec(4, 40, 0.5, seed=3))
+    check_under_wire_faults(poset, seed, schedule, tmp_path)
 
 
 # --------------------------------------------------------------------- #

@@ -70,7 +70,7 @@ def test_heartbeat_extends_every_lease_of_that_worker():
     t.next_for("a")
     t.next_for("a")
     clock.advance(4.0)
-    assert t.heartbeat("a") == 2  # legacy pulse without a task list
+    assert t.heartbeat("a", [key(0), key(1)]) == 2
     assert t.heartbeat("ghost") == 0
     clock.advance(4.0)  # 8s total — past the original expiry, not the new
     assert t.expire() == []
@@ -165,7 +165,7 @@ def test_next_deadline_tracks_earliest_expiry():
     clock.advance(2.0)
     t.next_for("b")
     assert t.next_deadline() == 5.0  # a's lease, granted at t=0
-    t.heartbeat("a")
+    t.heartbeat("a", [key(0)])
     assert t.next_deadline() == 7.0  # now b's, granted at t=2
 
 

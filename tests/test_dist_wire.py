@@ -148,9 +148,6 @@ def test_message_rejects_missing_pickle_attachment(pair):
 def test_wire_faults_parse_spec_round_trip():
     spec = WireFaults.parse("seed=3, drop_ack=0.25, hang=0.1, kill_after=2")
     assert spec == WireFaults(seed=3, drop_ack=0.25, hang=0.1, kill_after=2)
-    assert WireFaults.parse(spec.spec_string()) == spec
-    assert spec.without_kill().kill_after is None
-    assert spec.without_kill().active
     assert not WireFaults(seed=9).active
 
 

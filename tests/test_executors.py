@@ -92,6 +92,24 @@ def test_thread_executor_timeout_is_typed_and_names_the_task():
     assert not ran_after  # the queued task behind the hang never ran
 
 
+def test_thread_executor_timeout_names_the_running_task_not_a_queued_one():
+    """Tasks start heaviest first, so the hung task (index 1) runs while
+    index 0 is still queued: the timeout names the task that is running."""
+    release = threading.Event()
+
+    def hung():
+        release.wait(2.0)
+        return "late"
+
+    ex = WorkStealingThreadExecutor(1, task_timeout=0.1)
+    try:
+        with pytest.raises(ExecutorTimeoutError) as info:
+            ex.map_tasks([Task(lambda: "queued", weight=1), Task(hung, weight=5)])
+    finally:
+        release.set()
+    assert info.value.task_index == 1
+
+
 def test_thread_executor_without_timeout_waits():
     ex = WorkStealingThreadExecutor(2)
     assert ex.task_timeout is None

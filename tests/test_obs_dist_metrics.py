@@ -1,10 +1,12 @@
 """Distributed observability: per-host series, live scrapes, reconciliation.
 
 The acceptance bar: during a distributed run the coordinator's /metrics
-serves per-host-labeled series fed by worker heartbeat piggybacks, and the
-per-host ``enumeration_seconds`` histogram counts — bumped only on *first*
-commit — reconcile exactly with the checkpoint journal's committed
-records, duplicate and stale acks notwithstanding.
+serves per-host-labeled series, counted from the pieces each *first*
+commit carries, so they reconcile exactly: the per-host
+``enumeration_seconds`` counts with the checkpoint journal's committed
+records, ``states_enumerated_total`` with the result's states and
+``intervals_enumerated_total`` with its pieces, duplicate and stale acks
+notwithstanding — whether or not a heartbeat ever pulsed during the run.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ def test_dist_run_reconciles_and_serves_per_host_metrics(tmp_path):
     executor = DistributedExecutor(
         workers=2,
         lease_seconds=2.0,
-        # the worker's shortest pulse: a two-worker d-300 run can end
-        # within 0.2 s, and only pulses sent during the run carry counters
-        heartbeat_seconds=0.05,
         no_worker_grace=5.0,
         http_port=0,
     )
@@ -95,12 +94,18 @@ def test_dist_run_reconciles_and_serves_per_host_metrics(tmp_path):
     assert labeled_count == committed_records(journal) == len(result.tasks)
     assert hosts <= {"host0", "host1"} and hosts
 
-    # heartbeat piggybacks produced per-host counter series too
-    labeled_states = {
-        split_series_key(key)[1]["host"]: value
-        for key, value in snap["counters"].items()
-        if split_series_key(key)[0] == "states_enumerated_total"
-        and "host" in split_series_key(key)[1]
-    }
-    assert labeled_states
-    assert sum(labeled_states.values()) <= result.states
+    # commits produced per-host counter series that sum to the result
+    def per_host(metric):
+        return {
+            split_series_key(key)[1]["host"]: value
+            for key, value in snap["counters"].items()
+            if split_series_key(key)[0] == metric
+            and "host" in split_series_key(key)[1]
+        }
+
+    labeled_states = per_host("states_enumerated_total")
+    assert labeled_states and set(labeled_states) == hosts
+    assert sum(labeled_states.values()) == result.states
+    assert sum(per_host("intervals_enumerated_total").values()) == len(
+        result.tasks
+    )

@@ -1,8 +1,8 @@
 """Metric inventory audit: every emitted series is self-describing.
 
 Greps the source tree for metric registrations (``.counter("…")``,
-``.gauge("…")``, ``.histogram("…")``, ``.windowed_rate("…")`` and the
-worker-heartbeat piggyback keys) and pins them against
+``.gauge("…")``, ``.histogram("…")``, ``.windowed_rate("…")``) and pins
+them against
 :data:`repro.obs.metrics.METRIC_INVENTORY`, then proves the Prometheus
 exporter emits a ``# HELP``/``# TYPE`` header for every inventoried
 family.  Adding a call site without an inventory row fails here, not on
@@ -27,9 +27,6 @@ _PATTERNS = {
     "histogram": re.compile(r"\.histogram\(\s*\n?\s*\"([a-z0-9_]+)\""),
     "gauge-rate": re.compile(r"\.windowed_rate\(\s*\n?\s*\"([a-z0-9_]+)\""),
 }
-#: Worker-side cumulative dicts shipped over heartbeats become labeled
-#: counters on the coordinator, so their keys need inventory rows too.
-_PIGGYBACK = re.compile(r"metrics(?:\.get\(|\[)\s*\"([a-z0-9_]+)\"")
 
 
 def registered_series():
@@ -42,9 +39,6 @@ def registered_series():
         for kind, pattern in _PATTERNS.items():
             for name in pattern.findall(text):
                 found.append((kind, name, path.name))
-    worker = (SRC / "dist" / "worker.py").read_text()
-    for name in _PIGGYBACK.findall(worker):
-        found.append(("counter", name, "worker.py"))
     return found
 
 

@@ -322,6 +322,37 @@ def test_retry_waits_for_an_abandoned_attempt_inside_its_body():
     assert runs == [1]
 
 
+def test_a_body_outlasting_the_timeout_is_waited_for_not_given_up(tmp_path):
+    """No fault at all: the visitor sleeps on the first state while it
+    holds the visitor lock, so every running body stalls past the thread
+    rung's no-progress timeout, gather after gather.  A running body is
+    charged no attempt — its retry waits for it — so the run steps down
+    to the serial rung and completes, every state visited and every
+    piece journaled once."""
+    poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
+    base = ParaMount(poset).run()
+    seen = {}
+
+    def visit(cut):
+        if not seen:
+            time.sleep(0.5)
+        key = tuple(cut)
+        seen[key] = seen.get(key, 0) + 1
+
+    ex = ResilientExecutor(
+        ladder=[WorkStealingThreadExecutor(2, task_timeout=0.1), SerialExecutor()],
+        retry=FAST_RETRY,
+    )
+    path = tmp_path / "slow.ckpt"
+    result = ParaMount(
+        poset, executor=ex, schedule="fifo", checkpoint=path
+    ).run(visit)
+    assert result.complete and not result.failures
+    assert result.states == base.states
+    assert len(seen) == base.states and set(seen.values()) == {1}
+    assert len(path.read_text().splitlines()) == 1 + len(base.intervals)
+
+
 def test_given_up_task_stays_unrun_when_its_hung_attempts_wake():
     """Every attempt of a task hangs past the timeout until it is given
     up; the abandoned attempts that wake afterwards do not run it."""
