@@ -94,9 +94,7 @@ def test_resilient_executor_fault_free(name):
     poset = workload_poset(name)
 
     def run():
-        executor = ResilientExecutor(
-            ladder=[SerialExecutor()], retry=RetryPolicy()
-        )
+        executor = ResilientExecutor(SerialExecutor(), retry=RetryPolicy())
         return ParaMount(poset, SUBROUTINE, executor=executor).run()
 
     result = run()

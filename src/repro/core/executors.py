@@ -19,20 +19,20 @@ leases interval descriptors to local or remote worker processes.
 One input contract: :meth:`Executor.map_tasks` takes :class:`Task` values
 and the gather's :class:`RunContext`.  Nothing about a run is written onto
 an executor, so one executor serves any number of runs, each reporting
-only to its own context's observer; wrappers (retry guards, fault
-injection) replace only a task's ``fn``.
+only to its own context's observer; wrappers (such as the resilient
+executor's retry guard) replace only a task's ``fn``.
 
 Every executor returns one :class:`~repro.core.metrics.ExecutorReport`
 per gather: the results in task order, so per-interval statistics line up
 with the ``→p`` order regardless of backend, plus the gather's provenance
 (steals, per-worker load, retries, failures, …).
 
-Failure model (see DESIGN.md §"Fault model and recovery"): exceptions
-raised *by* a task propagate unchanged; infrastructure failures — such as
-a pool that stops making progress — surface as typed
-:class:`~repro.errors.ExecutorError` subclasses so callers can retry or
-degrade.  :class:`RetryPolicy` is the bounded-retry/backoff schedule of
-:class:`repro.resilience.ResilientExecutor`.
+Failure model (see DESIGN.md §"Fault model and recovery"): in-process, a
+task fails only by raising, and the exception propagates unchanged out of
+the gather (a thread cannot die apart from its process).
+:class:`repro.resilience.ResilientExecutor` retries tasks that raise, on
+the bounded-retry/backoff schedule of :class:`RetryPolicy`; worker-process
+faults are the lease table's (:mod:`repro.dist`).
 """
 
 from __future__ import annotations
@@ -42,20 +42,16 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Sequence
 
 from repro.core.intervals import Interval
 from repro.core.metrics import ExecutorReport
-from repro.errors import ExecutorTimeoutError
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.poset.poset import Poset
-from repro.util.log import get_logger
 from repro.util.rng import DeterministicRng, derive_seed
 
 if TYPE_CHECKING:
     from repro.resilience.checkpoint import CheckpointJournal
-
-logger = get_logger(__name__)
 
 __all__ = [
     "Executor",
@@ -74,8 +70,8 @@ class Task:
     ``weight`` is what work-stealing executors deal and steal by (the
     ParaMount driver's run's summed size bound); ``pieces`` are the
     interval pieces a descriptor-shipping executor leases instead of
-    ``fn``; ``key`` is the identity fault injection draws by, stable across
-    retried subsets (``None``: the task's position in its gather).
+    ``fn``; ``key`` is the identity a resilient executor's fault plan
+    draws by (``None``: the task's position in its gather).
     """
 
     fn: Callable[[], Any]
@@ -231,22 +227,12 @@ class WorkStealingThreadExecutor(Executor):
     observer gets one ``worker_start`` marker per worker lane and a
     ``steal`` marker plus ``steals_total`` bump per steal.
 
-    ``task_timeout`` bounds the *no-progress* window: if no task
-    completes for that long, the gather gives up and raises
-    :class:`~repro.errors.ExecutorTimeoutError` carrying the index of the
-    earliest-started task still running (a queued task has not had its
-    chance).  Running threads cannot be interrupted: they are abandoned as
-    daemons and finish the task they are in; a
-    :class:`~repro.resilience.ResilientExecutor` keeps what they finish
-    instead of running it again.
+    The gather joins its workers.  After a task raises, no further task
+    is handed out; the tasks already running finish, and the first error
+    is re-raised.
     """
 
     name = "threads-steal"
-
-    def __init__(self, num_workers: int = 1, task_timeout: Optional[float] = None):
-        super().__init__(num_workers=num_workers)
-        #: No-progress window in seconds (``None`` = wait forever).
-        self.task_timeout = task_timeout
 
     def map_tasks(
         self, tasks: Sequence[Task], context: RunContext = NO_CONTEXT
@@ -268,25 +254,18 @@ class WorkStealingThreadExecutor(Executor):
             deques[w].append(i)
             loads[w] += weights[i]
         lock = threading.Lock()
-        progress = threading.Condition(lock)
         results: List[Any] = [None] * n
-        finished = [False] * n
-        # indexes of the tasks being run, in the order they started
-        running: Dict[int, None] = {}
-        completed = [0]
+        remaining = [n]
         steals = [0]
         busy = [0.0] * k
         errors: List[BaseException] = []
-        stop = [False]
 
         def next_index(worker: int) -> Optional[int]:
             with lock:
-                if stop[0] or errors:
+                if errors:
                     return None
                 if deques[worker]:
-                    index = deques[worker].popleft()
-                    running[index] = None
-                    return index
+                    return deques[worker].popleft()
                 victim = None
                 for q in deques:
                     if q and (victim is None or weights[q[0]] > weights[victim[0]]):
@@ -295,7 +274,6 @@ class WorkStealingThreadExecutor(Executor):
                     return None
                 steals[0] += 1
                 index = victim.popleft()
-                running[index] = None
                 if observe:
                     obs.instant(
                         "steal", "schedule", task=index, weight=weights[index]
@@ -318,20 +296,16 @@ class WorkStealingThreadExecutor(Executor):
                 t0 = time.perf_counter()
                 try:
                     value = tasks[index]()
-                except BaseException as exc:  # propagated by the gather
-                    with progress:
+                except BaseException as exc:  # re-raised by the gather
+                    with lock:
                         errors.append(exc)
-                        progress.notify_all()
                     return
                 busy[worker] += time.perf_counter() - t0
-                with progress:
+                with lock:
                     results[index] = value
-                    finished[index] = True
-                    del running[index]
-                    completed[0] += 1
-                    remaining = n - completed[0]
-                    progress.notify_all()
-                record_depth(remaining)
+                    remaining[0] -= 1
+                    left = remaining[0]
+                record_depth(left)
 
         threads = [
             threading.Thread(
@@ -341,34 +315,6 @@ class WorkStealingThreadExecutor(Executor):
         ]
         for thread in threads:
             thread.start()
-        timed_out: Optional[int] = None
-        with progress:
-            while completed[0] < n and not errors:
-                before = completed[0]
-                progress.wait(timeout=self.task_timeout)
-                if (
-                    self.task_timeout is not None
-                    and completed[0] == before
-                    and not errors
-                    and completed[0] < n
-                ):
-                    stop[0] = True
-                    timed_out = next(iter(running), finished.index(False))
-                    break
-        if timed_out is not None:
-            logger.warning(
-                "no task completed within %.3fs; abandoning run at task %d",
-                self.task_timeout or 0.0,
-                timed_out,
-                extra={
-                    "executor": self.name,
-                    "task_index": timed_out,
-                    "timeout_seconds": self.task_timeout or 0.0,
-                },
-            )
-            raise ExecutorTimeoutError(
-                timed_out, self.task_timeout or 0.0, executor=self.name
-            )
         for thread in threads:
             thread.join()
         if errors:

@@ -87,12 +87,11 @@ class TaskFailure:
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """One step down a graceful-degradation ladder.
+    """One graceful-degradation step, recorded on the result.
 
-    ``kind`` is ``"executor"`` (e.g. a thread pool that keeps timing out
-    stepping ``threads → serial``, or a distributed run with no workers
-    left finishing in-process) or ``"subroutine"`` (a BFS interval
-    exceeding its memory budget falling back to bounded lexical).
+    ``kind`` is ``"executor"`` (a distributed run finishing in-process
+    what no worker finished) or ``"subroutine"`` (a BFS interval exceeding
+    its memory budget falling back to bounded lexical).
     """
 
     kind: str
@@ -269,5 +268,5 @@ class ParaMountResult:
 
     @property
     def degraded(self) -> bool:
-        """True when any degradation ladder was descended during the run."""
+        """True when the run recorded any degradation step."""
         return bool(self.degradations)

@@ -36,8 +36,8 @@ Robustness properties, and where they live:
   disconnected before it can corrupt the commit log;
 * **no workers left** — the monitor loop notices an empty worker set with
   work outstanding and returns the undone tasks, which the
-  :class:`~repro.dist.executor.DistributedExecutor` then runs in-process
-  through the ordinary degradation ladder.
+  :class:`~repro.dist.executor.DistributedExecutor` then runs in-process,
+  recording the step as a degradation.
 """
 
 from __future__ import annotations

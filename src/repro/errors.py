@@ -23,7 +23,6 @@ __all__ = [
     "StaticCheckError",
     "SanitizerError",
     "ExecutorError",
-    "ExecutorTimeoutError",
     "InjectedFaultError",
     "CheckpointError",
     "WireError",
@@ -165,40 +164,11 @@ class ExecutorError(ReproError):
     """Raised by execution backends for infrastructure failures — as
     opposed to exceptions raised *by* a task, which propagate unchanged.
 
-    Theorem 2 makes every interval task idempotent, so all of these are
-    safely retryable by re-running the affected tasks (see
-    :mod:`repro.resilience` and :mod:`repro.dist`).
+    In-process a task fails only by raising, so these come from the
+    distributed backend (:mod:`repro.dist`), whose lease table re-runs
+    the affected tasks, and from the fault-injection harness.  Theorem 2
+    makes every interval task idempotent, so re-running one is safe.
     """
-
-
-class ExecutorTimeoutError(ExecutorError):
-    """Raised when a gather made no progress for the configured timeout
-    (a hung or pathologically slow worker).
-
-    ``task_index`` is the position, in the submitted batch, of the lowest
-    task still unfinished; no further task starts (already-running tasks
-    cannot be interrupted, but their results are discarded — harmless,
-    since interval tasks are idempotent).
-    """
-
-    def __init__(self, task_index: int, timeout: float, executor: str = ""):
-        where = f" on {executor!r}" if executor else ""
-        super().__init__(
-            f"task {task_index} unfinished after {timeout:g}s without "
-            f"progress{where}; the gather was abandoned"
-        )
-        #: Index of the offending task within the submitted batch.
-        self.task_index = task_index
-        #: The timeout that was exceeded, in seconds.
-        self.timeout = timeout
-        #: Name of the executor whose gather timed out ("" when unknown).
-        self.executor = executor
-
-    def __reduce__(self):
-        # Shipped across the dist wire; the default
-        # reduction replays __init__ with the formatted message only,
-        # losing the task index the retry logic charges.
-        return (ExecutorTimeoutError, (self.task_index, self.timeout, self.executor))
 
 
 class InjectedFaultError(ExecutorError):

@@ -235,8 +235,8 @@ class SpanLogHandler(logging.Handler):
     """Forwards ``repro`` log records into a trace as instant markers.
 
     Attach to the ``repro`` root (the CLI does this when ``--trace-out``
-    is given) and every warning — a degradation, a quarantined record, a
-    no-progress timeout — appears on the emitting worker's lane in the
+    is given) and every warning — a degradation, a quarantined record, an
+    expired deadline — appears on the emitting worker's lane in the
     exported trace, with the record's structured ``extra={}`` fields as
     span attributes.
     """

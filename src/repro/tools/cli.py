@@ -13,15 +13,16 @@ from repro.util.timing import format_duration
 __all__ = ["main"]
 
 
-def _load(load, path: str):
-    """``load(path)``; a file that cannot be read or is refused ends the
-    command with an ``error: <path>: <why>`` line and exit status 2."""
+def _load(load, source: str, label: Optional[str] = None):
+    """``load(source)``; input that cannot be read or is refused ends the
+    command with an ``error: <label or source>: <why>`` line and exit
+    status 2."""
     from repro.errors import ReproError
 
     try:
-        return load(path)
+        return load(source)
     except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+        print(f"error: {label or source}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -198,7 +199,8 @@ def _make_observer(args: argparse.Namespace):
 
     progress = ProgressReporter() if args.progress else None
     observer = Observer(progress=progress)
-    # Warnings (degradations, quarantines, timeouts) land on the trace too.
+    # Warnings (degradations, quarantines, expired deadlines) land on the
+    # trace too.
     handler = SpanLogHandler(observer)
     get_logger("").addHandler(handler)
     profiler = None
@@ -258,6 +260,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.wire_faults and not dist:
         print("error: --wire-faults requires --backend dist", file=sys.stderr)
         return 2
+    faults = wire_faults = None
+    if args.faults:
+        from repro.resilience import FaultSpec
+
+        faults = _load(FaultSpec.parse, args.faults, "--faults")
+    if args.wire_faults:
+        from repro.dist import WireFaults
+
+        wire_faults = _load(WireFaults.parse, args.wire_faults, "--wire-faults")
     observer, finish_observer = _make_observer(args)
     if observer is not None and not args.paramount:
         print(
@@ -278,11 +289,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         policy = SchedulePolicy.parse(args.schedule)
         executor = None
         if dist:
-            from repro.dist import DistributedExecutor, WireFaults
+            from repro.dist import DistributedExecutor
 
-            wire_faults = (
-                WireFaults.parse(args.wire_faults) if args.wire_faults else None
-            )
             if wire_faults is not None:
                 print(f"injecting wire faults: {args.wire_faults}")
             executor = DistributedExecutor(
@@ -301,22 +309,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     f"/healthz /progress on port {args.http_port}"
                 )
         elif resilient:
-            from repro.resilience import (
-                FaultInjectingExecutor,
-                FaultSpec,
-                ResilientExecutor,
-                default_ladder,
-            )
+            from repro.core.executors import WorkStealingThreadExecutor
+            from repro.resilience import ResilientExecutor
 
-            ladder = default_ladder(
-                args.workers or 1, task_timeout=args.task_timeout
-            )
-            if args.faults:
-                spec = FaultSpec.parse(args.faults)
+            if faults is not None:
                 print(f"injecting faults: {args.faults}")
-                ladder = [FaultInjectingExecutor(ladder[0], spec)] + ladder[1:]
             executor = ResilientExecutor(
-                ladder=ladder, retry=RetryPolicy(max_attempts=args.retries)
+                WorkStealingThreadExecutor(args.workers or 1),
+                retry=RetryPolicy(max_attempts=args.retries),
+                fault_spec=faults,
             )
         pm = ParaMount(
             poset,
@@ -495,7 +496,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
         return 2
     poset = _load(load_poset, args.poset)
-    wire_faults = WireFaults.parse(args.wire_faults) if args.wire_faults else None
+    wire_faults = (
+        _load(WireFaults.parse, args.wire_faults, "--wire-faults")
+        if args.wire_faults
+        else None
+    )
     try:
         return run_worker(
             (host, int(port)),
@@ -865,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="run interval tasks on a resilient thread ladder with this "
+        help="run interval tasks on a resilient thread pool with this "
         "many workers (requires --paramount)",
     )
     p.add_argument(
@@ -873,13 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="retry budget per interval task (default 3)",
-    )
-    p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="seconds the resilient ladder's thread pool may go without "
-        "finishing any task before it abandons the gather and retries",
     )
     p.add_argument(
         "--trace-out",

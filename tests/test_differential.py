@@ -6,8 +6,10 @@ splits, coalesces, dispatches or resumes them, every consistent cut is
 visited exactly once.  Each run here is checked against two references
 that share no code with the driver: the unbounded walk of the plain
 ``lexical`` enumerator (the visited multiset) and the ideal-counting DP
-(the state count).  The checkpoint journal must hold exactly one record
-per piece of the plan, whichever tasks (runs of pieces) wrote them.
+(the state count).  On small posets the walk is itself checked against
+brute force: every cut of the poset's box tested for consistency.  The
+checkpoint journal must hold exactly one record per piece of the plan,
+whichever tasks (runs of pieces) wrote them.
 
 A killed run is stopped after ``k`` tasks have started, the way a kill
 stops a process: tasks already running finish and journal, later ones
@@ -20,14 +22,14 @@ executors and schedules from a fixed seed; the distributed backend, whose
 worker processes take a while to start, is checked on a fixed handful of
 posets instead.
 
-Injected faults are one more dimension: a resilient executor whose first
-rung crashes whole gathers and whose guard fails single tasks, at a
-drawn fault seed, must still visit every state once and journal every
-piece once — visits and journal writes are side effects, so a retry must
-keep what a lost gather finished instead of running it again.  Wire
-faults are the dist backend's side of that dimension: a worker whose
-acks are dropped or delayed, which crashes or hangs past its lease, must
-still leave a complete count and one journal record per piece.
+Injected faults are one more dimension: a resilient executor, serial or
+on two threads, whose guard fails single tasks at a drawn fault seed,
+must still visit every state once and journal every piece once — visits
+and journal writes are side effects, so a retry round must resubmit only
+the tasks that raised.  Wire faults are the dist backend's side of that
+dimension: a worker whose acks are dropped or delayed, which crashes or
+hangs past its lease, must still leave a complete count and one journal
+record per piece.
 
 The online driver (Algorithm 4) is one more dimension: its events arrive
 in a random linear extension of happened-before, from one thread or from
@@ -43,6 +45,7 @@ lengths``.
 """
 
 import json
+import math
 import sys
 import threading
 from collections import Counter
@@ -70,13 +73,14 @@ from repro.enumeration.base import make_enumerator
 from repro.poset.ideals import count_ideals
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.poset.topological import random_topological_order
-from repro.resilience import FaultInjectingExecutor, FaultSpec, ResilientExecutor
+from repro.resilience import FaultSpec, ResilientExecutor
 from repro.runtime import run_program
 from repro.util.cuts import cut_leq
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
 from tests.conftest import small_posets
+from tests.test_enumeration_equivalence import brute_force_states
 
 
 class Killed(RuntimeError):
@@ -111,10 +115,18 @@ class KillAfter(Executor):
         return self.inner.map_tasks([stoppable(task) for task in tasks], context)
 
 
+#: The largest box (the product of ``lengths[t] + 1``) that
+#: :func:`reference` also enumerates by brute force; every
+#: ``small_posets()`` draw (at most 18 events) fits.
+BRUTE_FORCE_BOX = 4096
+
+
 def reference(poset):
     seen = Counter()
     make_enumerator("lexical", poset).enumerate(lambda c: seen.update([tuple(c)]))
     assert sum(seen.values()) == count_ideals(poset)
+    if math.prod(length + 1 for length in poset.lengths) <= BRUTE_FORCE_BOX:
+        assert set(seen) == brute_force_states(poset)
     return seen
 
 
@@ -249,18 +261,13 @@ def test_dist_local_runs_match_the_reference(tmp_path, seed, schedule):
 
 
 def check_under_faults(poset, rung, schedule, seed, tmp_path):
-    """One run under injected faults at fault seed ``seed``: the first
-    rung (``serial`` or ``threads2``) crashes whole gathers, the guard
-    fails single tasks.  Every state must be visited once and every piece
+    """One run under injected faults at fault seed ``seed``: a resilient
+    executor on ``rung`` (``serial`` or ``threads2``) whose guard fails
+    single tasks.  Every state must be visited once and every piece
     journaled once."""
     inner = SerialExecutor() if rung == "serial" else WorkStealingThreadExecutor(2)
     executor = ResilientExecutor(
-        [
-            FaultInjectingExecutor(
-                inner, FaultSpec(seed, crash=0.3, max_faulty_attempts=2)
-            ),
-            SerialExecutor(),
-        ],
+        inner,
         retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0),
         fault_spec=FaultSpec(
             derive_seed(seed, "guard"), crash=0.2, max_faulty_attempts=2

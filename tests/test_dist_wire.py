@@ -33,7 +33,6 @@ from repro.errors import (
     ConnectionClosedError,
     DeadlockError,
     ExecutorError,
-    ExecutorTimeoutError,
     InjectedFaultError,
     OutOfMemoryError,
     ReproError,
@@ -178,7 +177,6 @@ def test_wire_faults_decide_is_seeded_and_deterministic():
 
 ERRORS = [
     ExecutorError("infrastructure failed"),
-    ExecutorTimeoutError(3, 1.5, "process(4)"),
     InjectedFaultError("crash", ((0, 1), (0, 0), (1, 1)), 1),
     WireError("unknown frame tag 9"),
     ConnectionClosedError("peer closed with 12 of 40 bytes outstanding"),
@@ -190,7 +188,6 @@ ERRORS = [
 
 #: The structured payload each error must carry across the boundary.
 _PAYLOAD_ATTRS = {
-    ExecutorTimeoutError: ("task_index", "timeout", "executor"),
     InjectedFaultError: ("kind", "key", "attempt"),
     StaleDigestError: ("expected", "actual", "where"),
     WorkerLostError: ("worker", "lost_leases"),

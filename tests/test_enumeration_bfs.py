@@ -3,7 +3,7 @@
 import pytest
 
 from repro.enumeration.bfs import BFSEnumerator
-from repro.errors import EnumerationError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.util.cuts import zero_cut
 
 from tests.conftest import build_chain_poset
@@ -61,16 +61,6 @@ def test_partitioning_fits_where_sequential_ooms():
     pm = ParaMount(p, subroutine="bfs", memory_budget=budget * 6)
     result = pm.run()
     assert result.states == 4**5
-
-
-def test_bounds_validation(figure4_poset):
-    bfs = BFSEnumerator(figure4_poset)
-    with pytest.raises(EnumerationError):
-        bfs.enumerate_interval((1, 1), (0, 0))
-    with pytest.raises(EnumerationError):
-        bfs.enumerate_interval((0, 0), (5, 5))
-    with pytest.raises(EnumerationError):
-        bfs.enumerate_interval((0,), (1, 1))
 
 
 def test_work_meter_positive(figure4_poset):

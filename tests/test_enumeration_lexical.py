@@ -1,11 +1,9 @@
 """Lexical-enumeration specifics: ordering, statelessness, successors."""
 
-import pytest
 from hypothesis import given, settings
 
 from repro.enumeration.lexical import LexicalEnumerator, lex_first, lex_successor
 from repro.enumeration.base import CollectingVisitor
-from repro.errors import EnumerationError
 from repro.util.cuts import lex_compare, zero_cut
 
 from tests.conftest import small_posets
@@ -63,12 +61,6 @@ def test_work_meter_accumulates(figure4_poset):
     work = [0]
     lex_successor(figure4_poset, (0, 0), (0, 0), (2, 2), work)
     assert work[0] > 0
-
-
-def test_bounds_validation(figure4_poset):
-    lex = LexicalEnumerator(figure4_poset)
-    with pytest.raises(EnumerationError):
-        lex.enumerate_interval((2, 2), (0, 0))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,6 @@
 """Tests for the execution backends."""
 
 import threading
-import time
 
 import pytest
 
@@ -11,7 +10,6 @@ from repro.core.executors import (
     Task,
     WorkStealingThreadExecutor,
 )
-from repro.errors import ExecutorTimeoutError
 
 
 def _make_tasks(n):
@@ -62,58 +60,6 @@ def test_worker_count_validation():
         WorkStealingThreadExecutor(0)
     with pytest.raises(ValueError):
         SerialExecutor.__bases__[0].__init__(SerialExecutor(), -3)
-
-
-def test_thread_executor_timeout_is_typed_and_names_the_task():
-    """A hung task trips the no-progress timeout: the tasks queued behind
-    it never start and the error carries the offending task's index."""
-    started = threading.Event()
-    ran_after = []
-
-    def fast():
-        return "fast"
-
-    def hung():
-        started.set()
-        time.sleep(2.0)
-        return "late"
-
-    def never():
-        ran_after.append(True)
-        return "never"
-
-    ex = WorkStealingThreadExecutor(1, task_timeout=0.1)
-    with pytest.raises(ExecutorTimeoutError) as info:
-        ex.map_tasks([Task(fast), Task(hung), Task(never)])
-    assert info.value.task_index == 1
-    assert info.value.timeout == pytest.approx(0.1)
-    assert "task 1" in str(info.value)
-    assert started.is_set()
-    assert not ran_after  # the queued task behind the hang never ran
-
-
-def test_thread_executor_timeout_names_the_running_task_not_a_queued_one():
-    """Tasks start heaviest first, so the hung task (index 1) runs while
-    index 0 is still queued: the timeout names the task that is running."""
-    release = threading.Event()
-
-    def hung():
-        release.wait(2.0)
-        return "late"
-
-    ex = WorkStealingThreadExecutor(1, task_timeout=0.1)
-    try:
-        with pytest.raises(ExecutorTimeoutError) as info:
-            ex.map_tasks([Task(lambda: "queued", weight=1), Task(hung, weight=5)])
-    finally:
-        release.set()
-    assert info.value.task_index == 1
-
-
-def test_thread_executor_without_timeout_waits():
-    ex = WorkStealingThreadExecutor(2)
-    assert ex.task_timeout is None
-    assert ex.map_tasks([Task(lambda: 1), Task(lambda: 2)]).results == [1, 2]
 
 
 def test_retry_policy_delay_schedule():

@@ -267,7 +267,7 @@ def test_reused_executor_and_journal_report_to_each_runs_observer(tmp_path):
 def test_resilient_retries_emit_instants_and_counter():
     observer = Observer()
     ex = ResilientExecutor(
-        ladder=[SerialExecutor()],
+        SerialExecutor(),
         retry=FAST_RETRY,
         fault_spec=FaultSpec(seed=0, poison=frozenset({1})),
     )

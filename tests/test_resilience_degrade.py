@@ -1,73 +1,21 @@
-"""Graceful degradation: ladders descend, subroutines fall back, and every
-step is recorded on the result."""
+"""Graceful degradation: tasks that exhaust their retries are recorded,
+subroutines fall back, and every step is recorded on the result."""
 
 import pytest
 
-from repro.core.executors import (
-    Executor,
-    RetryPolicy,
-    SerialExecutor,
-    Task,
-    WorkStealingThreadExecutor,
-)
+from repro.core.executors import RetryPolicy, SerialExecutor, Task
 from repro.core.paramount import ParaMount
-from repro.errors import ExecutorError, OutOfMemoryError
-from repro.resilience import (
-    FaultSpec,
-    ResilientExecutor,
-    default_ladder,
-)
+from repro.errors import OutOfMemoryError
+from repro.resilience import FaultSpec, ResilientExecutor
 
 from tests.conftest import build_chain_poset, build_figure4_poset
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
 
-class AlwaysBroken(Executor):
-    """A rung whose pool dies on every gather."""
-
-    name = "always-broken"
-
-    def __init__(self):
-        super().__init__(num_workers=2)
-
-    def map_tasks(self, tasks, context=None):
-        raise ExecutorError("worker OOM-killed")
-
-
-def test_default_ladder_shape():
-    ladder = default_ladder(3, task_timeout=1.0)
-    assert isinstance(ladder[0], WorkStealingThreadExecutor)
-    assert ladder[0].num_workers == 3
-    assert ladder[0].task_timeout == 1.0
-    assert isinstance(ladder[-1], SerialExecutor)
-
-
-def test_empty_ladder_rejected():
-    with pytest.raises(ValueError):
-        ResilientExecutor(ladder=[])
-
-
-def test_broken_pool_descends_after_repeated_breakage():
-    ex = ResilientExecutor(
-        ladder=[AlwaysBroken(), SerialExecutor()], retry=FAST_RETRY
-    )
-    report = ex.map_tasks([Task(lambda i=i: i + 1) for i in range(4)])
-    assert report.results == [1, 2, 3, 4]
-    assert not report.failures
-    assert len(report.degradations) == 1
-    assert report.degradations[0].kind == "executor"
-    assert report.degradations[0].from_name == "always-broken"
-    assert report.degradations[0].to_name == "serial"
-    # each breakage resubmitted the whole pending batch
-    assert report.retries > 0
-
-
 def test_last_rung_exhaustion_records_failures_not_raises():
     spec = FaultSpec(seed=0, poison=frozenset({1}))
-    ex = ResilientExecutor(
-        ladder=[SerialExecutor()], retry=FAST_RETRY, fault_spec=spec
-    )
+    ex = ResilientExecutor(SerialExecutor(), retry=FAST_RETRY, fault_spec=spec)
     report = ex.map_tasks([Task(lambda: "a"), Task(lambda: "b"), Task(lambda: "c")])
     assert report.results == ["a", None, "c"]
     failures = report.failures
@@ -131,17 +79,28 @@ def test_lexical_is_budget_immune():
 
 
 def test_driver_reports_ladder_provenance():
-    poset = build_figure4_poset()
-    base = ParaMount(poset).run()
+    poset, budget, lexical = oom_setup()
     ex = ResilientExecutor(
-        ladder=[AlwaysBroken(), SerialExecutor()], retry=FAST_RETRY
+        SerialExecutor(),
+        retry=FAST_RETRY,
+        fault_spec=FaultSpec(seed=0, crash=0.5, max_faulty_attempts=2),
     )
-    result = ParaMount(poset, executor=ex).run()
-    assert result.states == base.states
+
+    def run():
+        return ParaMount(
+            poset,
+            subroutine="bfs",
+            memory_budget=budget,
+            degrade_on_oom=True,
+            executor=ex,
+        ).run()
+
+    result = run()
+    assert result.states == lexical.states
     assert result.degraded
     assert result.retries > 0
     # a second run reports only its own provenance, not the first's
-    again = ParaMount(poset, executor=ex).run()
+    again = run()
     assert again.retries == result.retries
     assert again.degradations == result.degradations
 
@@ -149,9 +108,7 @@ def test_driver_reports_ladder_provenance():
 def test_driver_attributes_failed_tasks_to_interval_events():
     poset = build_figure4_poset()
     spec = FaultSpec(seed=0, poison=frozenset({0}))
-    ex = ResilientExecutor(
-        ladder=[SerialExecutor()], retry=FAST_RETRY, fault_spec=spec
-    )
+    ex = ResilientExecutor(SerialExecutor(), retry=FAST_RETRY, fault_spec=spec)
     result = ParaMount(poset, executor=ex).run()
     assert len(result.failures) == 1
     pm = ParaMount(poset)

@@ -1,8 +1,8 @@
 """Fault-injection suite: exact totals under deterministic infrastructure
 faults.
 
-The harness perturbs infrastructure only (crashes, hangs, slowdowns,
-poisoned tasks), never answers; Theorem 2 makes every interval idempotent,
+The harness perturbs infrastructure only (crashes, slowdowns, poisoned
+tasks), never answers; Theorem 2 makes every interval idempotent,
 so any recovery strategy that eventually re-runs the perturbed intervals
 must converge to the exact fault-free totals.  That convergence — per
 seed, on every Table-1 workload poset — is what this file asserts.
@@ -13,29 +13,20 @@ seeds 0, 1 and 2.
 
 import os
 import sys
-import threading
 import time
 
 import pytest
 
-from repro.core.executors import (
-    Executor,
-    RetryPolicy,
-    SerialExecutor,
-    Task,
-    WorkStealingThreadExecutor,
-)
-from repro.core.metrics import ExecutorReport
+from repro.core.executors import RetryPolicy, SerialExecutor, WorkStealingThreadExecutor
 from repro.core.paramount import ParaMount
 from repro.core.scheduling import coalesce, plan_schedule
-from repro.errors import ExecutorTimeoutError, InjectedFaultError, ReproError
+from repro.errors import InjectedFaultError, ReproError
 from repro.obs import Observer
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.resilience import (
     FAULT_CRASH,
     FAULT_NONE,
     FAULT_POISON,
-    FaultInjectingExecutor,
     FaultSpec,
     ResilientExecutor,
     apply_fault,
@@ -55,9 +46,9 @@ FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0, jitter=0
 
 
 def test_decide_is_deterministic():
-    spec = FaultSpec(seed=FAULT_SEED, crash=0.3, hang=0.2, slow=0.2)
+    spec = FaultSpec(seed=FAULT_SEED, crash=0.3, slow=0.4)
     draws = [(key, a, spec.decide(key, a)) for key in range(50) for a in range(3)]
-    again = FaultSpec(seed=FAULT_SEED, crash=0.3, hang=0.2, slow=0.2)
+    again = FaultSpec(seed=FAULT_SEED, crash=0.3, slow=0.4)
     assert draws == [(k, a, again.decide(k, a)) for k, a, _ in draws]
 
 
@@ -85,7 +76,7 @@ def test_rate_validation():
     with pytest.raises(ValueError):
         FaultSpec(crash=1.5)
     with pytest.raises(ValueError):
-        FaultSpec(crash=0.6, hang=0.6)
+        FaultSpec(crash=0.6, slow=0.6)
 
 
 def test_apply_fault_raises_for_crash_and_poison():
@@ -99,26 +90,14 @@ def test_apply_fault_raises_for_crash_and_poison():
 
 
 def test_parse_round_trip():
-    spec = FaultSpec.parse("seed=5, crash=0.1, slow=0.2, poison=3;7, hang_seconds=0.5")
+    spec = FaultSpec.parse("seed=5, crash=0.1, slow=0.2, poison=3;7, slow_seconds=0.5")
     assert spec == FaultSpec(
-        seed=5, crash=0.1, slow=0.2, poison=frozenset({3, 7}), hang_seconds=0.5
+        seed=5, crash=0.1, slow=0.2, poison=frozenset({3, 7}), slow_seconds=0.5
     )
     with pytest.raises(ReproError):
         FaultSpec.parse("crash")
     with pytest.raises(ReproError):
         FaultSpec.parse("teleport=1")
-
-
-def test_injecting_executor_logs_and_retries_get_fresh_draws():
-    spec = FaultSpec(seed=FAULT_SEED, crash=1.0, max_faulty_attempts=1)
-    ex = FaultInjectingExecutor(SerialExecutor(), spec)
-    with pytest.raises(InjectedFaultError):
-        ex.map_tasks([Task(lambda: 1), Task(lambda: 2)])
-    # second submission of the same keys is attempt 1 → fault-free
-    assert ex.map_tasks([Task(lambda: 1), Task(lambda: 2)]).results == [1, 2]
-    # both attempt-0 faults were planned and logged (the serial inner
-    # stopped at the first crash, but injection is decided at wrap time)
-    assert [(k, a) for k, a, _ in ex.injected] == [(0, 0), (1, 0)]
 
 
 # --------------------------------------------------------------------- #
@@ -129,9 +108,7 @@ def test_resilient_totals_exact_under_task_faults():
     poset = build_figure4_poset()
     base = ParaMount(poset).run()
     spec = FaultSpec(seed=FAULT_SEED, crash=0.5, max_faulty_attempts=2)
-    ex = ResilientExecutor(
-        ladder=[SerialExecutor()], retry=FAST_RETRY, fault_spec=spec
-    )
+    ex = ResilientExecutor(SerialExecutor(), retry=FAST_RETRY, fault_spec=spec)
     result = ParaMount(poset, executor=ex).run()
     assert result.states == base.states == 8
     assert result.complete
@@ -154,7 +131,7 @@ def test_resilient_accounting_identity_with_permanent_failures():
     per_event = {s.event: s.states for s in base.intervals}
     spec = FaultSpec(seed=FAULT_SEED, poison=frozenset({0, 5}))
     ex = Recording(
-        ladder=[SerialExecutor()],
+        SerialExecutor(),
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0),
         fault_spec=spec,
     )
@@ -168,31 +145,14 @@ def test_resilient_accounting_identity_with_permanent_failures():
     assert not result.complete
 
 
-def test_hang_is_recovered_by_gather_timeout():
-    """A hung task trips the thread rung's no-progress timeout; the batch
-    is resubmitted and the retried task draws a fresh (fault-free) plan."""
-    poset = build_figure4_poset()
-    spec = FaultSpec(
-        seed=FAULT_SEED, hang=0.6, hang_seconds=1.0, max_faulty_attempts=1
-    )
-    ex = ResilientExecutor(
-        ladder=[WorkStealingThreadExecutor(2, task_timeout=0.2), SerialExecutor()],
-        retry=RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0, jitter=0.0),
-        fault_spec=spec,
-    )
-    result = ParaMount(poset, executor=ex).run()
-    assert result.states == 8
-    assert result.complete
-
-
 def test_provenance_matches_counters():
     """The result's steals and retries equal the observer's counters: the
-    resilient executor adds up the reports of every rung gather, not just
+    resilient executor adds up the reports of every inner gather, not just
     the last one."""
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
     observer = Observer()
     ex = ResilientExecutor(
-        ladder=[WorkStealingThreadExecutor(2), SerialExecutor()],
+        WorkStealingThreadExecutor(2),
         retry=FAST_RETRY,
         fault_spec=FaultSpec(seed=FAULT_SEED, crash=0.3, max_faulty_attempts=2),
     )
@@ -212,9 +172,7 @@ def test_table1_workloads_exact_under_faults(name):
     base = ParaMount(poset).run()
     spec = FaultSpec(seed=FAULT_SEED, crash=0.15, slow=0.05,
                      slow_seconds=0.0, max_faulty_attempts=2)
-    ex = ResilientExecutor(
-        ladder=[SerialExecutor()], retry=FAST_RETRY, fault_spec=spec
-    )
+    ex = ResilientExecutor(SerialExecutor(), retry=FAST_RETRY, fault_spec=spec)
     result = ParaMount(poset, executor=ex).run()
     assert result.complete and not result.degraded
     assert result.states == base.states
@@ -222,8 +180,8 @@ def test_table1_workloads_exact_under_faults(name):
 
 
 def test_injecting_rung_keeps_the_task_weights():
-    """Fault injection wraps only a task's body: the thread rung under it
-    still deals and steals each run by its summed size bound."""
+    """The guard injects faults into a task's body only: the thread pool
+    under it still deals and steals each run by its summed size bound."""
 
     class WeightRecording(WorkStealingThreadExecutor):
         def map_tasks(self, tasks, context):
@@ -232,9 +190,7 @@ def test_injecting_rung_keeps_the_task_weights():
 
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
     rung = WeightRecording(2)
-    ex = ResilientExecutor(
-        ladder=[FaultInjectingExecutor(rung, FaultSpec(seed=0)), SerialExecutor()]
-    )
+    ex = ResilientExecutor(rung, fault_spec=FaultSpec(seed=0))
     pm = ParaMount(poset, executor=ex, schedule="fifo")
     result = pm.run()
     plan = plan_schedule(poset, pm.intervals, "fifo", ex.num_workers)
@@ -245,23 +201,20 @@ def test_injecting_rung_keeps_the_task_weights():
 
 
 def test_retries_run_each_task_body_once(tmp_path):
-    """Crashes lose whole gathers and hangs trip the gather timeout; the
-    retries finish the tasks.  A task that finished inside a lost gather
-    is not resubmitted, and a hung attempt that wakes after its retry
-    returns the retry's outcome: every state is visited and every
-    interval journaled once.  Four threads on a short switch interval
-    stress the outcome list the attempts share."""
-    # 18 runs of a few ms each: only the injected hangs outlast the timeout
+    """Crashed attempts are retried and slow ones stall their thread; a
+    task that returned is never resubmitted, so every state is visited
+    and every interval journaled once.  Four threads on a short switch
+    interval stress the visitor lock and the journal the attempts share."""
+    # 18 runs of a few ms each
     poset = random_computation(RandomComputationSpec(4, 120, 0.3, seed=5))
     base = ParaMount(poset).run()
     spec = FaultSpec(
-        seed=FAULT_SEED, crash=0.3, hang=0.3, hang_seconds=0.5,
+        seed=FAULT_SEED, crash=0.3, slow=0.3, slow_seconds=0.5,
         max_faulty_attempts=1,
     )
-    rung = FaultInjectingExecutor(
-        WorkStealingThreadExecutor(4, task_timeout=0.1), spec
+    ex = ResilientExecutor(
+        WorkStealingThreadExecutor(4), retry=FAST_RETRY, fault_spec=spec
     )
-    ex = ResilientExecutor(ladder=[rung, SerialExecutor()], retry=FAST_RETRY)
     visits = [0]
 
     def count(cut):
@@ -274,61 +227,18 @@ def test_retries_run_each_task_body_once(tmp_path):
         result = ParaMount(
             poset, executor=ex, schedule="fifo", checkpoint=path
         ).run(count)
-        time.sleep(spec.hang_seconds + 0.2)  # every hung attempt has woken
     finally:
         sys.setswitchinterval(old)
-    assert result.complete
-    assert {"crash", "hang"} <= {kind for _, _, kind in rung.injected}
+    assert result.complete and result.retries > 0
     assert visits[0] == base.states
     assert len(path.read_text().splitlines()) == 1 + len(base.intervals)
 
 
-def test_retry_waits_for_an_abandoned_attempt_inside_its_body():
-    """A timeout abandons a gather while an attempt is inside its task's
-    body, which a thread cannot be made to leave.  The retry waits for
-    that attempt's outcome instead of running the body a second time."""
-    entered = threading.Event()
-    runs = []
-
-    def body():
-        runs.append(1)
-        entered.set()
-        time.sleep(0.2)
-        return "done"
-
-    class AbandonFirstGather(Executor):
-        """Starts the first gather's first task on a thread and abandons
-        the gather once the task is inside its body, as a no-progress
-        timeout does; runs later gathers serially."""
-
-        name = "abandon-first"
-
-        def __init__(self):
-            super().__init__(num_workers=1)
-            self.gathers = 0
-
-        def map_tasks(self, tasks, context=None):
-            self.gathers += 1
-            if self.gathers == 1:
-                threading.Thread(target=tasks[0], daemon=True).start()
-                assert entered.wait(5.0)
-                raise ExecutorTimeoutError(0, 0.0, executor=self.name)
-            return ExecutorReport(results=[task() for task in tasks])
-
-    ex = ResilientExecutor(ladder=[AbandonFirstGather()], retry=FAST_RETRY)
-    report = ex.map_tasks([Task(body)])
-    assert report.results == ["done"]
-    assert report.retries == 1
-    assert runs == [1]
-
-
-def test_a_body_outlasting_the_timeout_is_waited_for_not_given_up(tmp_path):
+def test_a_slow_body_is_waited_for(tmp_path):
     """No fault at all: the visitor sleeps on the first state while it
-    holds the visitor lock, so every running body stalls past the thread
-    rung's no-progress timeout, gather after gather.  A running body is
-    charged no attempt — its retry waits for it — so the run steps down
-    to the serial rung and completes, every state visited and every
-    piece journaled once."""
+    holds the visitor lock, so every running body stalls.  No attempt
+    outlives its gather, so nothing is retried or given up: the run
+    completes, every state visited and every piece journaled once."""
     poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
     base = ParaMount(poset).run()
     seen = {}
@@ -339,50 +249,13 @@ def test_a_body_outlasting_the_timeout_is_waited_for_not_given_up(tmp_path):
         key = tuple(cut)
         seen[key] = seen.get(key, 0) + 1
 
-    ex = ResilientExecutor(
-        ladder=[WorkStealingThreadExecutor(2, task_timeout=0.1), SerialExecutor()],
-        retry=FAST_RETRY,
-    )
+    ex = ResilientExecutor(WorkStealingThreadExecutor(2), retry=FAST_RETRY)
     path = tmp_path / "slow.ckpt"
     result = ParaMount(
         poset, executor=ex, schedule="fifo", checkpoint=path
     ).run(visit)
-    assert result.complete and not result.failures
+    assert result.complete
+    assert not result.failures and result.retries == 0
     assert result.states == base.states
     assert len(seen) == base.states and set(seen.values()) == {1}
     assert len(path.read_text().splitlines()) == 1 + len(base.intervals)
-
-
-def test_given_up_task_stays_unrun_when_its_hung_attempts_wake():
-    """Every attempt of a task hangs past the timeout until it is given
-    up; the abandoned attempts that wake afterwards do not run it."""
-    runs = []
-    spec = FaultSpec(seed=FAULT_SEED, hang=1.0, hang_seconds=0.3)
-    ex = ResilientExecutor(
-        ladder=[
-            FaultInjectingExecutor(
-                WorkStealingThreadExecutor(1, task_timeout=0.05), spec
-            )
-        ],
-        retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0),
-    )
-    report = ex.map_tasks([Task(lambda: runs.append(1))])
-    time.sleep(spec.hang_seconds + 0.2)  # every hung attempt has woken
-    assert report.results == [None]
-    assert [f.attempts for f in report.failures] == [2]
-    assert runs == []
-
-
-def test_batch_level_faults_through_injecting_rung():
-    """Crashes injected *around* the inner executor abort whole gathers,
-    exercising batch-level retry rather than per-task retry."""
-    poset = ENUMERATION_WORKLOADS["d-300"].build_poset()
-    base = ParaMount(poset).run()
-    inner = FaultInjectingExecutor(
-        SerialExecutor(),
-        FaultSpec(seed=FAULT_SEED, crash=0.1, max_faulty_attempts=2),
-    )
-    ex = ResilientExecutor(ladder=[inner, SerialExecutor()], retry=FAST_RETRY)
-    result = ParaMount(poset, executor=ex).run()
-    assert result.states == base.states
-    assert result.complete

@@ -31,7 +31,7 @@ from repro.core.scheduling import (
     validate_split,
 )
 from repro.enumeration.base import make_enumerator
-from repro.errors import CheckpointError, ExecutorTimeoutError
+from repro.errors import CheckpointError
 from repro.poset.topological import lexicographic_topological_order
 from repro.resilience.checkpoint import CheckpointJournal, poset_digest
 
@@ -249,21 +249,6 @@ def test_stealing_executor_propagates_task_exception():
     ex = WorkStealingThreadExecutor(3)
     with pytest.raises(RuntimeError, match="interval exploded"):
         ex.map_tasks([Task(lambda: 1), Task(boom), Task(lambda: 2)])
-
-
-def test_stealing_executor_times_out_on_no_progress():
-    import threading
-
-    release = threading.Event()
-
-    def hang():
-        release.wait(5.0)
-        return "late"
-
-    ex = WorkStealingThreadExecutor(2, task_timeout=0.1)
-    with pytest.raises(ExecutorTimeoutError):
-        ex.map_tasks([Task(hang), Task(lambda: "ok")])
-    release.set()
 
 
 # --------------------------------------------------------------------- #

@@ -185,3 +185,40 @@ def test_cli_rejected_input_is_an_error_line(tmp_path, capsys, argv, names):
     err = capsys.readouterr().err
     path = str(trace if "--trace" in argv else poset)
     assert err.startswith(f"error: {path}: ") and names in err
+
+
+
+#: A well-formed poset file: the event (1, 1) follows (0, 1).
+GOOD_POSET = dict(BAD_POSET, insertion=[[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["--paramount", "--faults", "teleport=1"], "unknown fault spec key"),
+        (["--paramount", "--faults", "crash=2"], "crash rate must be in [0, 1]"),
+        (["--paramount", "--faults", "hang=0.1"], "unknown fault spec key 'hang'"),
+        (
+            ["--paramount", "--backend", "dist", "--wire-faults", "teleport=1"],
+            "unknown wire fault key",
+        ),
+        (
+            ["--connect", "127.0.0.1:9", "--wire-faults", "drop_ack=2"],
+            "drop_ack must be a probability",
+        ),
+    ],
+    ids=["unknown-key", "rate", "hang", "dist-wire", "worker-wire"],
+)
+def test_cli_malformed_fault_spec_is_an_error_line(tmp_path, capsys, argv, why):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(GOOD_POSET))
+    if "--connect" in argv:
+        argv = ["worker", "--poset", str(poset), *argv]
+    else:
+        argv = ["enumerate", str(poset), *argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    flag = "--wire-faults" if "--wire-faults" in argv else "--faults"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and why in err
