@@ -70,14 +70,12 @@ class Task:
     ``weight`` is what work-stealing executors deal and steal by (the
     ParaMount driver's run's summed size bound); ``pieces`` are the
     interval pieces a descriptor-shipping executor leases instead of
-    ``fn``; ``key`` is the identity a resilient executor's fault plan
-    draws by (``None``: the task's position in its gather).
+    ``fn``.
     """
 
     fn: Callable[[], Any]
     weight: int = 1
     pieces: Sequence[Interval] = ()
-    key: Optional[object] = None
 
     def __call__(self) -> Any:
         return self.fn()

@@ -332,7 +332,7 @@ class ParaMount:
                     )
                 return stats
 
-        def make_task(index: int, run: List[Interval]) -> Task:
+        def make_task(run: List[Interval]) -> Task:
             def enumerate_run() -> List[Optional[IntervalStats]]:
                 out = [enumerate_piece(interval) for interval in run]
                 if journal is not None:
@@ -345,7 +345,6 @@ class ParaMount:
                 enumerate_run,
                 weight=sum(iv.size_bound for iv in run),
                 pieces=run,
-                key=index,
             )
 
         result = ParaMountResult()
@@ -357,7 +356,7 @@ class ParaMount:
                     "map_tasks", "schedule", tasks=len(runs), pieces=len(pending)
                 ):
                     report = self.executor.map_tasks(
-                        [make_task(i, run) for i, run in enumerate(runs)],
+                        [make_task(run) for run in runs],
                         context,
                     )
         finally:

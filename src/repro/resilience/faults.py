@@ -18,7 +18,8 @@ scheduling.
 
 In-process, a task fails only by raising, so the one injection point is
 the :class:`~repro.resilience.runner.ResilientExecutor`'s per-task guard,
-which applies a spec before the task's body.  Worker processes are
+which applies a spec before the task's body, keying each task by its
+position in the caller's gather.  Worker processes are
 perturbed by the same discipline through
 :class:`repro.dist.wire.WireFaults` — a crash there is a literal
 ``os._exit`` of a :mod:`repro.dist` worker, and a hang outlives its lease.

@@ -119,12 +119,11 @@ class ResilientExecutor(Executor):
         """Wrap a task's ``fn`` to inject its planned fault and return
         ``(True, value)`` or ``(False, error)`` instead of raising."""
         spec = self.fault_spec
-        key = index if task.key is None else task.key
 
         def guarded():
             try:
                 if spec is not None:
-                    apply_fault(spec.decide(key, attempt), spec, key, attempt)
+                    apply_fault(spec.decide(index, attempt), spec, index, attempt)
                 return True, task.fn()
             except Exception as exc:
                 return False, f"{type(exc).__name__}: {exc}"

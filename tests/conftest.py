@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import strategies as st
 
 from repro.poset.builder import PosetBuilder
 from repro.poset.poset import Poset
 from repro.poset.random_posets import RandomComputationSpec, random_computation
+
+
+def brute_force_states(poset: Poset) -> set:
+    """Every cut of the poset's box that is consistent: the reference
+    lattice by exhaustion, sharing no code with any enumerator."""
+    ranges = [range(length + 1) for length in poset.lengths]
+    return {c for c in product(*ranges) if poset.is_consistent(c)}
 
 
 def build_chain_poset(num_threads: int, chain_length: int) -> Poset:

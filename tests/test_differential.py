@@ -79,8 +79,7 @@ from repro.util.cuts import cut_leq
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
-from tests.conftest import small_posets
-from tests.test_enumeration_equivalence import brute_force_states
+from tests.conftest import brute_force_states, small_posets
 
 
 class Killed(RuntimeError):

@@ -27,6 +27,7 @@ from repro.resilience import (
     FAULT_CRASH,
     FAULT_NONE,
     FAULT_POISON,
+    FAULT_SLOW,
     FaultSpec,
     ResilientExecutor,
     apply_fault,
@@ -221,14 +222,16 @@ def test_retries_run_each_task_body_once(tmp_path):
         visits[0] += 1
 
     path = tmp_path / "faults.ckpt"
+    pm = ParaMount(poset, executor=ex, schedule="fifo", checkpoint=path)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        result = ParaMount(
-            poset, executor=ex, schedule="fifo", checkpoint=path
-        ).run(count)
+        result = pm.run(count)
     finally:
         sys.setswitchinterval(old)
+    plan = plan_schedule(poset, pm.intervals, "fifo", ex.num_workers)
+    runs = coalesce(plan, plan.tasks, pm.intervals)
+    assert {spec.decide(k, 0) for k in range(len(runs))} >= {FAULT_CRASH, FAULT_SLOW}
     assert result.complete and result.retries > 0
     assert visits[0] == base.states
     assert len(path.read_text().splitlines()) == 1 + len(base.intervals)
