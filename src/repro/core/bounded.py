@@ -25,7 +25,7 @@ from repro.core.intervals import Interval
 from repro.core.metrics import IntervalStats
 from repro.enumeration.base import Enumerator
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.types import CutVisitor
+from repro.types import CutVisitor, RunVisitor
 
 __all__ = ["bounded_enumeration", "locked"]
 
@@ -96,7 +96,19 @@ def bounded_enumeration(
 
 def locked(visit: CutVisitor, lock: threading.Lock) -> CutVisitor:
     """``visit`` with every call made under ``lock``, for a visitor that
-    pieces running on several threads share."""
+    pieces running on several threads share.
+
+    A :class:`~repro.types.RunVisitor` stays one: the lock is taken once
+    per run, and the run's done signal passes through.
+    """
+    if isinstance(visit, RunVisitor):
+        run = visit.run
+
+        def locked_run(cut, c0, c1):
+            with lock:
+                return run(cut, c0, c1)
+
+        return RunVisitor(locked_run)
 
     def locked_visit(cut):
         with lock:

@@ -67,7 +67,8 @@ class OnlineParaMount:
         Optional factory called once per inserted event ``e`` with ``e``,
         its interval ``I(e)`` and the worker's live
         :class:`~repro.poset.builder.BuilderView`; the enumeration calls
-        the visitor it returns with the cut of every state of ``I(e)``.
+        the visitor it returns with the cut of every state of ``I(e)``
+        (a :class:`~repro.types.RunVisitor` with each run of states).
         This is where a predicate detector plugs in (paper Figure 7):
         pass a predicate's
         :meth:`~repro.predicates.base.StatePredicate.interval_visitor`.

@@ -208,7 +208,9 @@ class ParaMount:
     def run(self, visit: Optional[CutVisitor] = None) -> ParaMountResult:
         """Enumerate every consistent global state exactly once.
 
-        ``visit`` is called once per state; with more than one worker the
+        ``visit`` is called once per state (a
+        :class:`~repro.types.RunVisitor` once per run on the packed
+        kernel); with more than one worker the
         calls may arrive from multiple threads, so the visitor is wrapped in
         a mutex (states of one interval still arrive in the subroutine's
         order; interleaving across intervals is arbitrary, exactly as in

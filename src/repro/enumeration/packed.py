@@ -21,10 +21,15 @@ call starts at ``lo``, which every interval they make has consistent.
 significant, and clock rows are monotone along a chain, so for a fixed
 prefix the set of valid last-coordinate values is a contiguous run whose
 end is ``min_j bisect_right(column_j, prefix_j)`` over the sorted
-per-thread requirement columns (``cols``).  The enumerator visits
+per-thread requirement columns (``cols``).  The enumerator finds
 whole runs at C speed and only computes successors at backtracking
 positions ``k ≤ n-2``.  With no visitor the run contributes to the state
-count in O(1), which is what the counting benchmarks measure.
+count in O(1), which is what the counting benchmarks measure.  In visit
+mode a :class:`~repro.types.RunVisitor` gets one call per run, with the
+live ``cut`` and the run's range ``c0..c1``; a plain visitor gets one
+call per state, with the state's tuple.  A run visitor that returns True
+is done: the rest of its interval runs in counting mode, and ``work``
+then counts 1 per run (it counts 1 per state while a visitor takes them).
 
 Two successor kernels, each property-tested against the reference; every
 call picks one by poset size (``num_events ≤ BITMASK_MAX_EVENTS``),
@@ -74,9 +79,21 @@ from typing import Optional
 
 from repro.enumeration.base import EnumerationResult, Enumerator
 from repro.poset.poset import Poset
-from repro.types import Cut, CutVisitor
+from repro.types import Cut, CutVisitor, RunVisitor
 
 __all__ = ["PackedLexicalEnumerator"]
+
+
+def _per_state(visit: CutVisitor):
+    """A plain visitor as a run callable: one call per state of the run,
+    never done."""
+
+    def run(cut, c0, c1):
+        prefix = tuple(cut[:-1])
+        for c in range(c0, c1 + 1):
+            visit(prefix + (c,))
+
+    return run
 
 
 class PackedLexicalEnumerator(Enumerator):
@@ -133,6 +150,12 @@ class PackedLexicalEnumerator(Enumerator):
         rows = tables.rows
         work = 0
         cut = array("i", lo)  # lo is consistent: the walk's first state
+        if visit is None:
+            visit_run = None
+        elif isinstance(visit, RunVisitor):
+            visit_run = visit.run
+        else:
+            visit_run = _per_state(visit)
 
         use_mask = self.kernel == "bitmask"
         pre = None  # the bitmask prefix state, built on the first probe ≤ hi
@@ -163,13 +186,12 @@ class PackedLexicalEnumerator(Enumerator):
             work += t - k
             run = cmax - c0 + 1
             states += run
-            if visit is None:
+            if visit_run is None:
                 work += 1  # O(1) per run in counting mode
             else:
                 work += run
-                prefix = tuple(cut[:t])
-                for c in range(c0, cmax + 1):
-                    visit(prefix + (c,))
+                if visit_run(cut, c0, cmax):
+                    visit_run = None  # the visitor is done: count the rest
             cut[t] = cmax
 
             # ---- lexical successor at a position k ≤ n-2 --------------- #

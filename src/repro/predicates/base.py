@@ -13,6 +13,10 @@ interval.  Its default resolves each state's frontier and calls
 :meth:`~StatePredicate.check`, so a predicate that implements only
 ``check`` sees every state; a predicate with per-interval structure (the
 data-race predicate) overrides it and reads each state's cut directly.
+Such a visitor may take whole runs of states
+(:class:`~repro.types.RunVisitor`): its ``cut`` is then the kernel's live
+array, so it reads only ``cut[:t]`` (``t`` the last thread), never keeps
+or mutates it, and returns True once it needs no further state.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ class StatePredicate(ABC):
         Called once per inserted event; ``view`` is the live poset view,
         which resolves every event of a state in the interval (Theorem 3).
         The default calls :meth:`check` on each state with its frontier
-        events and ``new_event=event``.
+        events and ``new_event=event``.  An override may return a
+        :class:`~repro.types.RunVisitor` (see the module docstring).
         """
         check = self.check
         frontier_events = view.frontier_events

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.poset.event import Event
 from repro.predicates.base import StatePredicate
-from repro.types import Cut, CutVisitor
+from repro.types import Cut, RunVisitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.core.intervals import Interval
@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.poset.builder import BuilderView
 
 __all__ = ["DataRacePredicate", "events_are_concurrent"]
+
+
+#: The visitor of an interval with no flags: done before its first state.
+_DONE = RunVisitor(lambda cut, c0, c1: True)
 
 
 def events_are_concurrent(a: Event, b: Event) -> bool:
@@ -123,7 +127,7 @@ class DataRacePredicate(StatePredicate):
 
     def interval_visitor(
         self, event: Event, interval: "Interval", view: "BuilderView"
-    ) -> CutVisitor:
+    ) -> RunVisitor:
         """Algorithm 6 on every state of ``I(e)``, each pair compared once.
 
         Every state of the interval lies between ``interval.lo`` and
@@ -131,8 +135,15 @@ class DataRacePredicate(StatePredicate):
         ``[lo[j], hi[j]]`` records the frontier events already compared
         with ``e``.  A state's cut is read directly; only a frontier event
         not yet compared reaches :meth:`_check_pair`, in the order the
-        per-state :meth:`check` meets it.  Once every flag is set, the
-        remaining states of the interval cost one test each.
+        per-state :meth:`check` meets it.
+
+        The visitor takes a run of states at a time
+        (:class:`~repro.types.RunVisitor`): the states of a run share the
+        prefix threads' events, so their flags are tested once per run,
+        and the last thread's once per state.  The last thread has the
+        highest index, so the pairs are met in the per-state order.  Once
+        every flag is set the visitor is done and says so, and the packed
+        kernel counts the interval's remaining states without calling it.
 
         Column ``lo[j]`` gets no flag, and a thread whose box holds only
         that column gets no flags at all: ``lo`` is ``Gmin(e) = e.vc``, so
@@ -151,27 +162,43 @@ class DataRacePredicate(StatePredicate):
         pair = self._check_pair
         event_at = view.event
         tid = event.tid
-        threads = []
+        t = len(interval.lo) - 1
+        prefix = []
+        last_low = 0
+        last_seen: Optional[bytearray] = None  # the last thread's flags, if any
         remaining = 0
         for j, (low, high) in enumerate(zip(interval.lo, interval.hi)):
             if j == tid or low == high:
                 continue
             seen = bytearray(high - low + 1)
             seen[0] = 1  # e's past, or no event of thread j
-            threads.append((j, low, seen))
+            if j < t:
+                prefix.append((j, low, seen))
+            else:
+                last_low, last_seen = low, seen
             remaining += high - low
+        if not remaining:
+            return _DONE
 
-        def visit(cut: Cut) -> None:
+        def run(cut, c0: int, c1: int) -> bool:
             nonlocal remaining
             if remaining:
-                for j, low, seen in threads:
+                for j, low, seen in prefix:
                     k = cut[j] - low
                     if not seen[k]:
                         seen[k] = 1
                         remaining -= 1
                         pair(event, event_at(j, cut[j]))
+                if last_seen is not None:
+                    for c in range(c0, c1 + 1):
+                        k = c - last_low
+                        if not last_seen[k]:
+                            last_seen[k] = 1
+                            remaining -= 1
+                            pair(event, event_at(t, c))
+            return not remaining
 
-        return visit
+        return RunVisitor(run)
 
     def _check_pair(self, a: Event, b: Event) -> bool:
         """The pair routine: report every conflicting access pair of two

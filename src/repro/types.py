@@ -14,17 +14,22 @@ The library manipulates three pervasive value shapes:
 Cuts and clocks intentionally share the representation: the least
 consistent global state containing an event *is* that event's vector clock
 (paper §2.2), and the library exploits this identification throughout.
+
+A visitor takes the enumerated states one at a time (:data:`CutVisitor`)
+or a *run* at a time (:class:`RunVisitor`): the states that share every
+coordinate but the last, whose last coordinate takes a contiguous range.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Tuple, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 __all__ = [
     "Cut",
     "Clock",
     "EventId",
     "CutVisitor",
+    "RunVisitor",
     "SupportsEnumerate",
 ]
 
@@ -39,6 +44,30 @@ EventId = Tuple[int, int]
 
 #: Callback invoked once per enumerated global state.
 CutVisitor = Callable[[Cut], None]
+
+
+class RunVisitor:
+    """A visitor that takes the enumerated states a run at a time.
+
+    ``run(cut, c0, c1)`` stands for the states ``cut[:t] + (c,)`` for
+    ``c0 ≤ c ≤ c1``, ``t = len(cut) - 1``, in that order, and returns True
+    once the walk need send it no further state.  ``cut`` may be the
+    kernel's live array: read only ``cut[:t]``, and never keep or mutate
+    it.  The packed lexical kernel makes one call per run and, after a
+    True return, counts the rest of its interval without calls; every
+    other caller visits one state at a time, and calling the visitor with
+    one cut means ``run(cut, cut[-1], cut[-1])``.
+    """
+
+    __slots__ = ("run",)
+
+    def __init__(
+        self, run: Callable[[Sequence[int], int, int], Optional[bool]]
+    ):
+        self.run = run
+
+    def __call__(self, cut: Cut) -> None:
+        self.run(cut, cut[-1], cut[-1])
 
 
 @runtime_checkable

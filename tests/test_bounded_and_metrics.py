@@ -1,11 +1,16 @@
 """Tests for bounded enumeration (Algorithm 2 wrapper) and result records."""
 
+import threading
+
 import pytest
 
-from repro.core.bounded import bounded_enumeration
+from repro.core.bounded import bounded_enumeration, locked
 from repro.core.intervals import Interval, compute_intervals
 from repro.core.metrics import IntervalStats, ParaMountResult
 from repro.enumeration.base import CollectingVisitor, make_enumerator
+from repro.poset.ideals import count_ideals
+from repro.poset.random_posets import RandomComputationSpec, random_computation
+from repro.types import RunVisitor
 
 
 def test_bounded_enumeration_counts_interval(figure4_poset):
@@ -26,6 +31,51 @@ def test_bounded_enumeration_exactly_once_per_interval(figure4_poset):
         bounded_enumeration(sub, interval, visitor)
         seen.extend(visitor.cuts)
     assert len(seen) == len(set(seen)) == 8
+
+
+class CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.taken += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+@pytest.mark.parametrize("stop_after", [None, 3])
+def test_locked_keeps_the_run_form(stop_after):
+    """``locked`` of a run visitor is a run visitor: the lock is taken once
+    per run, not per state, and the done signal passes through."""
+    poset = random_computation(RandomComputationSpec(3, 12, 0.3, seed=4))
+    runs = []
+
+    def run(cut, c0, c1):
+        runs.append(c1 - c0 + 1)
+        return len(runs) == stop_after
+
+    lock = CountingLock()
+    visit = locked(RunVisitor(run), lock)
+    assert isinstance(visit, RunVisitor)
+    result = make_enumerator("lexical-packed", poset).enumerate(visit)
+    assert result.states == count_ideals(poset)
+    assert lock.taken == len(runs)
+    if stop_after is None:
+        assert sum(runs) == result.states > len(runs)
+    else:
+        assert len(runs) == stop_after
+    # a plain visitor stays one, locked per state
+    lock = CountingLock()
+    plain = CollectingVisitor()
+    visit = locked(plain, lock)
+    assert not isinstance(visit, RunVisitor)
+    make_enumerator("lexical-packed", poset).enumerate(visit)
+    assert lock.taken == len(plain.cuts) == result.states
 
 
 def test_interval_stats_frozen():

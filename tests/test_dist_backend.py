@@ -15,8 +15,10 @@ count would be per-piece rather than per-partition-interval (that shape
 gets its own test below).
 
 A lease carries a *run* of consecutive pieces, so these posets make only
-8–10 leases: the probabilistic faults below fire on every lease of the
-faulted worker, which is what guarantees that the fault costs a lease.
+8–10 leases: the crash and hang faults below fire on every lease of the
+faulted worker, which is what guarantees that the fault costs a lease,
+and the partition test runs its faulted worker alone, so it leases every
+run.
 """
 
 import json
@@ -28,7 +30,7 @@ import pytest
 
 from repro.core.paramount import ParaMount
 from repro.dist import Coordinator, DistributedExecutor, WireFaults
-from repro.dist.wire import recv_message, send_message
+from repro.dist.wire import WIRE_DROP_ACK, recv_message, send_message
 from repro.obs import Observer
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.staticcheck.sanitize import EnumerationSanitizer
@@ -190,17 +192,22 @@ def test_killed_worker_recovers_exactly(tmp_path, name, faults, lease_seconds):
 def test_partition_duplicates_are_suppressed(tmp_path):
     """Dropped acknowledgements (one-way partition) force lease expiry and
     re-dispatch; late/duplicate acks never produce a second journal
-    record."""
+    record.
+
+    The one worker is the faulted one, so it leases every run (beside a
+    healthy worker it could lose every lease and no fault would fire).
+    Its drop rate is below 1, so a retried run can commit, and at this
+    seed the draws drop the first attempt of one of its runs."""
     poset = build("tsp")
     serial = ParaMount(poset).run()
     path = tmp_path / "partition.ckpt"
-    executor = dist_executor(
-        lease_seconds=0.75,
-        wire_faults=WireFaults(seed=1, drop_ack=1.0),
-    )
+    faults = WireFaults(seed=2, drop_ack=0.25)
+    executor = dist_executor(workers=1, lease_seconds=0.75, wire_faults=faults)
     result = ParaMount(
         poset, executor=executor, checkpoint=path, schedule="fifo"
     ).run()
+    leased = executor.last_coordinator.table.attempts
+    assert any(faults.decide(key, 0) == WIRE_DROP_ACK for key in leased)
     assert result.complete
     assert result.states == serial.states
     assert result.leases_expired >= 1

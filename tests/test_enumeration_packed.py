@@ -3,7 +3,8 @@
 The contract under test is strict: ``lexical-packed`` must produce the
 *identical visit sequence* as the reference ``LexicalEnumerator`` — not
 just the same set — with both successor kernels, on full lattices and on
-arbitrary interval bounds, and through every execution layer (split-steal
+arbitrary interval bounds, per state and expanded from the runs a
+``RunVisitor`` takes, and through every execution layer (split-steal
 threads, dist worker processes, checkpoint journals).
 """
 
@@ -30,6 +31,7 @@ from repro.poset.poset import Poset
 from repro.poset.packed import build_packed_tables
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.poset.topological import random_topological_order
+from repro.types import RunVisitor
 from repro.util.cuts import cut_leq
 from repro.util.rng import DeterministicRng
 
@@ -50,13 +52,45 @@ def packed_on(kernel, poset):
         yield enumerator
 
 
-def sequence(enumerator, lo=None, hi=None):
-    visitor = CollectingVisitor()
+def run_collector(runs, stop_after=None):
+    """A run visitor that records each run as ``(prefix, c0, c1)`` and is
+    done after its ``stop_after``-th run."""
+
+    def run(cut, c0, c1):
+        runs.append((tuple(cut[:-1]), c0, c1))
+        return len(runs) == stop_after
+
+    return RunVisitor(run)
+
+
+def expand(runs):
+    """The states the recorded runs stand for, in order."""
+    return [prefix + (c,) for prefix, c0, c1 in runs for c in range(c0, c1 + 1)]
+
+
+def enumerate_with(enumerator, lo, hi, visit):
+    """The whole lattice when ``lo`` is None, else ``[lo, hi]``."""
     if lo is None:
-        result = enumerator.enumerate(visitor)
-    else:
-        result = enumerator.enumerate_interval(lo, hi, visitor)
-    return result, visitor.cuts
+        return enumerator.enumerate(visit)
+    return enumerator.enumerate_interval(lo, hi, visit)
+
+
+def sequence(enumerator, lo=None, hi=None):
+    """``(result, cuts, expanded)``: the states a plain visitor sees, and
+    those a run visitor's runs expand to, on the same walk."""
+    visitor = CollectingVisitor()
+    result = enumerate_with(enumerator, lo, hi, visitor)
+    runs = []
+    assert enumerate_with(enumerator, lo, hi, run_collector(runs)).states == result.states
+    return result, visitor.cuts, expand(runs)
+
+
+def drawn_bounds(poset, data):
+    """Bounds ``lo ≤ hi ≤ lengths`` drawn per coordinate, so ``hi`` may be
+    an inconsistent cut, as a split sub-interval's is."""
+    hi = tuple(data.draw(st.integers(0, c), label="hi") for c in poset.lengths)
+    lo = tuple(data.draw(st.integers(0, c), label="lo") for c in hi)
+    return lo, hi
 
 
 # --------------------------------------------------------------------- #
@@ -66,14 +100,17 @@ def sequence(enumerator, lo=None, hi=None):
 @settings(max_examples=60, deadline=None)
 @given(small_posets())
 def test_full_visit_sequence_identity(poset):
-    """lexical == lexical-packed (both kernels), in order."""
-    ref_result, ref = sequence(LexicalEnumerator(poset))
+    """lexical == lexical-packed (both kernels), in order, per state and
+    expanded from runs; the reference calls a run visitor per state."""
+    ref_result, ref, ref_runs = sequence(LexicalEnumerator(poset))
+    assert ref_runs == ref
     for kernel in KERNELS:
         with packed_on(kernel, poset) as packed:
-            result, cuts = sequence(packed)
+            result, cuts, expanded = sequence(packed)
             # counting mode (no visitor) agrees with the visited count
             counted = packed.enumerate(None).states
         assert cuts == ref, kernel
+        assert expanded == ref, kernel
         assert result.states == ref_result.states
         assert counted == len(ref)
 
@@ -84,7 +121,7 @@ def test_interval_visit_sequence_identity(poset, data):
     """Bounds from visited cuts of the full walk, and bounds drawn per
     coordinate (``lo ≤ hi ≤ lengths``) whose ``hi`` may be an
     inconsistent cut, as a split sub-interval's is."""
-    _, full = sequence(LexicalEnumerator(poset))
+    _, full, _ = sequence(LexicalEnumerator(poset))
     bounds = []
     if len(full) >= 3:
         lo = full[len(full) // 3]
@@ -93,17 +130,36 @@ def test_interval_visit_sequence_identity(poset, data):
             hi = poset.lengths
         bounds.append((lo, hi))
     for _ in range(4):
-        hi = tuple(data.draw(st.integers(0, c), label="hi") for c in poset.lengths)
-        lo = tuple(data.draw(st.integers(0, c), label="lo") for c in hi)
-        bounds.append((lo, hi))
+        bounds.append(drawn_bounds(poset, data))
     for lo, hi in bounds:
-        _, ref = sequence(LexicalEnumerator(poset), lo, hi)
+        _, ref, ref_runs = sequence(LexicalEnumerator(poset), lo, hi)
+        assert ref_runs == ref, (lo, hi)
         for kernel in KERNELS:
             with packed_on(kernel, poset) as packed:
-                _, cuts = sequence(packed, lo, hi)
+                _, cuts, expanded = sequence(packed, lo, hi)
                 counted = packed.enumerate_interval(lo, hi).states
             assert cuts == ref, (kernel, lo, hi)
+            assert expanded == ref, (kernel, lo, hi)
             assert counted == len(ref), (kernel, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), st.data())
+def test_done_visitor_gets_no_further_run(poset, data):
+    """A run visitor that returns True after its k-th run gets no further
+    call, and the walk still counts every state of the interval."""
+    whole = data.draw(st.booleans(), label="whole lattice")
+    lo, hi = (None, None) if whole else drawn_bounds(poset, data)
+    k = data.draw(st.integers(1, 6), label="k")
+    for kernel in KERNELS:
+        with packed_on(kernel, poset) as packed:
+            every = []
+            counted = enumerate_with(packed, lo, hi, run_collector(every)).states
+            assert counted == enumerate_with(packed, lo, hi, None).states
+            runs = []
+            result = enumerate_with(packed, lo, hi, run_collector(runs, stop_after=k))
+        assert runs == every[:k], (kernel, lo, hi)
+        assert result.states == counted, (kernel, lo, hi)
 
 
 # --------------------------------------------------------------------- #
@@ -116,9 +172,9 @@ def test_empty_interval(kernel):
     poset = build_figure4_poset()
     # (2, 0) requires e2[1] (closure (2, 1)), so hi = (2, 0) is empty
     with packed_on(kernel, poset) as packed:
-        result, cuts = sequence(packed, (2, 0), (2, 0))
-    assert result.states == 0 and cuts == []
-    ref_result, ref = sequence(LexicalEnumerator(poset), (2, 0), (2, 0))
+        result, cuts, expanded = sequence(packed, (2, 0), (2, 0))
+    assert result.states == 0 and cuts == expanded == []
+    ref_result, ref, _ = sequence(LexicalEnumerator(poset), (2, 0), (2, 0))
     assert ref_result.states == 0 and ref == []
 
 
@@ -126,19 +182,19 @@ def test_empty_interval(kernel):
 def test_point_interval(kernel):
     poset = build_figure4_poset()
     for point in [(0, 0), (1, 1), (2, 2)]:
-        _, ref = sequence(LexicalEnumerator(poset), point, point)
+        _, ref, _ = sequence(LexicalEnumerator(poset), point, point)
         with packed_on(kernel, poset) as packed:
-            _, cuts = sequence(packed, point, point)
-        assert cuts == ref == [point]
+            _, cuts, expanded = sequence(packed, point, point)
+        assert cuts == expanded == ref == [point]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_single_thread_chain(kernel):
     poset = build_chain_poset(1, 5)
     with packed_on(kernel, poset) as packed:
-        _, cuts = sequence(packed)
-        _, bounded = sequence(packed, (2,), (4,))
-    assert cuts == [(c,) for c in range(6)]
+        _, cuts, expanded = sequence(packed)
+        _, bounded, _ = sequence(packed, (2,), (4,))
+    assert cuts == expanded == [(c,) for c in range(6)]
     assert bounded == [(2,), (3,), (4,)]
 
 
@@ -149,10 +205,10 @@ def test_threads_with_empty_chains(kernel):
     builder.append(2, deps=[(0, 1)])
     poset = builder.build()
     assert poset.lengths == (1, 0, 1)
-    _, ref = sequence(LexicalEnumerator(poset))
+    _, ref, _ = sequence(LexicalEnumerator(poset))
     with packed_on(kernel, poset) as packed:
-        _, cuts = sequence(packed)
-    assert cuts == ref
+        _, cuts, expanded = sequence(packed)
+    assert cuts == expanded == ref
 
 
 # --------------------------------------------------------------------- #
@@ -175,9 +231,9 @@ def test_bitmask_budget_fallback(monkeypatch):
     assert e.kernel == "bitmask"
     monkeypatch.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", 2)
     assert e.kernel == "array"
-    _, cuts = sequence(e)
-    _, ref = sequence(LexicalEnumerator(poset))
-    assert cuts == ref
+    _, cuts, expanded = sequence(e)
+    _, ref, _ = sequence(LexicalEnumerator(poset))
+    assert cuts == expanded == ref
 
 
 def decoded_downsets(tables):
