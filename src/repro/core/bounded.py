@@ -104,9 +104,9 @@ def locked(visit: CutVisitor, lock: threading.Lock) -> CutVisitor:
     if isinstance(visit, RunVisitor):
         run = visit.run
 
-        def locked_run(cut, c0, c1):
+        def locked_run(cut, j, c0, c1):
             with lock:
-                return run(cut, c0, c1)
+                return run(cut, j, c0, c1)
 
         return RunVisitor(locked_run)
 

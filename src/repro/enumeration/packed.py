@@ -17,19 +17,24 @@ worklist, no fixpoint iteration.  The pass over ``lo`` itself runs on the
 public ``enumerate_interval`` only: the trusted :meth:`walk` the drivers
 call starts at ``lo``, which every interval they make has consistent.
 
-**Run batching.**  In lexical order the last coordinate is least
-significant, and clock rows are monotone along a chain, so for a fixed
-prefix the set of valid last-coordinate values is a contiguous run whose
-end is ``min_j bisect_right(column_j, prefix_j)`` over the sorted
-per-thread requirement columns (``cols``).  The enumerator finds
-whole runs at C speed and only computes successors at backtracking
-positions ``k ≤ n-2``.  With no visitor the run contributes to the state
-count in O(1), which is what the counting benchmarks measure.  In visit
-mode a :class:`~repro.types.RunVisitor` gets one call per run, with the
-live ``cut`` and the run's range ``c0..c1``; a plain visitor gets one
-call per state, with the state's tuple.  A run visitor that returns True
-is done: the rest of its interval runs in counting mode, and ``work``
-then counts 1 per run (it counts 1 per state while a visitor takes them).
+**Run batching.**  A thread the interval pins (``lo[j] = hi[j]``, as
+``e``'s own thread is in every ``I(e)``) never moves, so it never
+changes lexical order: the walk moves only the threads the interval
+frees (``lo[j] < hi[j]``), and the last of them, ``f``, is the least
+significant coordinate that moves (``f = n-1`` when none is free).
+Clock rows are monotone along a chain, so for fixed values of the other
+threads the valid values of ``f`` form a contiguous run whose end is
+``min_j bisect_right(column_j, cut[j])`` over the sorted per-thread
+requirement columns of ``f`` (``cols``).  The enumerator finds whole
+runs at C speed and only computes successors at the free positions
+before ``f``.  With no visitor the run contributes to the state count in
+O(1), which is what the counting benchmarks measure.  In visit mode a
+:class:`~repro.types.RunVisitor` gets one call per run, with the live
+``cut``, the run thread ``f`` and the run's range ``c0..c1``; a plain
+visitor gets one call per state, with the state's tuple.  A run visitor
+that returns True is done: the rest of its interval runs in counting
+mode, and ``work`` then counts 1 per run (it counts 1 per state while a
+visitor takes them).
 
 Two successor kernels, each property-tested against the reference; every
 call picks one by poset size (``num_events ≤ BITMASK_MAX_EVENTS``),
@@ -43,24 +48,31 @@ checked per call because an online poset keeps growing:
   beyond the budget every downset mask is a multi-kiloword big int and
   this kernel is the faster one.
 
-**Prefix state and run bound.**  A successor at position ``k`` leaves
-``cut[0..k-1]`` untouched, so neither kernel recomputes what depends on
-that prefix alone.  The bitmask kernel keeps ``pre[k]``, the OR of the
-downsets of ``cut[0..k-1]``'s frontier events.  The candidate closure at
-``k`` is ``pre[k] | downs[k][nxt-1] | lo_suffix[k+1]``; it keeps the
-prefix pinned iff its events on threads ``< k`` are the cut's own there
-(one AND and compare), and it stays in the interval iff it is a subset of
-the events ``≤ hi`` taken coordinate by coordinate (a split
+**Prefix state and run bound.**  Let ``free`` be the free threads
+before ``f``.  A successor at ``k = free[q]`` leaves ``cut[0..k-1]``
+untouched, so neither kernel recomputes what depends on that prefix
+alone.  The bitmask kernel keeps ``pre[q]``, ``lo``'s downset OR the
+downsets of the cut's events on ``free[0..q-1]``, and the candidate
+closure at ``k`` is ``pre[q] | downs[k][nxt-1]``: ``lo``'s downset holds
+every pinned thread's events and every later thread's lower bound.  It
+keeps the prefix pinned iff its events on threads ``< k`` are the cut's
+own there (one AND and compare), and it stays in the interval iff it is
+a subset of the events ``≤ hi`` taken coordinate by coordinate (a split
 sub-interval's ``hi`` need not be a consistent cut, so a closure can
 escape it).  Every visited cut is consistent and ``≥ lo``, so an accepted
-successor sets thread ``k`` to ``nxt`` exactly; the later coordinates are
-the closure's popcounts, and the state is rebuilt past ``k`` only.  It is
-built on a call's first probe that stays within ``hi``: many short
-intervals never make one.  Both kernels cache ``lim[j]``, how far the
-last thread may run under ``cut[0..j-1]``, and after a successor at
-``k`` re-bisect only ``lim[k+1..n-1]``.  ``work`` counts these inner
-steps: probes, prefix positions built or rebuilt, and re-bisected
-columns.
+successor sets thread ``k`` to ``nxt`` exactly; the later free
+coordinates are the closure's popcounts, and the closure itself is the
+prefix state of every later free position.  The state is built on a
+call's first probe that stays within ``hi``: many short intervals never
+make one.  The array kernel's closure applies the probed row and the
+free prefix rows only: a pinned thread's row, or one of ``lo``'s suffix,
+is ``≤ lo`` and raises nothing.  Both kernels cache the run bound:
+``lim[0]`` is how far ``f`` may run under the pinned threads, folded
+once per call, and ``lim[q + 1]`` how far under them and
+``free[0..q]``; after a successor at ``free[q]`` only ``lim[q+1..]`` are
+re-bisected.  ``work`` counts these inner steps: the pinned columns
+folded, probes, rows applied, prefix positions built or rebuilt, and
+re-bisected columns.
 
 The enumerator only reads table entries at or below the interval's upper
 bound, all appended before the caller took that bound, so it runs safely
@@ -88,10 +100,11 @@ def _per_state(visit: CutVisitor):
     """A plain visitor as a run callable: one call per state of the run,
     never done."""
 
-    def run(cut, c0, c1):
-        prefix = tuple(cut[:-1])
+    def run(cut, j, c0, c1):
+        head = tuple(cut[:j])
+        tail = tuple(cut[j + 1 :])
         for c in range(c0, c1 + 1):
-            visit(prefix + (c,))
+            visit(head + (c,) + tail)
 
     return run
 
@@ -148,7 +161,6 @@ class PackedLexicalEnumerator(Enumerator):
         tables = self.tables
         n = tables.num_threads
         rows = tables.rows
-        work = 0
         cut = array("i", lo)  # lo is consistent: the walk's first state
         if visit is None:
             visit_run = None
@@ -161,41 +173,64 @@ class PackedLexicalEnumerator(Enumerator):
         pre = None  # the bitmask prefix state, built on the first probe ≤ hi
         lo_arr = array("i", lo)
         scratch = array("i", cut)
-        t = n - 1
+        # the threads the interval frees; runs go on the last of them, f,
+        # and successors are probed at the others (pinned threads never move)
+        f = n - 1
+        while f > 0 and lo[f] == hi[f]:
+            f -= 1
+        if lo[f] == hi[f]:
+            f = n - 1
         # one read: a concurrent append may replace the array, never resize it
-        col_t = tables.cols[t]
-        stride = len(col_t) // n
-        # lim[j]: how far thread t may run under cut[0..j-1], one bisect per
-        # column below hi[t]; a successor at k keeps cut[0..k-1], so
-        # lim[0..k] stay exact and the next run re-bisects from column k
-        lim = [hi[t]] * n
-        k = 0
+        col_f = tables.cols[f]
+        stride = len(col_f) // n
+        # lim[0]: how far thread f may run under the pinned threads, folded
+        # once; lim[q + 1]: under them and free[0..q], one bisect per column
+        # below lim[q]; a successor at free[q] keeps free[0..q-1], so
+        # lim[0..q] stay exact and the next run re-bisects from column q
+        cmax = hi[f]
+        c0 = lo[f]
+        free = []
+        for j in range(n):
+            if lo[j] < hi[j]:
+                if j < f:
+                    free.append(j)
+            elif cmax > c0:
+                off = j * stride
+                p = bisect_right(col_f, lo[j], off + c0, off + cmax) - off
+                if p < cmax:
+                    cmax = p
+        m = len(free)
+        work = n - 1 - m
+        lim = [cmax] * (m + 1)
+        q0 = 0
         states = 0
 
         while True:
-            # ---- extend the run on the last thread (sorted columns) ---- #
-            c0 = cut[t]
-            cmax = lim[k]
-            for j in range(k, t):
+            # ---- extend the run on thread f (sorted columns) ----------- #
+            c0 = cut[f]
+            cmax = lim[q0]
+            for q in range(q0, m):
                 if cmax > c0:
+                    j = free[q]
                     off = j * stride
-                    p = bisect_right(col_t, cut[j], off + c0, off + cmax) - off
+                    p = bisect_right(col_f, cut[j], off + c0, off + cmax) - off
                     if p < cmax:
                         cmax = p
-                lim[j + 1] = cmax
-            work += t - k
+                lim[q + 1] = cmax
+            work += m - q0
             run = cmax - c0 + 1
             states += run
             if visit_run is None:
                 work += 1  # O(1) per run in counting mode
             else:
                 work += run
-                if visit_run(cut, c0, cmax):
+                if visit_run(cut, f, c0, cmax):
                     visit_run = None  # the visitor is done: count the rest
-            cut[t] = cmax
+            cut[f] = cmax
 
-            # ---- lexical successor at a position k ≤ n-2 --------------- #
-            for k in range(n - 2, -1, -1):
+            # ---- lexical successor at a free position before f --------- #
+            for q0 in range(m - 1, -1, -1):
+                k = free[q0]
                 work += 1
                 nxt = cut[k] + 1
                 if nxt > hi[k]:
@@ -203,84 +238,88 @@ class PackedLexicalEnumerator(Enumerator):
                 if use_mask:
                     if pre is None:
                         downs, tmask = tables.masks()
-                        # lo_suffix[i]: OR of lo's downsets on threads ≥ i
-                        lo_suffix = [0] * n
-                        acc = 0
-                        for i in range(t, 0, -1):
-                            if lo[i]:
-                                acc |= downs[i][lo[i] - 1]
-                            lo_suffix[i] = acc
-                        # cap: the events ≤ hi, coordinate by coordinate
-                        cap = 0
+                        # cap: the events ≤ hi, coordinate by coordinate;
+                        # acc: lo's downset
+                        cap = acc = 0
                         for j in range(n):
                             if hi[j]:
                                 cap |= downs[j][hi[j] - 1] & tmask[j]
-                        # below[i]: the events of threads < i; pre[i]: the
-                        # OR of cut[0..i-1]'s downsets; pinned[i]: pre[i]'s
-                        # events on threads < i, i.e. the cut's own there
-                        below = [0] * t
-                        pre = [0] * t
-                        pinned = [0] * t
-                        for i in range(1, t):
-                            below[i] = below[i - 1] | tmask[i - 1]
-                        acc = 0
-                        for i in range(k):
-                            ci = cut[i]
-                            if ci:
-                                acc |= downs[i][ci - 1]
-                            pre[i + 1] = acc
-                            pinned[i + 1] = acc & below[i + 1]
-                        work += n + k
-                    head = pre[k] | downs[k][nxt - 1]
-                    mask = head | lo_suffix[k + 1]
+                            if lo[j]:
+                                acc |= downs[j][lo[j] - 1]
+                        # below[j]: the events of threads < j
+                        below = [0] * (f + 1)
+                        for j in range(1, f + 1):
+                            below[j] = below[j - 1] | tmask[j - 1]
+                        # pre[q]: lo's downset OR the downsets of the cut's
+                        # events on free[0..q-1]; pinned[q]: pre[q]'s events
+                        # on threads < free[q], i.e. the cut's own there
+                        pre = [0] * m
+                        pinned = [0] * m
+                        for q in range(q0 + 1):
+                            j = free[q]
+                            pre[q] = acc
+                            pinned[q] = acc & below[j]
+                            if cut[j]:
+                                acc |= downs[j][cut[j] - 1]
+                        work += n + q0
+                    mask = pre[q0] | downs[k][nxt - 1]
                     # the closure must keep the prefix pinned and stay ≤ hi
-                    if mask & below[k] != pinned[k] or mask | cap != cap:
+                    if mask & below[k] != pinned[q0] or mask | cap != cap:
                         continue
                     # accepted: lo ≤ cut forces thread k no further than
-                    # nxt; the later coordinates are the closure's
-                    # popcounts, and the prefix state is rebuilt past k
+                    # nxt; the later free coordinates are the closure's
+                    # popcounts, and the closure is the prefix state of
+                    # every later free position
                     cut[k] = nxt
-                    work += t - k
-                    for j in range(k + 1, t):
-                        pre[j] = head
-                        pinned[j] = head & below[j]
-                        c = (mask & tmask[j]).bit_count()
-                        cut[j] = c
-                        if c:
-                            head |= downs[j][c - 1]
-                    cut[t] = (mask & tmask[t]).bit_count()
+                    work += m - q0
+                    for q in range(q0 + 1, m):
+                        j = free[q]
+                        pre[q] = mask
+                        pinned[q] = mask & below[j]
+                        cut[j] = (mask & tmask[j]).bit_count()
+                    cut[f] = (mask & tmask[f]).bit_count()
                 else:
-                    # one-round closure over the flat clock table
-                    m = scratch
-                    m[:k] = cut[:k]
-                    m[k] = nxt
-                    m[k + 1 :] = lo_arr[k + 1 :]
+                    # one-round closure over the flat clock table: the
+                    # probed row must keep the prefix; it and the free
+                    # prefix rows raise threads > k (a pinned or suffix
+                    # row is ≤ lo and raises nothing)
+                    row = rows[k]
+                    rb = (nxt - 1) * n
+                    work += n
                     feasible = True
-                    for i in range(n):
-                        ci = m[i]
+                    for j in range(k):
+                        if row[rb + j] > cut[j]:
+                            feasible = False
+                            break
+                    if not feasible:
+                        continue
+                    c = scratch
+                    c[:k] = cut[:k]
+                    c[k] = nxt
+                    c[k + 1 :] = lo_arr[k + 1 :]
+                    for j in range(k + 1, n):
+                        need = row[rb + j]
+                        if need > c[j]:
+                            c[j] = need
+                    for q in range(q0):
+                        i = free[q]
+                        ci = c[i]
                         if ci:
                             row = rows[i]
                             rb = (ci - 1) * n
                             work += n
-                            for j in range(n):
+                            for j in range(k + 1, n):
                                 need = row[rb + j]
-                                if need > m[j]:
-                                    if j < k:
-                                        feasible = False
-                                        break
-                                    m[j] = need
-                            if not feasible:
-                                break
-                    if not feasible:
-                        continue
+                                if need > c[j]:
+                                    c[j] = need
                     in_bounds = True
-                    for j in range(k, n):
-                        if m[j] > hi[j]:
+                    for j in range(k + 1, n):
+                        if c[j] > hi[j]:
                             in_bounds = False
                             break
                     if not in_bounds:
                         continue
-                    cut, scratch = m, cut
+                    cut, scratch = c, cut
                 break
             else:
                 return EnumerationResult(states=states, work=work, peak_live=1)

@@ -14,9 +14,11 @@ interval.  Its default resolves each state's frontier and calls
 ``check`` sees every state; a predicate with per-interval structure (the
 data-race predicate) overrides it and reads each state's cut directly.
 Such a visitor may take whole runs of states
-(:class:`~repro.types.RunVisitor`): its ``cut`` is then the kernel's live
-array, so it reads only ``cut[:t]`` (``t`` the last thread), never keeps
-or mutates it, and returns True once it needs no further state.
+(:class:`~repro.types.RunVisitor`): ``run(cut, j, c0, c1)`` varies only
+the run thread ``j``, and its ``cut`` is then the kernel's live array, so
+it reads every coordinate but ``cut[j]`` (the range ``c0..c1`` stands
+for that one), never keeps or mutates it, and returns True once it needs
+no further state.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ __all__ = ["DataRacePredicate", "events_are_concurrent"]
 
 
 #: The visitor of an interval with no flags: done before its first state.
-_DONE = RunVisitor(lambda cut, c0, c1: True)
+_DONE = RunVisitor(lambda cut, j, c0, c1: True)
 
 
 def events_are_concurrent(a: Event, b: Event) -> bool:
@@ -138,12 +138,16 @@ class DataRacePredicate(StatePredicate):
         per-state :meth:`check` meets it.
 
         The visitor takes a run of states at a time
-        (:class:`~repro.types.RunVisitor`): the states of a run share the
-        prefix threads' events, so their flags are tested once per run,
-        and the last thread's once per state.  The last thread has the
-        highest index, so the pairs are met in the per-state order.  Once
-        every flag is set the visitor is done and says so, and the packed
-        kernel counts the interval's remaining states without calling it.
+        (:class:`~repro.types.RunVisitor`).  Only the interval's free
+        threads (``lo[j] < hi[j]``) get flags, and the packed kernel runs
+        on the last of them, ``f``: the states of a run share the other
+        threads' events, so their flags are tested once per run, and
+        ``f``'s once per state.  ``f`` has the highest index of the
+        flagged threads, so the pairs are met in the per-state order.
+        Called per state (``j = n - 1``, on the other kernels), the
+        visitor reads ``f``'s value from ``cut``.  Once every flag is set
+        the visitor is done and says so, and the packed kernel counts the
+        interval's remaining states without calling it.
 
         Column ``lo[j]`` gets no flag, and a thread whose box holds only
         that column gets no flags at all: ``lo`` is ``Gmin(e) = e.vc``, so
@@ -162,40 +166,39 @@ class DataRacePredicate(StatePredicate):
         pair = self._check_pair
         event_at = view.event
         tid = event.tid
-        t = len(interval.lo) - 1
         prefix = []
-        last_low = 0
-        last_seen: Optional[bytearray] = None  # the last thread's flags, if any
+        last = None  # (f, lo[f], flags) of the last flagged thread
         remaining = 0
         for j, (low, high) in enumerate(zip(interval.lo, interval.hi)):
             if j == tid or low == high:
                 continue
+            if last is not None:
+                prefix.append(last)
             seen = bytearray(high - low + 1)
             seen[0] = 1  # e's past, or no event of thread j
-            if j < t:
-                prefix.append((j, low, seen))
-            else:
-                last_low, last_seen = low, seen
+            last = (j, low, seen)
             remaining += high - low
-        if not remaining:
+        if last is None:
             return _DONE
+        f, last_low, last_seen = last
 
-        def run(cut, c0: int, c1: int) -> bool:
+        def run(cut, j: int, c0: int, c1: int) -> bool:
             nonlocal remaining
             if remaining:
-                for j, low, seen in prefix:
-                    k = cut[j] - low
+                for i, low, seen in prefix:
+                    k = cut[i] - low
                     if not seen[k]:
                         seen[k] = 1
                         remaining -= 1
-                        pair(event, event_at(j, cut[j]))
-                if last_seen is not None:
-                    for c in range(c0, c1 + 1):
-                        k = c - last_low
-                        if not last_seen[k]:
-                            last_seen[k] = 1
-                            remaining -= 1
-                            pair(event, event_at(t, c))
+                        pair(event, event_at(i, cut[i]))
+                if j != f:  # one state, whose value on f is in cut
+                    c0 = c1 = cut[f]
+                for c in range(c0, c1 + 1):
+                    k = c - last_low
+                    if not last_seen[k]:
+                        last_seen[k] = 1
+                        remaining -= 1
+                        pair(event, event_at(f, c))
             return not remaining
 
         return RunVisitor(run)

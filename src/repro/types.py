@@ -17,7 +17,7 @@ consistent global state containing an event *is* that event's vector clock
 
 A visitor takes the enumerated states one at a time (:data:`CutVisitor`)
 or a *run* at a time (:class:`RunVisitor`): the states that share every
-coordinate but the last, whose last coordinate takes a contiguous range.
+coordinate but one, the run thread's, which takes a contiguous range.
 """
 
 from __future__ import annotations
@@ -49,25 +49,27 @@ CutVisitor = Callable[[Cut], None]
 class RunVisitor:
     """A visitor that takes the enumerated states a run at a time.
 
-    ``run(cut, c0, c1)`` stands for the states ``cut[:t] + (c,)`` for
-    ``c0 ≤ c ≤ c1``, ``t = len(cut) - 1``, in that order, and returns True
-    once the walk need send it no further state.  ``cut`` may be the
-    kernel's live array: read only ``cut[:t]``, and never keep or mutate
-    it.  The packed lexical kernel makes one call per run and, after a
-    True return, counts the rest of its interval without calls; every
-    other caller visits one state at a time, and calling the visitor with
-    one cut means ``run(cut, cut[-1], cut[-1])``.
+    ``run(cut, j, c0, c1)`` stands for the states equal to ``cut`` except
+    ``cut[j] = c``, for ``c0 ≤ c ≤ c1`` in that order, and returns True
+    once the walk need send it no further state.  Every thread after the
+    run thread ``j`` is pinned: no state of the walk moves it.  ``cut``
+    may be the kernel's live array: read every coordinate but ``cut[j]``,
+    and never keep or mutate it.  The packed lexical kernel makes one call
+    per run, on its interval's last free thread, and after a True return
+    counts the rest of its interval without calls; every other caller
+    visits one state at a time, and calling the visitor with one cut means
+    ``run(cut, n - 1, cut[-1], cut[-1])``.
     """
 
     __slots__ = ("run",)
 
     def __init__(
-        self, run: Callable[[Sequence[int], int, int], Optional[bool]]
+        self, run: Callable[[Sequence[int], int, int, int], Optional[bool]]
     ):
         self.run = run
 
     def __call__(self, cut: Cut) -> None:
-        self.run(cut, cut[-1], cut[-1])
+        self.run(cut, len(cut) - 1, cut[-1], cut[-1])
 
 
 @runtime_checkable

@@ -55,7 +55,7 @@ def test_locked_keeps_the_run_form(stop_after):
     poset = random_computation(RandomComputationSpec(3, 12, 0.3, seed=4))
     runs = []
 
-    def run(cut, c0, c1):
+    def run(cut, j, c0, c1):
         runs.append(c1 - c0 + 1)
         return len(runs) == stop_after
 

@@ -4,8 +4,9 @@ The contract under test is strict: ``lexical-packed`` must produce the
 *identical visit sequence* as the reference ``LexicalEnumerator`` — not
 just the same set — with both successor kernels, on full lattices and on
 arbitrary interval bounds, per state and expanded from the runs a
-``RunVisitor`` takes, and through every execution layer (split-steal
-threads, dist worker processes, checkpoint journals).
+``RunVisitor`` takes (each on its interval's last free thread), and
+through every execution layer (split-steal threads, dist worker
+processes, checkpoint journals).
 """
 
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.executors import WorkStealingThreadExecutor
+from repro.core.intervals import compute_intervals
 from repro.core.paramount import ParaMount
 from repro.dist import DistributedExecutor
 from repro.enumeration import (
@@ -43,8 +45,9 @@ KERNELS = ("array", "bitmask")
 @contextmanager
 def packed_on(kernel, poset):
     """A packed enumerator whose calls run ``kernel`` inside the block,
-    forced through the selection rule: no poset has at most -1 events."""
-    budget = PackedLexicalEnumerator.BITMASK_MAX_EVENTS if kernel == "bitmask" else -1
+    forced through the selection rule: the mask budget is the poset's
+    size for ``"bitmask"`` and -1 events for ``"array"``."""
+    budget = poset.num_events if kernel == "bitmask" else -1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PackedLexicalEnumerator, "BITMASK_MAX_EVENTS", budget)
         enumerator = PackedLexicalEnumerator(poset)
@@ -53,11 +56,11 @@ def packed_on(kernel, poset):
 
 
 def run_collector(runs, stop_after=None):
-    """A run visitor that records each run as ``(prefix, c0, c1)`` and is
+    """A run visitor that records each run as ``(cut, j, c0, c1)`` and is
     done after its ``stop_after``-th run."""
 
-    def run(cut, c0, c1):
-        runs.append((tuple(cut[:-1]), c0, c1))
+    def run(cut, j, c0, c1):
+        runs.append((tuple(cut), j, c0, c1))
         return len(runs) == stop_after
 
     return RunVisitor(run)
@@ -65,7 +68,21 @@ def run_collector(runs, stop_after=None):
 
 def expand(runs):
     """The states the recorded runs stand for, in order."""
-    return [prefix + (c,) for prefix, c0, c1 in runs for c in range(c0, c1 + 1)]
+    return [
+        cut[:j] + (c,) + cut[j + 1 :]
+        for cut, j, c0, c1 in runs
+        for c in range(c0, c1 + 1)
+    ]
+
+
+def assert_runs_on_last_free_thread(runs, lo, hi):
+    """Every run lies on the last thread ``[lo, hi]`` frees (``n-1`` when
+    it frees none), with every later coordinate at ``lo``."""
+    free = [j for j in range(len(lo)) if lo[j] < hi[j]]
+    last = free[-1] if free else len(lo) - 1
+    for cut, j, c0, c1 in runs:
+        assert j == last, (lo, hi, j)
+        assert cut[j + 1 :] == tuple(lo[j + 1 :]), (lo, hi, cut)
 
 
 def enumerate_with(enumerator, lo, hi, visit):
@@ -77,11 +94,22 @@ def enumerate_with(enumerator, lo, hi, visit):
 
 def sequence(enumerator, lo=None, hi=None):
     """``(result, cuts, expanded)``: the states a plain visitor sees, and
-    those a run visitor's runs expand to, on the same walk."""
+    those a run visitor's runs expand to, on the same walk.  A packed
+    walk's runs lie on the last thread its interval frees, from the
+    interval's least state (``lo``'s closure) up to ``hi``; every other
+    kernel calls a run visitor once per state, with ``j = n-1``."""
     visitor = CollectingVisitor()
     result = enumerate_with(enumerator, lo, hi, visitor)
     runs = []
     assert enumerate_with(enumerator, lo, hi, run_collector(runs)).states == result.states
+    if not isinstance(enumerator, PackedLexicalEnumerator):
+        n = enumerator.poset.num_threads
+        assert all(j == n - 1 and c0 == c1 for _, j, c0, c1 in runs)
+    elif runs:
+        least = visitor.cuts[0]
+        assert_runs_on_last_free_thread(
+            runs, least, enumerator.poset.lengths if hi is None else hi
+        )
     return result, visitor.cuts, expand(runs)
 
 
@@ -160,6 +188,35 @@ def test_done_visitor_gets_no_further_run(poset, data):
             result = enumerate_with(packed, lo, hi, run_collector(runs, stop_after=k))
         assert runs == every[:k], (kernel, lo, hi)
         assert result.states == counted, (kernel, lo, hi)
+
+
+def runs_expand_to_lexical_on_partition(poset):
+    """On every interval :func:`compute_intervals` makes of ``poset``, both
+    kernels' runs expand to the reference ``lexical`` walk of that
+    interval and lie on its last free thread."""
+    reference = LexicalEnumerator(poset)
+    intervals = compute_intervals(poset)
+    walks = []
+    for interval in intervals:
+        visitor = CollectingVisitor()
+        reference.walk(interval.lo, interval.hi, visitor)
+        walks.append(visitor.cuts)
+    for kernel in KERNELS:
+        with packed_on(kernel, poset) as packed:
+            for interval, ref in zip(intervals, walks):
+                runs = []
+                result = packed.walk(interval.lo, interval.hi, run_collector(runs))
+                assert expand(runs) == ref, (kernel, interval)
+                assert result.states == len(ref), (kernel, interval)
+                assert_runs_on_last_free_thread(runs, interval.lo, interval.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets())
+def test_runs_lie_on_each_intervals_last_free_thread(poset):
+    """The small slice; CI sweeps the detection workloads' merged posets
+    and enum-sparse-shaped computations with the same function."""
+    runs_expand_to_lexical_on_partition(poset)
 
 
 # --------------------------------------------------------------------- #

@@ -24,6 +24,7 @@ from repro.detector.rv_runtime import WeakOrderRacePredicate
 from repro.predicates.base import StatePredicate
 from repro.predicates.data_race import DataRacePredicate, events_are_concurrent
 from repro.runtime import run_program
+from repro.types import RunVisitor
 from repro.workloads.registry import ALL_DETECTION_WORKLOADS
 
 WORKLOADS = sorted(ALL_DETECTION_WORKLOADS)
@@ -68,6 +69,52 @@ def test_race_visitor_matches_per_state_reference(name):
         visitor = _detect(DataRacePredicate, trace, workload.benign_vars)
         reference = _detect(PerStateRace, trace, workload.benign_vars)
         _assert_same_detection(visitor, reference, seed)
+
+
+class RecordedCalls(DataRacePredicate):
+    """The race visitor, with every call its ``RunVisitor`` gets recorded
+    as ``(n, j, c0, c1, cut[j])``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def interval_visitor(self, event, interval, view):
+        run = super().interval_visitor(event, interval, view).run
+        calls = self.calls
+
+        def recorded(cut, j, c0, c1):
+            calls.append((len(cut), j, c0, c1, cut[j]))
+            return run(cut, j, c0, c1)
+
+        return RunVisitor(recorded)
+
+
+def test_race_visitor_called_per_state_matches_reference():
+    """On the reference ``lexical`` kernel the race visitor's
+    ``RunVisitor`` gets one call per state, with ``j = n-1``, so it reads
+    its own run thread's value from the cut; it must still report what
+    the per-state reference reports."""
+    for name in WORKLOADS:
+        workload = ALL_DETECTION_WORKLOADS[name]
+        trace = _trace(workload, 0)
+        predicates = []
+
+        def factory(report, benign):
+            predicates.append(RecordedCalls(benign_vars=benign, report=report))
+            return predicates[-1]
+
+        got = ParaMountDetector(
+            subroutine="lexical", predicate_factory=factory
+        ).run(trace, workload.benign_vars)
+        reference = _detect(PerStateRace, trace, workload.benign_vars)
+        _assert_same_detection(got, reference, name)
+        (predicate,) = predicates
+        assert len(predicate.calls) == got.states_enumerated, name
+        assert all(
+            j == n - 1 and c0 == c1 == value
+            for n, j, c0, c1, value in predicate.calls
+        ), name
 
 
 def test_weak_order_predicate_dispatches_through_its_pair_routine():
