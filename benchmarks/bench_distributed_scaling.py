@@ -105,7 +105,6 @@ def test_real_recovery_overhead(tmp_path):
         executor = DistributedExecutor(
             workers=2,
             lease_seconds=2.0,
-            heartbeat_seconds=0.5,
             no_worker_grace=5.0,
             wire_faults=wire_faults,
         )

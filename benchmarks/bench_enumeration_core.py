@@ -60,19 +60,32 @@ def _raw_poset(name):
     )
 
 
-def _best_seconds(fn, min_total=0.25, max_reps=200):
-    """Min-of-reps timing: repeat short runs until ~min_total seconds."""
-    t0 = time.perf_counter()
-    fn()
-    best = time.perf_counter() - t0
-    reps = min(max_reps, max(0, int(min_total / max(best, 1e-9))))
-    for _ in range(reps):
+def _best_seconds(fn, min_batch=0.01, min_total=0.25):
+    """Seconds per call of ``fn``, from the fastest batch of calls.
+
+    A batch repeats ``fn`` for at least ``min_batch`` seconds (its size
+    doubles until it does), and batches run until they sum to at least
+    ``min_total`` seconds, so a walk of tens of microseconds is timed
+    over the whole budget rather than over a capped number of calls.
+    """
+    calls = 1
+    while True:
         t0 = time.perf_counter()
-        fn()
+        for _ in range(calls):
+            fn()
         elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best
+        if elapsed >= min_batch:
+            break
+        calls *= 2
+    best, total = elapsed, elapsed
+    while total < min_total:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        elapsed = time.perf_counter() - t0
+        best = min(best, elapsed)
+        total += elapsed
+    return best / calls
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -9,7 +9,7 @@ the typed :class:`~repro.errors.ExecutorError` hierarchy, and the
 observability facade — into repro's one process backend, for
 local worker processes and remote hosts alike:
 
-* :mod:`repro.dist.wire` — length-prefixed JSON/pickle frames over stdlib
+* :mod:`repro.dist.wire` — length-prefixed JSON frames over stdlib
   sockets, plus seeded wire-level fault injection;
 * :mod:`repro.dist.lease` — the lease table: pending → leased → committed,
   with heartbeat-extended expiry and exactly-one-commit semantics;
@@ -17,15 +17,17 @@ local worker processes and remote hosts alike:
   stale or missing, leases runs of interval descriptors
   (:func:`~repro.core.scheduling.coalesce`) to workers, re-dispatches
   expired leases, commits each run's acknowledgement to the journal and
-  counts the per-host series from it;
+  counts the per-host series from it, and records a run that raised on
+  its lease holder as failed, once;
 * :mod:`repro.dist.worker` — holds its poset before it connects (a forked
   local worker inherits the parent's, ``repro-tools worker`` loads
   ``--poset``), enumerates a leased run's intervals and acknowledges them
-  in one message, its only report; starts local worker processes with
+  in one message, its only report, or sends one ``task-error`` naming the
+  error as text; starts local worker processes with
   :mod:`multiprocessing`;
 * :mod:`repro.dist.executor` — :class:`DistributedExecutor`, pluggable
   into :class:`~repro.core.paramount.ParaMount` like any other executor,
-  running in-process whatever no worker finished.
+  running in-process every run that did not commit.
 """
 
 from repro.dist.coordinator import Coordinator

@@ -34,10 +34,16 @@ Robustness properties, and where they live:
   carry the poset digest; a stale hello is refused before its worker
   holds a lease, and a stale ack is counted, refused, and the worker
   disconnected before it can corrupt the commit log;
+* **a task raises** — the worker sends one ``task-error`` naming the run
+  and the error as text.  The run's outcome depends only on the poset,
+  subroutine, memory budget and bounds, so every worker would raise the
+  same error: the lease's holder's report is final, the run is recorded
+  in :attr:`Coordinator.failures` and never re-leased, and a report from
+  a worker that no longer holds the lease is ignored;
 * **no workers left** — the monitor loop notices an empty worker set with
-  work outstanding and returns the undone tasks, which the
-  :class:`~repro.dist.executor.DistributedExecutor` then runs in-process,
-  recording the step as a degradation.
+  work outstanding and stops; the
+  :class:`~repro.dist.executor.DistributedExecutor` then runs in-process
+  every run that did not commit, recording the step as a degradation.
 """
 
 from __future__ import annotations
@@ -63,9 +69,6 @@ __all__ = ["Coordinator"]
 
 #: Monitor-loop tick when no lease deadline is nearer (seconds).
 _TICK = 0.25
-
-#: Remote attempts of a run before it is left to the in-process fallback.
-_MAX_TASK_ATTEMPTS = 5
 
 
 def _key_wire(key: TaskKey) -> Dict[str, Any]:
@@ -109,7 +112,7 @@ class Coordinator:
         coord = Coordinator(poset, "lexical-packed", journal=journal)
         coord.start()                      # binds; coord.address is live
         ...spawn/point workers at coord.address...
-        committed, undone = coord.execute(runs, weights)
+        committed = coord.execute(runs, weights)
         coord.stop()
 
     ``runs`` lists each task's piece descriptors; a task is keyed by its
@@ -129,7 +132,6 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         lease_seconds: float = 5.0,
-        heartbeat_seconds: float = 1.0,
         no_worker_grace: float = 10.0,
         http_port: Optional[int] = None,
     ):
@@ -139,7 +141,6 @@ class Coordinator:
         self.observer = ensure_observer(observer)
         self.digest = poset_digest(poset)
         self.lease_seconds = lease_seconds
-        self.heartbeat_seconds = heartbeat_seconds
         self.no_worker_grace = no_worker_grace
         self._host = host
         self._port = port
@@ -161,7 +162,7 @@ class Coordinator:
         self._executing = False
         self._ever_connected = False
         self._last_worker_at = time.monotonic()
-        #: permanent run failures: key -> (attempts, error string, worker)
+        #: runs that raised on a worker: key -> (attempts, error, worker)
         self.failures: Dict[TaskKey, Tuple[int, str, str]] = {}
         #: hosts that committed at least one run
         self.hosts: List[str] = []
@@ -230,32 +231,25 @@ class Coordinator:
         self,
         runs: Sequence[Sequence[TaskKey]],
         weights: Optional[Sequence[int]] = None,
-        completed: Optional[Dict[TaskKey, List[IntervalStats]]] = None,
         deadline_at: Optional[float] = None,
-    ) -> Tuple[Dict[TaskKey, List[IntervalStats]], List[TaskKey]]:
+    ) -> Dict[TaskKey, List[IntervalStats]]:
         """Run the runs to completion (or deadline / worker loss).
 
         Each run is a list of piece descriptors, keyed by its first.
-        ``completed`` pre-commits journal-restored runs so they are never
-        dispatched.  Returns ``(committed, undone)``: the per-piece stats
-        of every run that committed, and the run keys left neither
-        committed nor permanently failed — the executor's in-process
-        fallback runs those.
+        Returns the per-piece stats of every run that committed; a run
+        that raised on a worker is in :attr:`failures`, and the
+        executor's in-process fallback runs every run not committed.
         """
         obs = self.observer
         with self._cond:
             for run in runs:
                 self._runs[run[0]] = list(run)
             self.table.add_tasks([run[0] for run in runs], weights)
-            for key, stats in (completed or {}).items():
-                self.table.mark_committed(key, stats)
             self._executing = True
             self._cond.notify_all()
             self._last_worker_at = time.monotonic()
             while True:
-                if self._closing:
-                    break
-                if self._all_resolved():
+                if self._closing or self.table.done:
                     break
                 now = time.monotonic()
                 if deadline_at is not None and now >= deadline_at:
@@ -295,21 +289,7 @@ class Coordinator:
                 if deadline_at is not None:
                     timeout = min(timeout, max(deadline_at - now, 0.01))
                 self._cond.wait(timeout)
-            committed = dict(self.table.committed)
-            undone = [
-                key
-                for key in self.table.outstanding()
-                if key not in self.failures
-            ]
-            return committed, undone
-
-    def _all_resolved(self) -> bool:
-        # done means every task committed or permanently failed
-        if self.table.done:
-            return True
-        return all(
-            key in self.failures for key in self.table.outstanding()
-        )
+            return dict(self.table.committed)
 
     def _publish_lease_gauges(self) -> None:
         """Refresh the live lease-table gauges and trace counter tracks.
@@ -414,7 +394,6 @@ class Coordinator:
                 "subroutine": self.subroutine,
                 "memory_budget": self.memory_budget,
                 "lease_seconds": self.lease_seconds,
-                "heartbeat_seconds": self.heartbeat_seconds,
             }
             send_message(conn, welcome)
             with self._cond:
@@ -453,7 +432,7 @@ class Coordinator:
         with self._cond:
             while not (self._executing or self._closing):
                 self._cond.wait()
-            if self._closing or self._draining or self._all_resolved():
+            if self._closing or self._draining or self.table.done:
                 reply: Dict[str, Any] = {"type": "drain"}
             else:
                 leased = self.table.next_for(name)
@@ -549,21 +528,18 @@ class Coordinator:
 
     def _handle_task_error(self, name: str, msg: Dict[str, Any]) -> None:
         key = _run_from_wire(msg)[0]
-        payload = msg.get("payload")
-        error = (
-            f"{type(payload).__name__}: {payload}"
-            if isinstance(payload, BaseException)
-            else str(msg.get("error", "unknown remote failure"))
-        )
         with self._cond:
-            self.table.leased.pop(key, None)
-            attempts = self.table.attempts.get(key, 0)
-            if attempts < _MAX_TASK_ATTEMPTS:
-                self.table.requeue(key)
-                self.table.redispatches += 1
-            else:
-                self.failures[key] = (attempts, error, name)
-            self._cond.notify_all()
+            lease = self.table.leased.get(key)
+            if lease is not None and lease.worker == name:
+                # final: any worker would raise the same error, so the
+                # run leaves the table for the in-process fallback
+                del self.table.leased[key]
+                self.failures[key] = (
+                    self.table.attempts[key],
+                    str(msg.get("error", "unknown remote failure")),
+                    name,
+                )
+                self._cond.notify_all()
         if self.observer.enabled:
             self.observer.counter(
                 "task_errors_total", labels={"host": name}

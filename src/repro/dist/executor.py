@@ -20,14 +20,15 @@ Remote workers cannot call back into the driver, so a run that must see
 every state — a user visitor or a sanitizer, the context's ``visits`` —
 is refused before any coordinator or worker starts.
 
-Degradation: when every remote worker is lost (or none ever connects),
-the coordinator returns the undone tasks, and tasks that failed on every
-remote attempt come back as failures; this executor runs the *original
-``fn``* of both serially in-process.  Those journal and observe
-themselves — and apply the driver's ``degrade_on_oom`` — so the
-degraded tail is indistinguishable from a normal local run.  The step is
-recorded as an ``"executor"`` :class:`~repro.core.metrics.DegradationEvent`;
-only a task that fails in-process too becomes a
+Degradation: a task that raised on a worker is final there (any worker
+would raise the same error), and when every remote worker is lost (or
+none ever connects) the coordinator stops with tasks undone.  This
+executor runs the *original ``fn``* of every task that did not commit,
+serially in-process.  Those journal and observe themselves — and apply
+the driver's ``degrade_on_oom`` — so the degraded tail is
+indistinguishable from a normal local run.  The step is recorded as an
+``"executor"`` :class:`~repro.core.metrics.DegradationEvent`; only a
+task that fails in-process too becomes a
 :class:`~repro.core.metrics.TaskFailure`.
 """
 
@@ -76,7 +77,6 @@ class DistributedExecutor(Executor):
         port: int = 0,
         spawn: bool = True,
         lease_seconds: float = 5.0,
-        heartbeat_seconds: float = 1.0,
         no_worker_grace: float = 10.0,
         wire_faults: Optional[WireFaults] = None,
         http_port: Optional[int] = None,
@@ -86,7 +86,6 @@ class DistributedExecutor(Executor):
         self.port = port
         self.spawn = spawn
         self.lease_seconds = lease_seconds
-        self.heartbeat_seconds = heartbeat_seconds
         self.no_worker_grace = no_worker_grace
         self.wire_faults = wire_faults
         #: ``None`` disables the coordinator's ops endpoint; ``0`` = any port.
@@ -142,7 +141,6 @@ class DistributedExecutor(Executor):
             host=self.host,
             port=self.port,
             lease_seconds=self.lease_seconds,
-            heartbeat_seconds=self.heartbeat_seconds,
             no_worker_grace=self.no_worker_grace,
             http_port=self.http_port,
         )
@@ -158,7 +156,7 @@ class DistributedExecutor(Executor):
                     coord.digest,
                     wire_faults=self.wire_faults,
                 )
-            committed, undone = coord.execute(
+            committed = coord.execute(
                 descriptors,
                 [task.weight for task in tasks],
                 deadline_at=context.deadline_at,
@@ -177,8 +175,8 @@ class DistributedExecutor(Executor):
             leases_expired=counters["leases_expired"],
             hosts=list(coord.hosts),
         )
-        rerun = set(undone) | set(coord.failures)
-        if not rerun:
+        idxs = [i for i, key in enumerate(keys) if key not in committed]
+        if not idxs:
             return report
         deadline_hit = (
             context.deadline_at is not None
@@ -187,9 +185,9 @@ class DistributedExecutor(Executor):
         if deadline_hit:
             # drained what we could; the rest is abandoned, not degraded
             report.deadline_expired = True
-            for i, key in enumerate(keys):
-                if key in coord.failures:
-                    attempts, error, worker = coord.failures[key]
+            for i in idxs:
+                if keys[i] in coord.failures:
+                    attempts, error, worker = coord.failures[keys[i]]
                     report.failures.append(
                         TaskFailure(
                             task_index=i,
@@ -200,16 +198,15 @@ class DistributedExecutor(Executor):
                     )
             return report
         # run the original fns serially in-process
-        idxs = [i for i, key in enumerate(keys) if key in rerun]
+        failed = sum(keys[i] in coord.failures for i in idxs)
         report.degradations.append(
             DegradationEvent(
                 kind="executor",
                 from_name=self.name,
                 to_name="serial",
                 reason=(
-                    f"{len(undone)} run(s) undone with no remote "
-                    f"workers remaining, {len(coord.failures)} failed on "
-                    f"every remote attempt"
+                    f"{len(idxs) - failed} run(s) undone with no remote "
+                    f"workers remaining, {failed} raised on a worker"
                 ),
             )
         )

@@ -5,12 +5,14 @@ keyed by its first piece's ``(event, lo, hi)`` triple — runs are disjoint,
 so the first piece names the run.  Each task moves through::
 
     pending ──dispatch──▶ leased ──ack──▶ committed
-       ▲                    │
-       └──expiry / worker────┘
+       ▲                    │ │
+       └──expiry / worker───┘ └──task error──▶ dropped
           death (re-dispatch)
 
 A lease carries its holder, an expiry deadline extended by heartbeats,
-and an attempt counter.  Because Theorem-2 interval tasks are idempotent,
+and an attempt counter.  A task error from the lease's holder drops the
+lease for good: the coordinator records the failure, and the run is
+never leased again.  Because Theorem-2 interval tasks are idempotent,
 re-dispatching an expired lease is always safe — the only invariant the
 table must enforce is **exactly one commit per task**: the first
 acknowledgement wins and is journaled; a duplicate (the original worker
@@ -98,11 +100,6 @@ class LeaseTable:
             if weights is not None:
                 self.weights[key] = weights[i]
 
-    def mark_committed(self, key: TaskKey, stats: Any) -> None:
-        """Pre-commit a task restored from a checkpoint journal."""
-        self._queue.pop(key, None)
-        self.committed[key] = stats
-
     # ------------------------------------------------------------------ #
     # dispatch / heartbeat / expiry
 
@@ -173,17 +170,14 @@ class LeaseTable:
         self.redispatches += len(lost)
         return lost
 
-    def requeue(self, key: TaskKey) -> None:
-        """Put ``key`` back at the front of the pending queue."""
-        self._queue[key] = None
-        self._queue.move_to_end(key, last=False)
-
     def _reclaim(self, leases: List[Lease]) -> None:
-        # Each requeue pushes earlier ones back, so requeueing in
-        # ascending weight order leaves the heaviest key at the head.
+        # Each key goes to the front of the queue, pushing earlier ones
+        # back, so reclaiming in ascending weight order leaves the
+        # heaviest key at the head.
         for lease in sorted(leases, key=lambda le: le.weight):
             del self.leased[lease.key]
-            self.requeue(lease.key)
+            self._queue[lease.key] = None
+            self._queue.move_to_end(lease.key, last=False)
 
     # ------------------------------------------------------------------ #
     # commit

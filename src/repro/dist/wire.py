@@ -1,20 +1,17 @@
-"""Length-prefixed frame protocol and wire-level fault injection.
+"""Length-prefixed JSON frames and wire-level fault injection.
 
 Every message on a coordinator/worker connection is one **frame**::
 
-    +----------------+-----+------------------+
-    | length (4B !I) | tag | body (length B)  |
-    +----------------+-----+------------------+
+    +----------------+------------------+
+    | length (4B !I) | body (length B)  |
+    +----------------+------------------+
 
-``tag`` selects the body encoding: ``TAG_JSON`` (0) for control traffic —
-handshakes, leases, acknowledgements, heartbeats — and ``TAG_PICKLE`` (1)
-for payloads JSON cannot carry, i.e. the typed
-:class:`~repro.errors.ExecutorError` instances a worker ships back when a
-task fails.  No poset travels: every worker holds its own before it
-connects, and the handshake compares digests.  JSON is the default so a
-frame capture stays human-readable and a malicious/corrupt peer cannot
-execute code through the control plane; pickle is accepted only for the
-``error`` message's payload field.
+The body is one JSON object with a ``type`` — handshakes, leases,
+acknowledgements, heartbeats and task errors alike.  No poset travels:
+every worker holds its own before it connects, and the handshake
+compares digests.  A worker's task error crosses as the text
+``"<Type>: <message>"``, so a frame capture stays human-readable and
+nothing a peer sends is ever unpickled.
 
 Frames larger than :data:`MAX_FRAME` are refused on both ends
 (:class:`~repro.errors.WireError`), and a short read anywhere raises
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import socket
 import struct
 import time
@@ -44,8 +40,6 @@ from repro.errors import ConnectionClosedError, ReproError, WireError
 from repro.util.rng import DeterministicRng, derive_seed
 
 __all__ = [
-    "TAG_JSON",
-    "TAG_PICKLE",
     "MAX_FRAME",
     "encode_frame",
     "decode_frame",
@@ -61,46 +55,39 @@ __all__ = [
     "WIRE_HANG",
 ]
 
-TAG_JSON = 0
-TAG_PICKLE = 1
-
 #: Upper bound on one frame's body.  Generous for the largest lease or
 #: acknowledgement (a run's piece descriptors and stats) while bounding what
 #: a corrupt length prefix can make the receiver allocate.
 MAX_FRAME = 64 * 1024 * 1024
 
-_HEADER = struct.Struct("!IB")
+_HEADER = struct.Struct("!I")
 
 
 # ---------------------------------------------------------------------- #
 # framing
 
 
-def encode_frame(body: bytes, tag: int = TAG_JSON) -> bytes:
-    """Prefix ``body`` with its length and encoding tag."""
-    if tag not in (TAG_JSON, TAG_PICKLE):
-        raise WireError(f"unknown frame tag {tag}")
+def encode_frame(body: bytes) -> bytes:
+    """Prefix ``body`` with its length."""
     if len(body) > MAX_FRAME:
         raise WireError(
             f"refusing to send {len(body)}-byte frame (max {MAX_FRAME})"
         )
-    return _HEADER.pack(len(body), tag) + body
+    return _HEADER.pack(len(body)) + body
 
 
-def decode_frame(data: bytes) -> Tuple[bytes, int, bytes]:
-    """Split one frame off ``data``; return ``(body, tag, rest)``.
+def decode_frame(data: bytes) -> Tuple[bytes, bytes]:
+    """Split one frame off ``data``; return ``(body, rest)``.
 
-    Raises :class:`~repro.errors.WireError` for an oversized or unknown-tag
-    frame and :class:`~repro.errors.ConnectionClosedError` when ``data``
-    ends mid-frame (the byte-string analogue of a peer hangup).
+    Raises :class:`~repro.errors.WireError` for an oversized frame and
+    :class:`~repro.errors.ConnectionClosedError` when ``data`` ends
+    mid-frame (the byte-string analogue of a peer hangup).
     """
     if len(data) < _HEADER.size:
         raise ConnectionClosedError(
             f"truncated frame header: {len(data)} of {_HEADER.size} bytes"
         )
-    length, tag = _HEADER.unpack_from(data)
-    if tag not in (TAG_JSON, TAG_PICKLE):
-        raise WireError(f"unknown frame tag {tag}")
+    (length,) = _HEADER.unpack_from(data)
     if length > MAX_FRAME:
         raise WireError(f"refusing {length}-byte frame (max {MAX_FRAME})")
     end = _HEADER.size + length
@@ -108,7 +95,7 @@ def decode_frame(data: bytes) -> Tuple[bytes, int, bytes]:
         raise ConnectionClosedError(
             f"truncated frame body: {len(data) - _HEADER.size} of {length} bytes"
         )
-    return data[_HEADER.size : end], tag, data[end:]
+    return data[_HEADER.size : end], data[end:]
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -128,23 +115,20 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def send_frame(sock: socket.socket, body: bytes, tag: int = TAG_JSON) -> None:
+def send_frame(sock: socket.socket, body: bytes) -> None:
     """Send one frame, raising ConnectionClosedError on a dead peer."""
     try:
-        sock.sendall(encode_frame(body, tag))
+        sock.sendall(encode_frame(body))
     except (BrokenPipeError, ConnectionResetError, OSError) as exc:
         raise ConnectionClosedError(f"send failed: {exc}") from exc
 
 
-def recv_frame(sock: socket.socket) -> Tuple[bytes, int]:
-    """Receive one complete frame; return ``(body, tag)``."""
-    header = _recv_exact(sock, _HEADER.size)
-    length, tag = _HEADER.unpack(header)
-    if tag not in (TAG_JSON, TAG_PICKLE):
-        raise WireError(f"unknown frame tag {tag}")
+def recv_frame(sock: socket.socket) -> bytes:
+    """Receive one complete frame's body."""
+    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > MAX_FRAME:
         raise WireError(f"refusing {length}-byte frame (max {MAX_FRAME})")
-    return _recv_exact(sock, length), tag
+    return _recv_exact(sock, length)
 
 
 # ---------------------------------------------------------------------- #
@@ -152,43 +136,19 @@ def recv_frame(sock: socket.socket) -> Tuple[bytes, int]:
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Send one control message as a JSON frame.
-
-    A pickled ``payload`` field (an exception instance) is hoisted into a
-    separate pickle attachment: the message travels as JSON with
-    ``payload_pickled: true`` and the pickle bytes follow in a second
-    frame, so the JSON control plane itself never embeds binary.
-    """
-    payload = message.get("payload")
-    if isinstance(payload, BaseException):
-        body = dict(message)
-        del body["payload"]
-        body["payload_pickled"] = True
-        send_frame(sock, json.dumps(body).encode("utf-8"), TAG_JSON)
-        send_frame(sock, pickle.dumps(payload), TAG_PICKLE)
-        return
-    send_frame(sock, json.dumps(message).encode("utf-8"), TAG_JSON)
+    """Send one control message as a JSON frame."""
+    send_frame(sock, json.dumps(message).encode("utf-8"))
 
 
 def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one control message, reuniting any pickle attachment."""
-    body, tag = recv_frame(sock)
-    if tag != TAG_JSON:
-        raise WireError("expected a JSON control frame, got a pickle frame")
+    """Receive one control message: a JSON object with a ``type``."""
+    body = recv_frame(sock)
     try:
         message = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError(f"malformed control frame: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise WireError(f"control frame is not a typed message: {message!r}")
-    if message.pop("payload_pickled", False):
-        blob, tag = recv_frame(sock)
-        if tag != TAG_PICKLE:
-            raise WireError("missing pickle attachment after control frame")
-        try:
-            message["payload"] = pickle.loads(blob)
-        except Exception as exc:  # noqa: BLE001 - any unpickling failure
-            raise WireError(f"undecodable pickle attachment: {exc}") from exc
     return message
 
 

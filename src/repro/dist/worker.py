@@ -15,16 +15,17 @@ acknowledge the whole run in one message carrying every piece's stats
 (and the digest, re-presented so the coordinator can refuse a stale
 commit), repeat.  The ack is the worker's only report: the coordinator
 counts its per-host series from the pieces it commits.  A background
-heartbeat thread names the in-flight run, so its lease stays extended;
+heartbeat thread names the in-flight run every ``lease_seconds / 5``
+(the welcome names ``lease_seconds``), so its lease stays extended;
 the injected ``hang`` fault suppresses it, so a hung worker is
 indistinguishable from a partitioned one — which is the point, since
 lease expiry must recover both.
 
-Task failures are reported as ``task-error`` messages whose payload is
-the pickled typed exception (:class:`~repro.errors.OutOfMemoryError`
-with its budget, :class:`~repro.errors.DeadlockError` with its wait-for
-graph, …), so the coordinator's failure records keep the same fidelity
-as in-process runs.
+A run that raises a :class:`~repro.errors.ReproError` is reported in one
+``task-error`` message naming the run and the error as the text
+``"<Type>: <message>"`` — the string an in-process run's failure record
+holds.  The report is final: the coordinator leases that run to no one
+again.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ __all__ = ["run_worker", "spawn_local_workers"]
 
 #: Seconds a worker waits for the coordinator to accept its connection.
 _CONNECT_TIMEOUT = 10.0
+
+#: Heartbeats per lease period: a live worker's lease survives a few lost
+#: or late pulses before it expires.
+_BEATS_PER_LEASE = 5
 
 
 class _Heartbeat:
@@ -153,7 +158,7 @@ def run_worker(
         subroutine = str(welcome["subroutine"])
         memory_budget = welcome.get("memory_budget")
         heartbeat = _Heartbeat(
-            sock, send_lock, float(welcome.get("heartbeat_seconds", 1.0))
+            sock, send_lock, float(welcome["lease_seconds"]) / _BEATS_PER_LEASE
         )
         heartbeat.start()
         try:
@@ -254,7 +259,7 @@ def _work_loop(
                         "type": "task-error",
                         "tasks": [tasks[0]],
                         "attempt": attempt,
-                        "payload": exc,
+                        "error": f"{type(exc).__name__}: {exc}",
                     },
                 )
             continue

@@ -171,8 +171,9 @@ class PackedLexicalEnumerator(Enumerator):
 
         use_mask = self.kernel == "bitmask"
         pre = None  # the bitmask prefix state, built on the first probe ≤ hi
-        lo_arr = array("i", lo)
-        scratch = array("i", cut)
+        if not use_mask:  # the array kernel's closure reads lo, writes scratch
+            lo_arr = array("i", lo)
+            scratch = array("i", cut)
         # the threads the interval frees; runs go on the last of them, f,
         # and successors are probed at the others (pinned threads never move)
         f = n - 1

@@ -28,7 +28,6 @@ __all__ = [
     "WireError",
     "ConnectionClosedError",
     "StaleDigestError",
-    "WorkerLostError",
 ]
 
 
@@ -92,12 +91,6 @@ class DeadlockError(SchedulerError):
         #: The wait-for graph at the moment of deadlock (or ``None``).
         self.wait_for = wait_for
 
-    def __reduce__(self):
-        # Crosses process/wire boundaries (a remote worker may hit a
-        # deadlocked simulated program); the default reduction would drop
-        # the structured wait-for graph.
-        return (DeadlockError, (self.args[0], self.wait_for))
-
 
 class OutOfMemoryError(ReproError):
     """Raised when a detector or enumerator exceeds its configured memory
@@ -117,13 +110,6 @@ class OutOfMemoryError(ReproError):
         self.used = used
         #: The configured budget that was exceeded.
         self.budget = budget
-
-    def __reduce__(self):
-        # Raised inside dist workers (a BFS interval over budget) and
-        # pickled into the task-error message; the default exception
-        # reduction replays __init__ with the formatted message only,
-        # which fails to unpickle instead of reporting the OOM.
-        return (OutOfMemoryError, (self.used, self.budget))
 
 
 class DetectorError(ReproError):
@@ -164,10 +150,11 @@ class ExecutorError(ReproError):
     """Raised by execution backends for infrastructure failures — as
     opposed to exceptions raised *by* a task, which propagate unchanged.
 
-    In-process a task fails only by raising, so these come from the
-    distributed backend (:mod:`repro.dist`), whose lease table re-runs
-    the affected tasks, and from the fault-injection harness.  Theorem 2
-    makes every interval task idempotent, so re-running one is safe.
+    A task fails only by raising, in-process or on a worker, so these
+    come from the distributed backend's transport (:mod:`repro.dist`),
+    whose lease table re-runs the tasks a lost worker held, and from the
+    fault-injection harness.  Theorem 2 makes every interval task
+    idempotent, so re-running one is safe.
     """
 
 
@@ -186,12 +173,6 @@ class InjectedFaultError(ExecutorError):
         #: Zero-based attempt number the fault was injected on.
         self.attempt = attempt
 
-    def __reduce__(self):
-        # Pickled across process boundaries; the default exception
-        # reduction would replay __init__ with the formatted message only
-        # and fail to unpickle.
-        return (InjectedFaultError, (self.kind, self.key, self.attempt))
-
 
 class CheckpointError(ReproError):
     """Raised when a checkpoint journal cannot be resumed from: its poset
@@ -202,8 +183,8 @@ class CheckpointError(ReproError):
 
 class WireError(ExecutorError):
     """Raised by the distributed wire protocol (:mod:`repro.dist.wire`) for
-    malformed traffic: an oversized frame, an unknown encoding tag, or a
-    message whose body does not decode.
+    malformed traffic: an oversized frame, or a body that is not a typed
+    JSON message.
 
     Like every :class:`ExecutorError` this is an infrastructure failure, not
     a task failure — interval tasks are idempotent, so the coordinator drops
@@ -242,27 +223,3 @@ class StaleDigestError(ExecutorError):
         self.actual = actual
         #: Which end detected the mismatch (e.g. ``"worker"``).
         self.where = where
-
-    def __reduce__(self):
-        # Shipped back over the wire as a structured refusal; the default
-        # reduction would replay __init__ with the formatted message only.
-        return (StaleDigestError, (self.expected, self.actual, self.where))
-
-
-class WorkerLostError(ExecutorError):
-    """Raised (or recorded as a failure) when a remote worker vanished —
-    its connection died or its leases expired without acknowledgement —
-    and its in-flight intervals had to be re-dispatched."""
-
-    def __init__(self, worker: str, lost_leases: int = 0):
-        super().__init__(
-            f"worker {worker!r} lost with {lost_leases} in-flight lease(s); "
-            f"re-dispatching to surviving workers"
-        )
-        #: Name of the vanished worker.
-        self.worker = worker
-        #: Number of leases it held when it vanished.
-        self.lost_leases = lost_leases
-
-    def __reduce__(self):
-        return (WorkerLostError, (self.worker, self.lost_leases))

@@ -310,8 +310,8 @@ def check_under_wire_faults(poset, seed, schedule, tmp_path):
         delay_seconds=0.05, hang_seconds=0.75,
     )
     executor = DistributedExecutor(
-        workers=2, lease_seconds=0.5, heartbeat_seconds=0.1,
-        no_worker_grace=5.0, wire_faults=faults,
+        workers=2, lease_seconds=0.5, no_worker_grace=5.0,
+        wire_faults=faults,
     )
     path = tmp_path / f"wire-{schedule}-{seed}.ckpt"
     result = ParaMount(

@@ -24,6 +24,7 @@ run.
 import json
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -57,7 +58,6 @@ def journal_records(path):
 def dist_executor(**kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("lease_seconds", LEASE)
-    kwargs.setdefault("heartbeat_seconds", 0.5)
     kwargs.setdefault("no_worker_grace", 5.0)
     return DistributedExecutor(**kwargs)
 
@@ -252,17 +252,74 @@ def test_stop_wakes_the_accept_thread_promptly():
 
 def test_remote_failures_fall_back_in_process():
     """Workers run the bare subroutine, so a BFS interval over its memory
-    budget fails on every remote attempt; the in-process fallback then
-    runs the driver's closure, which applies ``degrade_on_oom`` — the
-    result equals serial, with no failures recorded."""
+    budget raises on the worker.  That task error is final: the run is
+    leased once and never re-leased, and the in-process fallback runs
+    the driver's closure, which applies ``degrade_on_oom`` — the result
+    equals serial, with no failures recorded."""
     poset = build("d-300")
     options = dict(memory_budget=20, degrade_on_oom=True)
     serial = ParaMount(poset, "bfs", **options).run()
-    result = ParaMount(poset, "bfs", executor=dist_executor(), **options).run()
+    executor = dist_executor()
+    observer = Observer()
+    result = ParaMount(
+        poset, "bfs", executor=executor, observer=observer, **options
+    ).run()
     assert serial.complete and serial.degradations
-    assert result.states == serial.states
+    assert result.states == serial.states == 81_914
     assert result.interval_sizes() == serial.interval_sizes()
     assert not result.failures
+    attempts = executor.last_coordinator.table.attempts
+    assert attempts and set(attempts.values()) == {1}
+    counters = observer.snapshot()["counters"]
+    assert result.redispatches == 0 == counters.get("redispatches_total", 0)
+
+
+def test_task_error_from_a_reclaimed_lease_is_ignored():
+    """A worker whose lease expired and was re-leased may still report
+    the run's error; the run now belongs to its new holder, so the report
+    is ignored: the lease stays, and no failure is recorded.  The
+    holder's own report is final and ends the run."""
+    clock = [0.0]
+    coord = Coordinator(build_figure4_poset(), "lexical", lease_seconds=1.0)
+    coord.table.clock = lambda: clock[0]
+    key = ((0, 1), (0, 0), (1, 1))
+    run = [{"event": [0, 1], "lo": [0, 0], "hi": [1, 1]}]
+    error = {"type": "task-error", "tasks": run, "error": "OutOfMemoryError: x"}
+    coord.start()
+    runner = threading.Thread(target=coord.execute, args=([[key]],))
+    peers = []
+    try:
+        runner.start()
+        for name in ("slow", "fast"):
+            conn = socket.create_connection(coord.address, timeout=5.0)
+            peers.append(conn)
+            send_message(conn, {"type": "hello", "name": name, "digest": coord.digest})
+            assert recv_message(conn)["type"] == "welcome"
+            send_message(conn, {"type": "request"})
+            assert recv_message(conn)["tasks"] == run
+            if name == "slow":
+                clock[0] += 1.0  # slow's lease expires at the next tick
+                deadline = time.monotonic() + 5.0
+                while key in coord.table.leased:
+                    assert time.monotonic() < deadline, "lease never expired"
+                    time.sleep(0.01)
+        slow, fast = peers
+        send_message(slow, dict(error, attempt=0))
+        # one reader thread per peer: this reply follows the error's handling
+        send_message(slow, {"type": "request"})
+        assert recv_message(slow)["type"] == "idle"
+        with coord._cond:
+            assert coord.table.leased[key].worker == "fast"
+            assert coord.failures == {}
+        send_message(fast, dict(error, attempt=1))
+        runner.join(timeout=5.0)
+        assert not runner.is_alive()
+        assert coord.failures == {key: (2, "OutOfMemoryError: x", "fast")}
+    finally:
+        for conn in peers:
+            conn.close()
+        coord.stop()
+        runner.join(timeout=5.0)
 
 
 def test_no_workers_degrades_to_in_process(tmp_path):

@@ -149,15 +149,6 @@ def test_ack_racing_its_own_expiry_requeue_still_commits_once():
     assert t.done
 
 
-def test_checkpoint_restore_precommits():
-    t, _ = table(2)
-    t.mark_committed(key(0), stats(key(0)))
-    assert t.next_for("a") == (key(1), 0)
-    assert t.next_for("a") is None
-    assert t.commit(key(1), stats(key(1)))
-    assert t.done
-
-
 def test_next_deadline_tracks_earliest_expiry():
     t, clock = table(2, lease_seconds=5.0)
     assert t.next_deadline() is None

@@ -1,25 +1,23 @@
-"""Wire protocol: framing, message codec, fault plans, error transport.
+"""Wire protocol: framing, message codec, fault plans, hostile peers.
 
-The control plane is length-prefixed JSON frames; pickle is accepted only
-as the hoisted attachment of an ``error`` message's payload.  The tests
-pin the framing invariants (oversize/unknown-tag/truncation refusals),
-the codec's attachment protocol, the seeded determinism of
-:class:`~repro.dist.wire.WireFaults`, and — the round-trip that the
-coordinator's failure reporting depends on — that **every** typed
-:class:`~repro.errors.ExecutorError` survives both pickling and a trip
-through a socket with its structured payload intact.
+Every frame is a 4-byte length and a JSON body.  The tests pin the
+framing invariants (oversize and truncation refusals), the codec's typed
+messages, the seeded determinism of :class:`~repro.dist.wire.WireFaults`,
+and that nothing a peer sends is ever unpickled: a pickle sent to the
+coordinator in place of a message is refused unread.
 """
 
+import json
+import pathlib
 import pickle
 import socket
 import struct
 
 import pytest
 
+from repro.dist import Coordinator
 from repro.dist.wire import (
     MAX_FRAME,
-    TAG_JSON,
-    TAG_PICKLE,
     WIRE_NONE,
     WireFaults,
     decode_frame,
@@ -29,17 +27,9 @@ from repro.dist.wire import (
     send_frame,
     send_message,
 )
-from repro.errors import (
-    ConnectionClosedError,
-    DeadlockError,
-    ExecutorError,
-    InjectedFaultError,
-    OutOfMemoryError,
-    ReproError,
-    StaleDigestError,
-    WireError,
-    WorkerLostError,
-)
+from repro.errors import ConnectionClosedError, ReproError, WireError
+
+from tests.conftest import build_figure4_poset
 
 
 @pytest.fixture
@@ -55,46 +45,42 @@ def pair():
 
 
 def test_frame_round_trip():
-    data = encode_frame(b"hello", TAG_JSON) + encode_frame(b"\x00\x01", TAG_PICKLE)
-    body, tag, rest = decode_frame(data)
-    assert (body, tag) == (b"hello", TAG_JSON)
-    body, tag, rest = decode_frame(rest)
-    assert (body, tag) == (b"\x00\x01", TAG_PICKLE)
+    data = encode_frame(b"hello") + encode_frame(b"\x00\x01")
+    body, rest = decode_frame(data)
+    assert body == b"hello"
+    body, rest = decode_frame(rest)
+    assert body == b"\x00\x01"
     assert rest == b""
 
 
-def test_encode_refuses_unknown_tag_and_oversize():
-    with pytest.raises(WireError, match="unknown frame tag"):
-        encode_frame(b"x", tag=7)
+def test_encode_refuses_oversize():
     huge = bytearray(MAX_FRAME + 1)
     with pytest.raises(WireError, match="refusing to send"):
         encode_frame(bytes(huge))
 
 
-def test_decode_refuses_unknown_tag_and_oversize():
-    with pytest.raises(WireError, match="unknown frame tag"):
-        decode_frame(struct.pack("!IB", 1, 9) + b"x")
+def test_decode_refuses_oversize():
     # a corrupt length prefix must not make the receiver allocate
     with pytest.raises(WireError, match="refusing"):
-        decode_frame(struct.pack("!IB", MAX_FRAME + 1, TAG_JSON))
+        decode_frame(struct.pack("!I", MAX_FRAME + 1))
 
 
 def test_decode_truncation_is_a_closed_connection():
     with pytest.raises(ConnectionClosedError, match="header"):
         decode_frame(b"\x00\x00")
     with pytest.raises(ConnectionClosedError, match="body"):
-        decode_frame(struct.pack("!IB", 10, TAG_JSON) + b"short")
+        decode_frame(struct.pack("!I", 10) + b"short")
 
 
 def test_socket_frame_round_trip(pair):
     a, b = pair
     send_frame(a, b"ping")
-    assert recv_frame(b) == (b"ping", TAG_JSON)
+    assert recv_frame(b) == b"ping"
 
 
 def test_recv_frame_on_hangup_raises_connection_closed(pair):
     a, b = pair
-    a.sendall(struct.pack("!IB", 100, TAG_JSON) + b"only this")
+    a.sendall(struct.pack("!I", 100) + b"only this")
     a.close()
     with pytest.raises(ConnectionClosedError, match="outstanding"):
         recv_frame(b)
@@ -111,13 +97,6 @@ def test_message_round_trip(pair):
     assert recv_message(b) == message
 
 
-def test_message_rejects_pickle_control_frame(pair):
-    a, b = pair
-    send_frame(a, pickle.dumps({"type": "ack"}), TAG_PICKLE)
-    with pytest.raises(WireError, match="expected a JSON control frame"):
-        recv_message(b)
-
-
 def test_message_rejects_malformed_json(pair):
     a, b = pair
     send_frame(a, b"not json at all")
@@ -129,14 +108,6 @@ def test_message_rejects_untyped_message(pair):
     a, b = pair
     send_frame(a, b'{"no_type": 1}')
     with pytest.raises(WireError, match="not a typed message"):
-        recv_message(b)
-
-
-def test_message_rejects_missing_pickle_attachment(pair):
-    a, b = pair
-    send_frame(a, b'{"type": "error", "payload_pickled": true}')
-    send_frame(a, b'{"type": "ack"}')  # JSON where the pickle should be
-    with pytest.raises(WireError, match="missing pickle attachment"):
         recv_message(b)
 
 
@@ -173,47 +144,50 @@ def test_wire_faults_decide_is_seeded_and_deterministic():
 
 
 # ---------------------------------------------------------------------- #
-# error transport (satellite: the full hierarchy crosses the wire intact)
-
-ERRORS = [
-    ExecutorError("infrastructure failed"),
-    InjectedFaultError("crash", ((0, 1), (0, 0), (1, 1)), 1),
-    WireError("unknown frame tag 9"),
-    ConnectionClosedError("peer closed with 12 of 40 bytes outstanding"),
-    StaleDigestError("a" * 64, "b" * 64, "worker"),
-    WorkerLostError("host1", 3),
-    DeadlockError("all threads blocked", {"t0": ["t1"], "t1": ["t0"]}),
-    OutOfMemoryError(2048, 1024),
-]
-
-#: The structured payload each error must carry across the boundary.
-_PAYLOAD_ATTRS = {
-    InjectedFaultError: ("kind", "key", "attempt"),
-    StaleDigestError: ("expected", "actual", "where"),
-    WorkerLostError: ("worker", "lost_leases"),
-    DeadlockError: ("wait_for",),
-    OutOfMemoryError: ("used", "budget"),
-}
+# hostile peers
 
 
-def _assert_equivalent(copy, original):
-    assert type(copy) is type(original)
-    assert str(copy) == str(original)
-    for attr in _PAYLOAD_ATTRS.get(type(original), ()):
-        assert getattr(copy, attr) == getattr(original, attr), attr
+class _Marker:
+    """Unpickling one creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (pathlib.Path.touch, (self.path,))
 
 
-@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
-def test_error_pickle_round_trip(error):
-    _assert_equivalent(pickle.loads(pickle.dumps(error)), error)
-
-
-@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
-def test_error_frame_round_trip(error, pair):
-    """A worker's task-error message arrives with its payload intact."""
-    a, b = pair
-    send_message(a, {"type": "error", "task": [[0, 1]], "payload": error})
-    received = recv_message(b)
-    assert received["type"] == "error"
-    assert received["task"] == [[0, 1]]
-    _assert_equivalent(received["payload"], error)
+@pytest.mark.parametrize("case", ["hello", "task-error"])
+def test_coordinator_never_unpickles_what_a_peer_sends(tmp_path, case):
+    """A raw peer announces a pickled payload — in its hello, or in a
+    task-error after a valid-digest hello — then sends a pickle whose
+    loading would create a marker file.  The coordinator refuses or drops
+    the peer, and the pickle is never loaded."""
+    marker = tmp_path / "pwned.mark"
+    coord = Coordinator(build_figure4_poset(), "lexical").start()
+    hello = {"type": "hello", "name": "hostile", "pid": 0}
+    run = [{"event": [0, 1], "lo": [0, 0], "hi": [1, 1]}]
+    opening = {
+        "hello": [dict(hello, payload_pickled=True)],
+        "task-error": [
+            dict(hello, digest=coord.digest),
+            {"type": "task-error", "tasks": run, "attempt": 0, "payload_pickled": True},
+        ],
+    }[case]
+    bodies = [json.dumps(m).encode() for m in opening]
+    bodies.append(pickle.dumps(_Marker(marker)))
+    try:
+        with socket.create_connection(coord.address, timeout=5.0) as conn:
+            # one write, so a prompt refusal cannot fail a second send
+            conn.sendall(b"".join(map(encode_frame, bodies)))
+            # refused or dropped: the coordinator ends the stream (a
+            # coordinator that kept reading would time this recv out),
+            # with a reset when it closes with frames unread
+            try:
+                while conn.recv(1 << 16):
+                    pass
+            except ConnectionResetError:
+                pass
+    finally:
+        coord.stop()
+    assert not marker.exists()

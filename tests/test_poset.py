@@ -99,35 +99,6 @@ def test_insertion_recorded(figure4_poset):
     ]
 
 
-def test_validation_rejects_bad_idx():
-    good = Event(tid=0, idx=1, vc=(1,))
-    bad = Event(tid=0, idx=3, vc=(3,))
-    with pytest.raises(PosetError):
-        Poset([[good, bad]])
-
-
-def test_validation_rejects_wrong_tid():
-    with pytest.raises(PosetError):
-        Poset([[Event(tid=1, idx=1, vc=(1, 0))], []])
-
-
-def test_validation_rejects_bad_clock_width():
-    with pytest.raises(PosetError):
-        Poset([[Event(tid=0, idx=1, vc=(1, 0))]])
-
-
-def test_validation_rejects_vc_owner_mismatch():
-    with pytest.raises(PosetError):
-        Poset([[Event(tid=0, idx=1, vc=(2,))]])
-
-
-def test_validation_rejects_nonmonotone_clock():
-    a = Event(tid=0, idx=1, vc=(1, 5))
-    b = Event(tid=0, idx=2, vc=(2, 0))
-    with pytest.raises(PosetError):
-        Poset([[a, b], [Event(tid=1, idx=k, vc=(0, k)) for k in (1, 2, 3, 4, 5)]])
-
-
 def test_insertion_length_mismatch_rejected():
     with pytest.raises(PosetError):
         Poset([[Event(tid=0, idx=1, vc=(1,))]], insertion=[])

@@ -54,35 +54,3 @@ def test_missing_insertion_roundtrips_as_none():
     p = Poset([[Event(tid=0, idx=1, vc=(1,))]])
     back = poset_from_dict(poset_to_dict(p))
     assert back.insertion is None
-
-
-def _clock_dict(chains):
-    return {
-        "version": 1,
-        "num_threads": len(chains),
-        "chains": [[{"vc": list(vc)} for vc in chain] for chain in chains],
-        "insertion": None,
-    }
-
-
-def test_rejects_clock_naming_an_event_past_its_chain():
-    """``lexical`` counted 2 states here; ``lexical-packed`` found a cycle."""
-    with pytest.raises(PosetError, match=r"event \(1, 1\).*component 0 = 5"):
-        poset_from_dict(_clock_dict([[(1, 0)], [(5, 1)]]))
-
-
-def test_rejects_clock_that_is_not_transitively_closed():
-    """(2, 1) requires (1, 1) but not (1, 1)'s own requirement (0, 1):
-    ``lexical-packed``'s one-round closure visited the inconsistent cut
-    (0, 1, 1) of the interval [(0, 0, 1), (1, 1, 1)]."""
-    chains = [[(1, 0, 0)], [(1, 1, 0)], [(0, 1, 1)]]
-    with pytest.raises(
-        PosetError, match=r"event \(2, 1\).*component 1 names event \(1, 1\)"
-    ):
-        poset_from_dict(_clock_dict(chains))
-
-
-def test_rejects_clocks_that_require_each_other():
-    """Two events naming each other form a cycle, not a partial order."""
-    with pytest.raises(PosetError, match=r"event \(0, 1\).*component 1"):
-        poset_from_dict(_clock_dict([[(1, 1)], [(1, 1)]]))

@@ -8,12 +8,10 @@ from repro.core.paramount import ParaMount
 from repro.core.intervals import Interval
 from repro.detector.hb import HBFrontEnd
 from repro.errors import SanitizerError
-from repro.poset.event import Event
 from repro.poset.poset import Poset
 from repro.runtime import run_program
 from repro.runtime.trace import TraceOp
 from repro.staticcheck import (
-    ClockSanitizer,
     EnumerationSanitizer,
     PipelineSanitizer,
     TraceSanitizer,
@@ -133,30 +131,6 @@ def test_strict_mode_raises_immediately():
     san.observe(TraceOp(seq=0, tid=0, kind="thread_start"))
     with pytest.raises(SanitizerError):
         san.observe(TraceOp(seq=1, tid=0, kind="release", obj="m"))
-
-
-# --------------------------------------------------------------------- #
-# clock-level violations
-
-
-def test_gmin_invariant_violation_flagged():
-    san = ClockSanitizer()
-    san.observe_event(Event(tid=0, idx=1, vc=(2, 0)))  # vc[0] != idx
-    assert any(v.invariant == "gmin-invariant" for v in san.violations)
-
-
-def test_chain_gap_flagged():
-    san = ClockSanitizer()
-    san.observe_event(Event(tid=0, idx=1, vc=(1, 0)))
-    san.observe_event(Event(tid=0, idx=3, vc=(3, 0)))  # skipped idx 2
-    assert any(v.invariant == "chain-contiguity" for v in san.violations)
-
-
-def test_clock_regression_flagged():
-    san = ClockSanitizer()
-    san.observe_event(Event(tid=0, idx=1, vc=(1, 5)))
-    san.observe_event(Event(tid=0, idx=2, vc=(2, 3)))  # component regressed
-    assert any(v.invariant == "clock-monotone" for v in san.violations)
 
 
 # --------------------------------------------------------------------- #
