@@ -89,7 +89,7 @@ class RunContext:
     In-process executors read only ``observer``.  A descriptor-shipping
     executor re-creates the tasks from the rest (``deadline_at`` is a
     :func:`time.monotonic` instant) and refuses ``visits``: tasks that
-    call back for every state, for a user visitor or a sanitizer.
+    call a user visitor back.
     """
 
     poset: Optional[Poset] = None

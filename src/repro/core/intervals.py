@@ -21,7 +21,6 @@ cut below ``Gbnd(e₁)`` not containing ``e₁`` is empty (``e₁`` is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
@@ -69,15 +68,6 @@ class Interval:
             v *= b - a + 1
         return v
 
-    @cached_property
-    def log_size_bound(self) -> float:
-        """``log2`` of :attr:`size_bound`, computed term-by-term.
-
-        Overflow-safe for the huge raytracer/random posets whose box
-        volumes exceed float range: summing per-thread ``log2`` terms never
-        materializes the (arbitrary-precision, slow-to-compare) product.
-        """
-        return sum(math.log2(b - a + 1) for a, b in zip(self.lo, self.hi))
 
 
 def interval_of(event: EventId, gmin: Cut, gbnd: Cut) -> Interval:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.types import Cut, EventId
 from repro.util.cuts import cut_join, cut_meet
@@ -202,10 +202,6 @@ class ParaMountResult:
         if stats.peak_live > self.peak_live:
             self.peak_live = stats.peak_live
 
-    def interval_work(self) -> List[int]:
-        """Per-interval work vector in ``→p`` order (scheduler input)."""
-        return [s.work for s in self.intervals]
-
     def interval_sizes(self) -> List[int]:
         """Per-interval state counts in ``→p`` order."""
         return [s.states for s in self.intervals]
@@ -255,10 +251,6 @@ class ParaMountResult:
             loads = [b for b in bins if b > 0]
         mean = sum(loads) / len(loads)
         return max(loads) / mean if mean else 1.0
-
-    def summary_row(self) -> Tuple[int, int, int, float]:
-        """(states, work, peak_live, wall_time) for table rendering."""
-        return (self.states, self.work, self.peak_live, self.wall_time)
 
     @property
     def complete(self) -> bool:

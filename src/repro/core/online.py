@@ -31,7 +31,6 @@ from repro.core.bounded import bounded_enumeration, locked
 from repro.core.intervals import Interval, interval_of
 from repro.core.metrics import IntervalStats, ParaMountResult
 from repro.enumeration.base import DEFAULT_SUBROUTINE, make_enumerator
-from repro.errors import ReproError
 from repro.obs.observer import ensure_observer
 from repro.poset.builder import BuilderView, PosetBuilder
 from repro.poset.event import Event
@@ -80,13 +79,6 @@ class OnlineParaMount:
         :meth:`insert` may be called from concurrently running threads.
     memory_budget:
         Per-interval cap on live intermediate states.
-    strict:
-        In strict mode (the default) a malformed insertion — an event whose
-        clock :mod:`repro.poset.validate` refuses, or any other
-        :class:`~repro.errors.ReproError` — propagates to the caller.
-        With ``strict=False`` the offending event is *quarantined* instead:
-        :meth:`insert` returns ``None``, the healthy stream continues, and
-        the structured report is available as :attr:`quarantine`.
     observer:
         Optional :class:`repro.obs.Observer`.  Every insertion records a
         ``clock`` span (the critical section: append + stamp), feeds
@@ -103,7 +95,6 @@ class OnlineParaMount:
         interval_visitor: Optional[IntervalVisitorFactory] = None,
         synchronized: bool = False,
         memory_budget: Optional[int] = None,
-        strict: bool = True,
         observer=None,
     ):
         self.builder = PosetBuilder(num_threads)
@@ -115,19 +106,14 @@ class OnlineParaMount:
         self._lock = threading.Lock() if synchronized else None
         self._result = ParaMountResult()
         self._intervals: List[Interval] = []
-        self.strict = strict
         self.observer = ensure_observer(observer)
-        self._inserted = 0
-        from repro.resilience.quarantine import QuarantineReport
-
-        self.quarantine = QuarantineReport()
 
     @property
     def num_threads(self) -> int:
         """Width of the monitored computation."""
         return self.builder.num_threads
 
-    def insert(self, event: Event) -> Optional[IntervalStats]:
+    def insert(self, event: Event) -> IntervalStats:
         """Insert one event and enumerate its interval ``I(e)``.
 
         Returns the interval's statistics.  May be called concurrently from
@@ -135,33 +121,14 @@ class OnlineParaMount:
         paper's detector calls it from the thread that just executed the
         event ("no additional threads are spawned for ParaMount", §5.2).
 
-        In non-strict mode a malformed event is quarantined and ``None``
-        is returned; the poset, intervals, and totals are untouched, so
-        the detector keeps running on the healthy prefix of every thread.
+        An event whose clock :mod:`repro.poset.validate` refuses raises
+        its :class:`~repro.errors.PosetError` here, and the poset, the
+        intervals and the totals stay as they were.
         """
         obs = self.observer
-        index = self._inserted
-        self._inserted += 1
-        try:
-            with obs.span("append_stamped", "clock"):
-                # Algorithm 4 lines 1–5
-                gbnd = self.builder.append_stamped(event)
-        except ReproError as exc:
-            if self.strict:
-                raise
-            # QuarantineReport.add logs the structured warning.
-            if obs.enabled:
-                obs.instant(
-                    "quarantine", "clock", event=str(event.eid), index=index
-                )
-                obs.counter("events_quarantined_total").inc()
-            self.quarantine.add(
-                index,
-                "online-event",
-                str(exc),
-                payload=(event.eid, event.vc),
-            )
-            return None
+        with obs.span("append_stamped", "clock"):
+            # Algorithm 4 lines 1–5
+            gbnd = self.builder.append_stamped(event)
         if obs.enabled:
             obs.counter("events_inserted_total").inc()
         if obs.progress is not None:

@@ -15,8 +15,7 @@ Given a poset, ParaMount:
    Each piece runs through
    :func:`~repro.core.bounded.bounded_enumeration`, the piece path the
    online worker shares; this driver adds only what it alone configures:
-   the deadline skip, the sanitizer wrapper and the
-   ``degrade_on_oom`` fallback;
+   the deadline skip and the ``degrade_on_oom`` fallback;
 4. aggregates counts and cost meters into a
    :class:`~repro.core.metrics.ParaMountResult`.
 
@@ -100,13 +99,6 @@ class ParaMount:
     memory_budget:
         Per-task cap on live intermediate states (models a bounded heap for
         the BFS subroutine).
-    sanitizer:
-        Optional enumeration sanitizer (an object with
-        ``observe_interval(interval)`` and ``observe_state(interval, cut)``,
-        e.g. :class:`repro.staticcheck.sanitize.EnumerationSanitizer`).
-        When set, every interval's bounds and every enumerated state are
-        checked — in particular Theorem 2's disjointness (no state visited
-        twice across intervals).
     checkpoint:
         Optional interval checkpoint journal — a
         :class:`~repro.resilience.CheckpointJournal` or a path.  Each task
@@ -160,7 +152,6 @@ class ParaMount:
         order: OrderSpec = None,
         executor: Optional[Executor] = None,
         memory_budget: Optional[int] = None,
-        sanitizer=None,
         checkpoint=None,
         degrade_on_oom: bool = False,
         schedule: ScheduleSpec = None,
@@ -171,7 +162,6 @@ class ParaMount:
         self.subroutine_name = subroutine
         self.executor = executor if executor is not None else SerialExecutor()
         self.memory_budget = memory_budget
-        self.sanitizer = sanitizer
         self.degrade_on_oom = degrade_on_oom
         self.schedule = SchedulePolicy.parse(schedule)
         self.observer = ensure_observer(observer)
@@ -216,16 +206,12 @@ class ParaMount:
         order; interleaving across intervals is arbitrary, exactly as in
         the paper's parallel enumeration).  An executor whose workers
         cannot call back into this process (the distributed backend)
-        refuses a run with a visitor or sanitizer.
+        refuses a run with a visitor.
         """
         subroutine = make_enumerator(
             self.subroutine_name, self.poset, memory_budget=self.memory_budget
         )
         wrapped = self._wrap_visitor(visit)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            for interval in self.intervals:
-                sanitizer.observe_interval(interval)
 
         obs = self.observer
         with obs.span(
@@ -265,7 +251,7 @@ class ParaMount:
             memory_budget=self.memory_budget,
             journal=journal,
             deadline_at=deadline_at,
-            visits=visit is not None or sanitizer is not None,
+            visits=visit is not None,
             observer=obs,
         )
         if obs.enabled and plan.split_intervals:
@@ -281,18 +267,8 @@ class ParaMount:
                 with log_lock:
                     deadline_skips.append(interval.event)
                 return None
-            if sanitizer is None:
-                task_visit = wrapped
-            else:
-                # observe every enumerated state even with no user visitor,
-                # so the partition check covers the whole lattice.
-                def task_visit(cut):
-                    sanitizer.observe_state(interval, cut)
-                    if wrapped is not None:
-                        wrapped(cut)
-
             try:
-                return bounded_enumeration(subroutine, interval, task_visit, obs)
+                return bounded_enumeration(subroutine, interval, wrapped, obs)
             except OutOfMemoryError as exc:
                 if not self.degrade_on_oom:
                     raise
@@ -302,7 +278,7 @@ class ParaMount:
                     self.poset,
                     memory_budget=self.memory_budget,
                 )
-                stats = bounded_enumeration(fallback, interval, task_visit, obs)
+                stats = bounded_enumeration(fallback, interval, wrapped, obs)
                 with log_lock:
                     degradations.append(
                         DegradationEvent(

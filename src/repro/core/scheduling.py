@@ -34,22 +34,22 @@ many workers run.  This module is the scheduling layer between
 
 Sub-intervals keep their parent's ``event`` identity, so per-event
 statistics, checkpoint identity (journal records are keyed by
-``(event, lo, hi)``), and the sanitizer's disjointness check all survive
-splitting unchanged.  :func:`validate_split` is the partition-preservation
-check: sub-interval size bounds stay within the parent's and the exact
-consistent-cut counts (via the independent ideal-counting DP) sum to it.
+``(event, lo, hi)``) and the differential oracle's exactly-once check all
+survive splitting unchanged.  :func:`validate_split` is the
+partition-preservation check: sub-interval size bounds stay within the
+parent's and the exact consistent-cut counts (via the independent
+ideal-counting DP) sum to it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.intervals import Interval
 from repro.errors import IntervalError
 from repro.poset.poset import Poset
-from repro.types import EventId
 from repro.util.cuts import cut_join, cut_leq
 
 __all__ = [
@@ -144,8 +144,6 @@ class SchedulePlan:
     descriptor: str
     #: Number of parent intervals that were split.
     split_intervals: int = 0
-    #: Pieces per split parent event (1 for unsplit parents is omitted).
-    parts_of: Dict[EventId, int] = field(default_factory=dict)
     #: Largest summed size bound of a coalesced run: the largest piece's
     #: bound, or the split budget if smaller.
     cap: int = 0
@@ -299,7 +297,6 @@ def plan_schedule(
     tasks: List[Interval] = list(intervals)
     budget: Optional[int] = None
     split_intervals = 0
-    parts_of: Dict[EventId, int] = {}
     if policy.split and workers > 1 and tasks:
         total = sum(iv.size_bound for iv in tasks)
         budget = max(total // (workers * OVERSUBSCRIBE), 1)
@@ -308,7 +305,6 @@ def plan_schedule(
             parts = split_interval(poset, interval, budget)
             if len(parts) > 1:
                 split_intervals += 1
-                parts_of[interval.event] = len(parts)
             shaped.extend(parts)
         tasks = shaped
     largest_first = policy.largest_first and workers > 1
@@ -329,7 +325,6 @@ def plan_schedule(
         budget=budget,
         descriptor=descriptor,
         split_intervals=split_intervals,
-        parts_of=parts_of,
         cap=cap,
         largest_first=largest_first,
     )

@@ -72,15 +72,10 @@ class HBFrontEnd:
         emit: EmitFn,
         merge_collections: bool = True,
         track_weak_clocks: bool = False,
-        sanitizer=None,
         pruner=None,
     ):
         self.n = num_threads
         self.emit = emit
-        #: Optional clock sanitizer (an object with ``observe_event(event)``,
-        #: e.g. :class:`repro.staticcheck.sanitize.ClockSanitizer`) fed every
-        #: emitted event before the downstream consumer sees it.
-        self.sanitizer = sanitizer
         #: Optional static pruner (an object with ``should_skip(var)``, e.g.
         #: :class:`repro.staticcheck.prune.StaticPruner`): accesses to a
         #: variable it rules statically race-free are dropped before any
@@ -219,8 +214,6 @@ class HBFrontEnd:
             weak_vc=weak_vc,
         )
         self._emitted += 1
-        if self.sanitizer is not None:
-            self.sanitizer.observe_event(event)
         self.emit(event)
 
 

@@ -16,9 +16,9 @@ the context's journal and reports to its observer — worker acks are
 the only report, per-host series included — and stops leasing at the
 context's deadline.
 
-Remote workers cannot call back into the driver, so a run that must see
-every state — a user visitor or a sanitizer, the context's ``visits`` —
-is refused before any coordinator or worker starts.
+Remote workers cannot call back into the driver, so a run with a user
+visitor (the context's ``visits``) is refused before any coordinator or
+worker starts.
 
 Degradation: a task that raised on a worker is final there (any worker
 would raise the same error), and when every remote worker is lost (or
@@ -109,12 +109,12 @@ class DistributedExecutor(Executor):
         """Lease the tasks' pieces to worker processes.
 
         Raises :class:`ValueError` when ``context.visits`` is set: remote
-        workers enumerate without calling back, so a visitor or sanitizer
-        would silently see none of their states.
+        workers enumerate without calling back, so a visitor would
+        silently see none of their states.
         """
         if context.visits:
             raise ValueError(
-                "DistributedExecutor cannot run a visitor or sanitizer: "
+                "DistributedExecutor cannot run a visitor: "
                 "remote workers do not call back into the driver; count "
                 "states without one, or use an in-process executor"
             )

@@ -50,15 +50,6 @@ class EnumerationResult:
     work: int
     peak_live: int
 
-    def __add__(self, other: "EnumerationResult") -> "EnumerationResult":
-        """Combine results of independent runs (counts add; peaks add too,
-        conservatively modeling runs that are live concurrently)."""
-        return EnumerationResult(
-            states=self.states + other.states,
-            work=self.work + other.work,
-            peak_live=self.peak_live + other.peak_live,
-        )
-
 
 class CollectingVisitor:
     """A visitor that records every visited cut (for tests and examples)."""

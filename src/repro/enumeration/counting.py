@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.enumeration.base import CollectingVisitor, Enumerator
 from repro.poset.ideals import count_ideals
-from repro.poset.poset import Poset
 
-__all__ = ["verify_enumerator", "enumeration_report"]
+__all__ = ["verify_enumerator"]
 
 
 def verify_enumerator(enumerator: Enumerator) -> None:
@@ -20,8 +17,8 @@ def verify_enumerator(enumerator: Enumerator) -> None:
     3. the number of visited cuts equals ``i(P)`` from the independent
        interval-DP counter.
 
-    Raises ``AssertionError`` with a diagnostic on any violation.  Intended
-    for tests and for the ``--selfcheck`` mode of the experiment runner.
+    Raises ``AssertionError`` with a diagnostic on any violation; the
+    enumerator tests call it.
     """
     collector = CollectingVisitor()
     result = enumerator.enumerate(collector)
@@ -41,12 +38,3 @@ def verify_enumerator(enumerator: Enumerator) -> None:
         f"counter says {expected}"
     )
     assert result.states == len(collector.cuts)
-
-
-def enumeration_report(poset: Poset) -> Dict[str, int]:
-    """Quick facts about a poset's lattice, for table headers."""
-    return {
-        "threads": poset.num_threads,
-        "events": poset.num_events,
-        "global_states": count_ideals(poset),
-    }

@@ -21,7 +21,6 @@ __all__ = [
     "PlannerError",
     "WorkloadError",
     "StaticCheckError",
-    "SanitizerError",
     "ExecutorError",
     "InjectedFaultError",
     "CheckpointError",
@@ -137,13 +136,6 @@ class StaticCheckError(ReproError):
     program cannot be analyzed at all — e.g. a thread body whose source is
     unavailable.  Imprecision never raises; it is recorded as
     ``approximation`` notes on the report instead."""
-
-
-class SanitizerError(ReproError):
-    """Raised (in strict mode) by the runtime sanitizer when a pipeline
-    invariant is violated: per-thread sequence monotonicity, lock
-    discipline, vector-clock monotonicity, ``Gmin(e) ≤ Gbnd(e)``, or the
-    interval-partition disjointness of Theorem 2."""
 
 
 class ExecutorError(ReproError):

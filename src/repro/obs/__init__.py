@@ -20,8 +20,7 @@ The observability layer for the enumeration pipeline (DESIGN.md §7d, §7i):
 * :class:`~repro.obs.http.OpsEndpoint` — the scrapeable ops server
   (``/metrics``, ``/healthz``, ``/progress``);
 * exporters (:mod:`repro.obs.export`) — Chrome trace-event JSON (with
-  counter tracks) for Perfetto/chrome://tracing, Prometheus text,
-  JSON-lines (torn-tail-tolerant reader included);
+  counter tracks) for Perfetto/chrome://tracing and Prometheus text;
 * validators (:mod:`repro.obs.validate`) — structural checks for traces
   and Prometheus text, shared by tests and CI smoke jobs;
 * :class:`~repro.obs.progress.ProgressReporter` — live one-line progress
@@ -35,11 +34,8 @@ The observability layer for the enumeration pipeline (DESIGN.md §7d, §7i):
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
-    read_spans_jsonl,
-    spans_jsonl,
     write_chrome_trace,
     write_prometheus,
-    write_spans_jsonl,
 )
 from repro.obs.http import OpsEndpoint
 from repro.obs.metrics import (
@@ -84,9 +80,6 @@ __all__ = [
     "write_chrome_trace",
     "prometheus_text",
     "write_prometheus",
-    "spans_jsonl",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
     "render_trace_file",
     "load_trace_events",
     "validate_chrome_trace",

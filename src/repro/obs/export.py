@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, JSON-lines.
+"""Exporters: Chrome trace-event JSON and Prometheus text.
 
 * :func:`chrome_trace` — the Trace Event Format consumed by Perfetto and
   ``chrome://tracing``: one ``pid`` for the run, one ``tid`` **lane per
@@ -12,11 +12,6 @@
   :data:`~repro.obs.metrics.METRIC_INVENTORY`), labeled series render
   their label sets, histograms ship cumulative ``_bucket`` lines, and
   windowed rates are exported as gauges.
-* :func:`spans_jsonl` / :func:`read_spans_jsonl` — one span per line, for
-  ad-hoc ``jq``-style analysis and the log-shipping path.  The reader is
-  torn-tail tolerant with the checkpoint journal's policy: a truncated
-  *final* line (a killed worker mid-write) is discarded, but a valid line
-  after a torn one means corruption, not truncation, and raises.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.obs.metrics import inventory_entry, split_series_key
 from repro.obs.trace import Span
@@ -34,9 +29,6 @@ __all__ = [
     "write_chrome_trace",
     "prometheus_text",
     "write_prometheus",
-    "spans_jsonl",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
 ]
 
 _METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -231,79 +223,3 @@ def write_prometheus(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(prometheus_text(snapshot))
     return path
-
-
-# ---------------------------------------------------------------------- #
-# JSON-lines
-
-
-def spans_jsonl(spans: Iterable[Span]) -> str:
-    """One compact JSON object per span, one span per line."""
-    lines = [
-        json.dumps(
-            {
-                "name": s.name,
-                "cat": s.category,
-                "t0": s.t0,
-                "dt": s.dt,
-                "worker": s.worker,
-                "attrs": dict(s.attrs),
-            },
-            sort_keys=True,
-        )
-        for s in spans
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_spans_jsonl(path: Union[str, Path], spans: Iterable[Span]) -> Path:
-    """Write :func:`spans_jsonl` output; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(spans_jsonl(spans))
-    return path
-
-
-def _parse_span_line(line: str) -> Union[Span, None]:
-    """One JSON-lines span, or ``None`` for a torn (unparseable) line."""
-    try:
-        record = json.loads(line)
-        return Span(
-            name=record["name"],
-            category=record["cat"],
-            t0=float(record["t0"]),
-            dt=float(record["dt"]),
-            worker=record["worker"],
-            attrs=dict(record.get("attrs", {})),
-        )
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
-def read_spans_jsonl(path: Union[str, Path]) -> List[Span]:
-    """Load a :func:`spans_jsonl` file, tolerating a torn final line.
-
-    A worker killed mid-flush (the fault-injection suites do exactly this)
-    leaves a truncated last line; that line is silently dropped — the
-    same policy as :class:`~repro.resilience.checkpoint.CheckpointJournal`.
-    A *valid* line after a torn one is not truncation but corruption, and
-    raises ``ValueError``.
-    """
-    spans: List[Span] = []
-    torn_at: Union[int, None] = None
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        span = _parse_span_line(line)
-        if span is None:
-            torn_at = lineno
-            continue
-        if torn_at is not None:
-            raise ValueError(
-                f"{path}: valid span on line {lineno} after torn "
-                f"line {torn_at} — file is corrupt, not truncated"
-            )
-        spans.append(span)
-    return spans

@@ -104,9 +104,6 @@ METRIC_INVENTORY: Dict[str, Tuple[str, str]] = {
     "events_inserted_total": (
         "counter", "Events inserted into the online enumeration front-end."
     ),
-    "events_quarantined_total": (
-        "counter", "Malformed trace events quarantined by the online reader."
-    ),
     # detector
     "predicates_fast_pathed_total": (
         "counter", "Predicates routed to a slicing fast path by the planner."

@@ -235,10 +235,9 @@ class SpanLogHandler(logging.Handler):
     """Forwards ``repro`` log records into a trace as instant markers.
 
     Attach to the ``repro`` root (the CLI does this when ``--trace-out``
-    is given) and every warning — a degradation, a quarantined record, an
-    expired deadline — appears on the emitting worker's lane in the
-    exported trace, with the record's structured ``extra={}`` fields as
-    span attributes.
+    is given) and every warning — a degradation, an expired deadline —
+    appears on the emitting worker's lane in the exported trace, with the
+    record's structured ``extra={}`` fields as span attributes.
     """
 
     #: LogRecord attributes that are plumbing, not structured payload.

@@ -26,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["Span", "SpanTracer"]
@@ -209,21 +208,6 @@ class SpanTracer:
                 ...
         """
         return _SpanContext(self, name, category, attrs)
-
-    def traced(self, name: Optional[str] = None, category: str = ""):
-        """Decorator form of :meth:`span` (span name defaults to __name__)."""
-
-        def decorate(fn):
-            span_name = name if name is not None else fn.__name__
-
-            @wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name, category):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def active_stacks(self) -> Dict[int, List]:
         """Snapshot of the open-span stacks (profiler attribution source).

@@ -3,10 +3,11 @@
 Theorem 2 and the packed kernel's one-round closure hold only for clocks
 that model a partial order (Chauhan–Garg, arXiv:1410.1209).  ``Poset(...)``
 (so ``poset_from_dict``, a dist worker's ``--poset`` included, and
-``poset_from_trace``), ``PosetBuilder.append_stamped`` and
-``ClockSanitizer`` admit every event through :func:`violation`, so they
-all give the same verdict.  The rules are the keys of :data:`ERRORS`, in
-the order they are checked.
+``poset_from_trace``) and ``PosetBuilder.append_stamped`` (so
+``OnlineParaMount.insert``) admit every event through :func:`violation`,
+so they all give the same verdict, and this is the one place a clock is
+checked.  The rules are the keys of :data:`ERRORS`, in the order they are
+checked.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ This package turns that observation into runtime machinery:
   on one inner executor;
 * :mod:`~repro.resilience.checkpoint` — an interval checkpoint journal
   (JSON lines keyed by a poset digest) so a killed run resumes enumerating
-  only its unfinished intervals, with sanitizer-style identity checks;
-* :mod:`~repro.resilience.quarantine` — structured quarantine of malformed
-  stream records for the online worker and trace reader.
+  only its unfinished intervals, refusing a journal of another poset,
+  subroutine or schedule.
 """
 
 from repro.core.executors import RetryPolicy
@@ -30,7 +29,6 @@ from repro.resilience.faults import (
     FaultSpec,
     apply_fault,
 )
-from repro.resilience.quarantine import QuarantinedRecord, QuarantineReport
 from repro.resilience.runner import ResilientExecutor
 
 __all__ = [
@@ -43,7 +41,5 @@ __all__ = [
     "FAULT_SLOW",
     "FaultSpec",
     "apply_fault",
-    "QuarantinedRecord",
-    "QuarantineReport",
     "ResilientExecutor",
 ]

@@ -16,7 +16,7 @@ plan's largest piece.  The journal is an append-only JSON-lines file:
   and flush, on an append handle the journal keeps open for the whole run.
 
 On resume the driver recomputes the partition, replays the journal, and
-re-enumerates only the unfinished pieces.  Three sanitizer-style checks
+re-enumerates only the unfinished pieces.  Three identity checks
 make resumption provably safe rather than hopeful: the digest must match
 (same poset); the header's **schedule descriptor** must match (adaptive
 scheduling may split an interval into sub-tasks, and records of one split

@@ -17,7 +17,12 @@ Semantics notes:
   ``notify → wait`` edge of Figure 2;
 * ``Sleep`` accumulates virtual seconds into ``trace.base_seconds`` (the
   Table 2 "Base" column) without real-time blocking;
-* ``Compute`` advances a virtual CPU meter (also folded into base time).
+* ``Compute`` advances a virtual CPU meter (also folded into base time);
+* a thread that releases, waits on or notifies a lock it does not hold,
+  re-acquires one it holds, ends holding one, or joins an unknown thread
+  raises :class:`~repro.errors.SchedulerError` before the op is emitted,
+  so every trace returned keeps the rules the trace reader
+  (:mod:`repro.runtime.trace_io`) checks of a trace file.
 """
 
 from __future__ import annotations
@@ -101,7 +106,6 @@ class Scheduler:
         seed: int = 0,
         stickiness: float = 0.0,
         max_steps: int = 2_000_000,
-        sanitizer=None,
     ):
         if not 0.0 <= stickiness < 1.0:
             raise SchedulerError(f"stickiness must be in [0, 1), got {stickiness}")
@@ -110,10 +114,6 @@ class Scheduler:
         #: Probability of staying on the current thread at each step.
         self.stickiness = stickiness
         self.max_steps = max_steps
-        #: Optional trace sanitizer (an object with ``observe(op)``, e.g.
-        #: :class:`repro.staticcheck.sanitize.TraceSanitizer`) fed every
-        #: emitted operation — the opt-in runtime invariant checker.
-        self.sanitizer = sanitizer
         self._rng = DeterministicRng(seed).fork("scheduler", program.name)
 
     # ------------------------------------------------------------------ #
@@ -128,15 +128,12 @@ class Scheduler:
         joiners: Dict[int, List[int]] = {}  # finished-waits: target -> joiner tids
         seq = 0
 
-        sanitizer = self.sanitizer
-
         def emit(tid: int, kind: str, obj=None, target=None, is_init=False) -> None:
             nonlocal seq
-            op = TraceOp(seq=seq, tid=tid, kind=kind, obj=obj, target=target, is_init=is_init)
-            trace.ops.append(op)
+            trace.ops.append(
+                TraceOp(seq=seq, tid=tid, kind=kind, obj=obj, target=target, is_init=is_init)
+            )
             seq += 1
-            if sanitizer is not None:
-                sanitizer.observe(op)
 
         def spawn(body: Callable, name: str) -> int:
             tid = len(threads)
@@ -171,6 +168,9 @@ class Scheduler:
                 t.resume_kind = None
 
         def finish_thread(t: _ThreadState) -> None:
+            held = sorted(name for name, lst in locks.items() if lst.owner == t.tid)
+            if held:
+                raise SchedulerError(f"thread {t.tid} ended holding lock(s) {held}")
             t.status = _FINISHED
             emit(t.tid, "thread_end")
             for j in joiners.pop(t.tid, []):
@@ -375,7 +375,6 @@ def run_program(
     program: Program,
     seed: int = 0,
     stickiness: float = 0.0,
-    sanitizer=None,
     observer=None,
 ) -> Trace:
     """Convenience wrapper: schedule ``program`` once and return its trace.
@@ -384,9 +383,7 @@ def run_program(
     recorded as a ``capture`` span carrying the program name, seed, and
     the number of operations captured.
     """
-    scheduler = Scheduler(
-        program, seed=seed, stickiness=stickiness, sanitizer=sanitizer
-    )
+    scheduler = Scheduler(program, seed=seed, stickiness=stickiness)
     observer = ensure_observer(observer)
     if not observer.enabled:
         return scheduler.run()

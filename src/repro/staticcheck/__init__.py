@@ -1,8 +1,8 @@
-"""Static race/deadlock analysis and runtime sanitizing for simulated programs.
+"""Static race/deadlock analysis for simulated programs.
 
 ParaMount detects races *dynamically* by enumerating the consistent global
 states of one observed execution; this package adds the complementary
-*static* pass over the program text plus an opt-in runtime *sanitizer*:
+*static* pass over the program text:
 
 * :mod:`~repro.staticcheck.diag` — the unified diagnostics layer: stable
   rule IDs (``RR001`` data race, ``LO001`` lock cycle, …) with severity,
@@ -26,8 +26,6 @@ states of one observed execution; this package adds the complementary
 * :mod:`~repro.staticcheck.lockorder` — a lock-order graph with cycle
   detection emitting static deadlock warnings in the scheduler's
   wait-for-graph format;
-* :mod:`~repro.staticcheck.sanitize` — runtime invariant checkers wired
-  (opt-in) into the scheduler, the HB front-end and the ParaMount driver;
 * :mod:`~repro.staticcheck.predclass` — the predicate classifier: proves
   a predicate local / conjunctive / linear / stable (or demotes it to
   arbitrary with a counterexample sub-expression) and emits the
@@ -81,33 +79,22 @@ from repro.staticcheck.predclass import (
 from repro.staticcheck.prune import StaticPruner, build_pruner
 from repro.staticcheck.races import analyze_races
 from repro.staticcheck.report import StaticReport, StaticWarning, analyze_program
-from repro.staticcheck.sanitize import (
-    ClockSanitizer,
-    EnumerationSanitizer,
-    PipelineSanitizer,
-    SanitizerViolation,
-    TraceSanitizer,
-)
 
 __all__ = [
     "AccessSite",
     "ClassificationCertificate",
-    "ClockSanitizer",
     "CrossValidation",
     "Demotion",
     "Diagnostic",
-    "EnumerationSanitizer",
     "LocalityWitness",
     "LockOrderEdge",
     "MHPAnalysis",
     "RULES",
     "Rule",
-    "PipelineSanitizer",
     "PlannerCrossValidation",
     "PredicateCheck",
     "PredicateClass",
     "ProgramSummary",
-    "SanitizerViolation",
     "Segment",
     "SourceSpan",
     "StaticPruner",
@@ -115,7 +102,6 @@ __all__ = [
     "StaticWarning",
     "SummaryExtractor",
     "ThreadInstance",
-    "TraceSanitizer",
     "analyze_lock_order",
     "analyze_program",
     "analyze_races",

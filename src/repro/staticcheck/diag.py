@@ -1,8 +1,8 @@
 """Unified static diagnostics: stable rule IDs, spans, exporters, baselines.
 
 Every finding of the static layer — lockset races, lock-order cycles,
-MHP overlaps, predicate demotions, sanitizer violations, extractor
-approximations — is representable as one :class:`Diagnostic` carrying:
+MHP overlaps, predicate demotions, extractor approximations — is
+representable as one :class:`Diagnostic` carrying:
 
 * a **stable rule ID** from the :data:`RULES` registry (``RR001`` data
   race, ``LO001`` lock cycle, ``MH001`` MHP overlap, …) with a severity
@@ -156,12 +156,6 @@ RULES: Dict[str, Rule] = {
                 "The classifier demoted an author-declared predicate class; "
                 "the planner falls back to the sound full-enumeration route."
             ),
-        ),
-        Rule(
-            id="SN001",
-            name="sanitizer-violation",
-            severity="error",
-            short_description="runtime sanitizer invariant violated",
         ),
     )
 }

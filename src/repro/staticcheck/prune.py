@@ -26,7 +26,7 @@ always correct, merely slower.
 
 The detector layer stays import-free of this module: ``HBFrontEnd`` and
 ``ParaMountDetector`` take the pruner duck-typed (anything with
-``should_skip(var)``), mirroring the sanitizer hook.
+``should_skip(var)``).
 """
 
 from __future__ import annotations

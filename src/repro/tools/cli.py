@@ -199,8 +199,7 @@ def _make_observer(args: argparse.Namespace):
 
     progress = ProgressReporter() if args.progress else None
     observer = Observer(progress=progress)
-    # Warnings (degradations, quarantines, expired deadlines) land on the
-    # trace too.
+    # Warnings (degradations, expired deadlines) land on the trace too.
     handler = SpanLogHandler(observer)
     get_logger("").addHandler(handler)
     profiler = None

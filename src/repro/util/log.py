@@ -12,7 +12,7 @@ Library rules (stdlib ``logging`` best practice):
   ``repro`` root.
 
 Warnings carry structured ``extra={}`` fields (degradation source/target,
-quarantine kind, timeout seconds…) so a custom handler — e.g.
+interval event…) so a custom handler — e.g.
 :class:`repro.obs.observer.SpanLogHandler`, which turns records into
 instant spans on a trace — can ship them without parsing messages.
 """

@@ -95,9 +95,7 @@ def test_paramount_result_aggregation():
     assert r.states == 4
     assert r.work == 14
     assert r.peak_live == 5
-    assert r.interval_work() == [10, 4]
     assert r.interval_sizes() == [3, 1]
-    assert r.summary_row() == (4, 14, 5, 0.0)
 
 
 def test_load_imbalance():
@@ -110,10 +108,3 @@ def test_load_imbalance():
     assert r.load_imbalance() == pytest.approx(40 / 20)
 
 
-def test_enumeration_result_addition():
-    from repro.enumeration.base import EnumerationResult
-
-    a = EnumerationResult(states=2, work=10, peak_live=3)
-    b = EnumerationResult(states=5, work=1, peak_live=4)
-    c = a + b
-    assert (c.states, c.work, c.peak_live) == (7, 11, 7)

@@ -17,10 +17,11 @@ never run.  The resumed run must then visit exactly the states the
 killed run did not.
 
 Hypothesis draws small random posets, bounded subroutines (the packed
-lexical kernel on bitmasks and on arrays, ``level-space``, ``bfs``),
-executors and schedules from a fixed seed; the distributed backend, whose
-worker processes take a while to start, is checked on a fixed handful of
-posets instead.
+lexical kernel on bitmasks and on arrays, ``level-space``, ``bfs`` and
+the reference ``lexical`` walk), executors and schedules from a fixed
+seed; the distributed backend, whose worker processes take a while to
+start, and eight threads, which split deeper, are checked on a fixed
+handful of posets instead.
 
 Injected faults are one more dimension: a resilient executor, serial or
 on two threads, whose guard fails single tasks at a drawn fault seed,
@@ -217,8 +218,9 @@ def check(poset, kind, schedule, kill_at, tmp_path, subroutine="lexical-packed")
 
 
 #: Kernels drawn: ``bitmask`` and ``array`` are ``lexical-packed``, the
-#: latter forced off the bitmask kernel it would run on these small posets.
-KERNELS = ["bitmask", "array", "level-space", "bfs"]
+#: latter forced off the bitmask kernel it would run on these small posets;
+#: ``lexical`` is the reference walk, here bounded to each piece.
+KERNELS = ["bitmask", "array", "level-space", "bfs", "lexical"]
 
 
 @contextmanager
@@ -246,6 +248,14 @@ def test_in_process_runs_match_the_reference(
             poset, kind, schedule, kill_at, tmp_path_factory.mktemp("diff"),
             subroutine,
         )
+
+
+@pytest.mark.parametrize("subroutine", ["lexical-packed", "level-space"])
+def test_deep_splits_on_eight_threads_match_the_reference(tmp_path, subroutine):
+    """Eight workers split deeper than the drawn runs on two or three: up
+    to 8 pieces per interval of this poset, against at most 5 on three."""
+    poset = random_computation(RandomComputationSpec(5, 30, 0.4, seed=11))
+    check(poset, "threads8", "split-steal", 2, tmp_path, subroutine)
 
 
 @pytest.mark.parametrize("schedule", ["fifo", "split-steal"])

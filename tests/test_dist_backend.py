@@ -34,7 +34,6 @@ from repro.dist import Coordinator, DistributedExecutor, WireFaults
 from repro.dist.wire import WIRE_DROP_ACK, recv_message, send_message
 from repro.obs import Observer
 from repro.poset.random_posets import RandomComputationSpec, random_computation
-from repro.staticcheck.sanitize import EnumerationSanitizer
 from repro.workloads.registry import ENUMERATION_WORKLOADS
 
 from tests.conftest import build_chain_poset, build_figure4_poset
@@ -122,18 +121,16 @@ def test_wall_time_recorded():
     assert result.wall_time > 0.0
 
 
-@pytest.mark.parametrize("callback", ["visit", "sanitizer"])
-def test_run_needing_every_state_is_refused(callback):
-    """Remote workers never call the driver's visitor or sanitizer, so a
-    run that needs either is refused before a coordinator or worker
-    exists — instead of reporting success with nothing visited."""
+def test_run_needing_every_state_is_refused():
+    """Remote workers never call the driver's visitor, so a run with one
+    is refused before a coordinator or worker exists — instead of
+    reporting success with nothing visited."""
     poset = random_computation(RandomComputationSpec(3, 12, 0.5, seed=1))
     executor = dist_executor()
     seen = []
-    options = {"sanitizer": EnumerationSanitizer()} if callback == "sanitizer" else {}
-    pm = ParaMount(poset, "lexical", executor=executor, **options)
-    with pytest.raises(ValueError, match="visitor or sanitizer"):
-        pm.run(visit=seen.append if callback == "visit" else None)
+    pm = ParaMount(poset, "lexical", executor=executor)
+    with pytest.raises(ValueError, match="cannot run a visitor"):
+        pm.run(visit=seen.append)
     assert executor.last_coordinator is None
     assert seen == []
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.executors import WorkStealingThreadExecutor
 from repro.core.intervals import compute_intervals
 from repro.core.paramount import ParaMount
 from repro.dist import DistributedExecutor
@@ -450,25 +449,6 @@ def test_appended_tables_equal_frozen_tables(poset, data):
 
 # --------------------------------------------------------------------- #
 # execution layers: split-steal threads, multiprocessing, checkpoints
-
-
-@pytest.mark.parametrize("subroutine", ["lexical-packed", "level-space"])
-def test_split_steal_eight_workers_identical(subroutine):
-    poset = random_computation(RandomComputationSpec(5, 30, 0.4, seed=11))
-    baseline: dict = {}
-    serial = ParaMount(poset, "lexical").run(
-        lambda c: baseline.__setitem__(c, baseline.get(c, 0) + 1)
-    )
-    seen: dict = {}
-    result = ParaMount(
-        poset,
-        subroutine=subroutine,
-        schedule="split-steal",
-        executor=WorkStealingThreadExecutor(8),
-    ).run(lambda c: seen.__setitem__(c, seen.get(c, 0) + 1))
-    assert result.states == serial.states
-    assert seen == baseline
-    assert max(seen.values()) == 1  # exactly once, across stolen tasks
 
 
 def test_multiprocessing_backend_packed():

@@ -88,18 +88,6 @@ def test_size_bound_is_cached():
     assert iv.size_bound is iv.__dict__["size_bound"]
 
 
-def test_log_size_bound_is_overflow_safe():
-    import math
-
-    # a box whose volume (1001^128 ~ 1e384) overflows float, but not its log
-    wide = Interval(event=(0, 1), lo=(0,) * 128, hi=(1000,) * 128)
-    with pytest.raises(OverflowError):
-        float(wide.size_bound)
-    assert wide.log_size_bound == pytest.approx(128 * math.log2(1001))
-    small = Interval(event=(0, 1), lo=(1, 0), hi=(2, 2))
-    assert small.log_size_bound == pytest.approx(math.log2(small.size_bound))
-
-
 def test_interval_index_matches_exhaustive_scan(figure4_poset):
     intervals = compute_intervals(figure4_poset)
     index = IntervalIndex(intervals)

@@ -1,4 +1,4 @@
-"""Exporter round-trips: Chrome trace-event JSON, Prometheus text, JSONL."""
+"""Exporter round-trips: Chrome trace-event JSON and Prometheus text."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.obs import (
     Span,
     chrome_trace,
     prometheus_text,
-    spans_jsonl,
     write_chrome_trace,
 )
 from repro.obs.render import load_trace_events, render_trace_file
@@ -142,13 +141,3 @@ def test_prometheus_sanitizes_metric_names():
     registry.counter("weird-name.with chars").inc()
     text = prometheus_text(registry.snapshot())
     assert "repro_weird_name_with_chars 1" in text
-
-
-def test_spans_jsonl_one_line_per_span():
-    text = spans_jsonl(sample_spans())
-    lines = text.strip().splitlines()
-    assert len(lines) == 4
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[0]["name"] == "plan_schedule"
-    assert parsed[2]["dt"] == 0.0
-    assert spans_jsonl([]) == ""

@@ -1,11 +1,10 @@
-"""End-to-end observability: the pipeline emits the spans, counters, and
-lanes ISSUE 5 promises — capture → plan → schedule → enumerate → checkpoint,
-with steal/retry/quarantine markers and one trace lane per worker."""
+"""End-to-end observability: the pipeline emits its spans and counters —
+capture → plan → schedule → enumerate → checkpoint — with steal/retry
+markers and one trace lane per worker."""
 
 from __future__ import annotations
 
 import io
-import logging
 import threading
 
 import pytest
@@ -21,7 +20,6 @@ from repro.core.online import OnlineParaMount
 from repro.core.paramount import ParaMount
 from repro.detector.paramount_detector import ParaMountDetector
 from repro.obs import Observer, ProgressReporter, SpanLogHandler
-from repro.poset.event import Event
 from repro.resilience import FaultSpec, ResilientExecutor
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.runtime import Fork, Join, Program, Write, run_program
@@ -155,18 +153,6 @@ def test_online_insert_counters_and_spans():
     assert {frozenset(s.attrs) for s in online_spans} == {
         frozenset(s.attrs) for s in offline_spans
     }
-
-
-def test_online_quarantine_emits_instant_and_counter():
-    observer = Observer()
-    om = OnlineParaMount(2, strict=False, observer=observer)
-    om.insert(Event(tid=0, idx=1, vc=(1, 0)))
-    assert om.insert(Event(tid=1, idx=2, vc=(1, 2))) is None  # premature
-    assert len(om.quarantine) == 1
-    marks = [s for s in observer.spans() if s.name == "quarantine"]
-    assert len(marks) == 1
-    counters = observer.snapshot()["counters"]
-    assert counters["events_quarantined_total"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -306,22 +292,6 @@ def test_span_log_handler_turns_warnings_into_log_instants():
     assert span.attrs["logger"] == "repro.test_obs_pipeline"
     assert span.attrs["degrade_kind"] == "subroutine"
     assert span.is_instant
-
-
-def test_quarantine_warning_lands_in_trace_via_log_handler():
-    observer = Observer()
-    handler = SpanLogHandler(observer)
-    root = logging.getLogger("repro")
-    root.addHandler(handler)
-    try:
-        om = OnlineParaMount(2, strict=False)
-        om.insert(Event(tid=0, idx=1, vc=(1, 0)))
-        om.insert(Event(tid=1, idx=2, vc=(1, 2)))  # quarantined
-    finally:
-        root.removeHandler(handler)
-    logs = [s for s in observer.spans() if s.category == "log"]
-    assert len(logs) == 1
-    assert logs[0].attrs["record_kind"] == "online-event"
 
 
 def test_progress_reporter_rate_limits_under_fake_clock():

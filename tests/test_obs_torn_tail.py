@@ -1,22 +1,12 @@
-"""Torn-tail tolerance for the observability readers.
-
-Both artifact readers apply the checkpoint journal's policy: a truncated
-*final* write (a process killed mid-flush) is discarded silently, but a
-valid record *after* a torn line means corruption — not truncation — and
-must raise instead of silently dropping committed data.
-"""
+"""Torn-tail tolerance for the Chrome trace reader: a truncated final
+write (a process killed mid-flush) loses only its torn tail, and a file
+that was never a trace is still refused."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    Span,
-    read_spans_jsonl,
-    spans_jsonl,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
+from repro.obs import Span, write_chrome_trace
 from repro.obs.render import load_trace_events, render_trace_file
 
 
@@ -26,31 +16,6 @@ def sample_spans():
         Span("I(e1)", "enumerate", 1.5, 0.25, "steal-0", {"states": 3}),
         Span("I(e2)", "enumerate", 1.7, 0.125, "steal-1", {}),
     ]
-
-
-def test_read_spans_jsonl_round_trips(tmp_path):
-    path = write_spans_jsonl(tmp_path / "spans.jsonl", sample_spans())
-    loaded = read_spans_jsonl(path)
-    assert [s.name for s in loaded] == ["plan_schedule", "I(e1)", "I(e2)"]
-    assert loaded[1].attrs["states"] == 3
-
-
-def test_read_spans_jsonl_drops_torn_final_line(tmp_path):
-    path = tmp_path / "spans.jsonl"
-    text = spans_jsonl(sample_spans())
-    # cut the last line in half, as a kill -9 mid-write would
-    path.write_text(text[: len(text) - 20])
-    loaded = read_spans_jsonl(path)
-    assert [s.name for s in loaded] == ["plan_schedule", "I(e1)"]
-
-
-def test_read_spans_jsonl_rejects_record_after_torn_line(tmp_path):
-    path = tmp_path / "spans.jsonl"
-    lines = spans_jsonl(sample_spans()).splitlines()
-    lines[1] = lines[1][:10]  # torn in the *middle* of the file
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="corrupt"):
-        read_spans_jsonl(path)
 
 
 def test_render_recovers_truncated_chrome_trace(tmp_path):

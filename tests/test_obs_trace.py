@@ -75,19 +75,6 @@ def test_instant_spans_are_zero_duration():
     assert span.attrs == {"task": 3}
 
 
-def test_traced_decorator_names_span_after_function():
-    tracer = SpanTracer(clock=FakeClock())
-
-    @tracer.traced(category="plan")
-    def compute_things(x):
-        return x * 2
-
-    assert compute_things(21) == 42
-    (span,) = tracer.spans()
-    assert span.name == "compute_things"
-    assert span.category == "plan"
-
-
 def test_record_epoch_rebases_onto_tracer_timeline():
     tracer = SpanTracer(clock=FakeClock(start=50.0, step=0.0))
     # anchor_perf == 50.0; pretend the worker started 2.5 epoch-seconds

@@ -3,7 +3,6 @@
 import sys
 import threading
 from collections import Counter
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -209,19 +208,3 @@ def test_concurrent_inserts_with_dependencies_visit_each_state_once():
         assert len(seen) == expected and max(seen.values()) == 1, subroutine
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_posets())
-def test_online_matches_counter(poset):
-    om, states = replay_online(poset)
-    expected = count_ideals(poset)
-    assert om.result.states == expected
-    assert len(states) == len(set(states)) == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_posets())
-def test_online_matches_brute_force_set(poset):
-    _, states = replay_online(poset)
-    ranges = [range(length + 1) for length in poset.lengths]
-    expected = {c for c in product(*ranges) if poset.is_consistent(c)}
-    assert set(states) == expected

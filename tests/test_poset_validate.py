@@ -3,10 +3,9 @@
 :mod:`repro.poset.validate` decides what a valid clock table is.  The
 table below holds malformed feeds, one or more per rule, and asks every
 entry point a clock can take: ``Poset(...)``, ``poset_from_dict``,
-``PosetBuilder.append_stamped``, ``OnlineParaMount`` (strict, and lenient
-which quarantines instead) and ``ClockSanitizer``.  Each must refuse the
-row's event under the row's rule and error class, with a message naming
-the event.  A row that only some entry points can express names them.
+``PosetBuilder.append_stamped`` and ``OnlineParaMount``.  Each must refuse
+the row's event under the row's rule and error class, with a message
+naming the event.  A row that only some entry points can express names them.
 """
 
 import json
@@ -29,19 +28,11 @@ from repro.poset.poset import Poset
 from repro.poset.random_posets import RandomComputationSpec, random_computation
 from repro.poset.topological import is_linear_extension
 from repro.poset.validate import ERRORS
-from repro.staticcheck import ClockSanitizer
 from repro.types import EventId
 
 from tests.conftest import build_figure4_poset, small_posets
 
-COLUMNS = (
-    "Poset",
-    "poset_from_dict",
-    "append_stamped",
-    "online-strict",
-    "online-lenient",
-    "ClockSanitizer",
-)
+COLUMNS = ("Poset", "poset_from_dict", "append_stamped", "online")
 #: Entry points fed events one by one, and those handed stored chains.
 FEEDS, STORED = COLUMNS[2:], COLUMNS[:2]
 
@@ -150,28 +141,9 @@ def rule_of(message: str) -> Optional[str]:
     return message[1 : message.index("]")] if message.startswith("[") else None
 
 
-def refusal(column: str, row: Row) -> Tuple[Optional[str], Optional[type], str]:
-    """``(rule, error class, message)`` of the first refusal ``column``
-    gives ``row``; the sanitizer reports rather than raises (class
-    ``None``), and the lenient online worker quarantines."""
-    if column == "ClockSanitizer":
-        sanitizer = ClockSanitizer()
-        for e in row.feed:
-            sanitizer.observe_event(e)
-        first = sanitizer.violations[0]
-        return first.invariant, None, first.message
-    if column == "online-lenient":
-        om = OnlineParaMount(row.n, strict=False)
-        results = [om.insert(e) for e in row.feed]
-        assert [r is None for r in results] == [e.eid == row.event for e in row.feed]
-        (record,) = om.quarantine.records
-        assert record.kind == "online-event"
-        # the healthy stream continues: thread 0's next event is admitted
-        vc = list(om.builder.last_vc(0))
-        vc[0] += 1
-        assert om.insert(Event(tid=0, idx=vc[0], vc=tuple(vc))) is not None
-        rule = rule_of(record.reason)
-        return rule, ERRORS[rule], record.reason
+def refusal(column: str, row: Row) -> Tuple[Optional[str], type, str]:
+    """``(rule, error class, message)`` of the refusal ``column`` gives
+    ``row``."""
     with pytest.raises(PosetError) as info:
         if column == "Poset":
             Poset(row.chains(), insertion=row.insertion())
@@ -191,10 +163,8 @@ def refusal(column: str, row: Row) -> Tuple[Optional[str], Optional[type], str]:
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
 def test_every_entry_point_gives_the_same_verdict(row):
     verdicts = {column: refusal(column, row) for column in row.columns}
-    expected = ERRORS[row.rule]
     assert {c: (rule, cls) for c, (rule, cls, _) in verdicts.items()} == {
-        c: (row.rule, None if c == "ClockSanitizer" else expected)
-        for c in row.columns
+        c: (row.rule, ERRORS[row.rule]) for c in row.columns
     }
     named = "event ({}, {})".format(*row.event)
     for column, (_, _, message) in verdicts.items():
@@ -216,19 +186,6 @@ def test_poset_refuses_events_stored_out_of_place(chains, event):
         Poset(chains)
     assert type(info.value) is PosetError and rule_of(str(info.value)) is None
     assert "event ({}, {})".format(*event) in str(info.value)
-
-
-def test_sanitizer_keeps_observing_after_a_violation():
-    """It keeps every event of the right shape, so later events are judged
-    against the stream as emitted, broken clocks included."""
-    sanitizer = ClockSanitizer()
-    for e in (ev(0, 1, 1, -1), ev(0, 2, 2, 0), ev(1, 1, 0, 1), ev(0, 3, 3, 0)):
-        sanitizer.observe_event(e)
-    assert [(v.invariant, v.message.split(":")[0]) for v in sanitizer.violations] == [
-        ("clock-monotone", "event (0, 1) clock (1, -1)"),
-        ("hb-insertion", "event (0, 2) clock (2, 0)"),
-    ]
-    assert sanitizer.events_observed == 4
 
 
 @pytest.mark.parametrize(
@@ -255,14 +212,10 @@ def test_well_formed_posets_are_admitted_everywhere(poset):
     for e in feed:
         builder.append_stamped(e)
     assert builder.build().vc_table() == poset.vc_table()
-    for strict in (True, False):
-        om = OnlineParaMount(poset.num_threads, strict=strict)
-        assert all(om.insert(e) is not None for e in feed)
-        assert not om.quarantine and om.result.states == count_ideals(poset)
-    sanitizer = ClockSanitizer(strict=True)
+    om = OnlineParaMount(poset.num_threads)
     for e in feed:
-        sanitizer.observe_event(e)
-    assert sanitizer.ok and sanitizer.events_observed == poset.num_events
+        om.insert(e)
+    assert om.result.states == count_ideals(poset)
 
 
 # --------------------------------------------------------------------- #
@@ -299,7 +252,8 @@ def test_a_shuffled_insertion_loads_only_as_a_linear_extension(poset, seed):
 
 def test_online_refuses_a_clock_that_is_not_transitively_closed():
     """All three were admitted, and the snapshot was a poset
-    ``load_poset`` refused."""
+    ``load_poset`` refused.  A refused insert leaves the poset as it
+    was, so the closed clock is admitted after it."""
     feed = [ev(0, 1, 1, 0, 0), ev(1, 1, 1, 1, 0), ev(2, 1, 0, 1, 1)]
     om = OnlineParaMount(3)
     om.insert(feed[0])
@@ -307,12 +261,8 @@ def test_online_refuses_a_clock_that_is_not_transitively_closed():
     with pytest.raises(PosetError) as info:
         om.insert(feed[2])
     assert rule_of(str(info.value)) == "clock-closure"
-
-    lenient = OnlineParaMount(3, strict=False)
-    assert [lenient.insert(e) is None for e in feed] == [False, False, True]
-    assert lenient.insert(ev(2, 1, 1, 1, 1)) is not None
-    assert len(lenient.quarantine) == 1
-    snapshot = lenient.snapshot_poset()
+    om.insert(ev(2, 1, 1, 1, 1))
+    snapshot = om.snapshot_poset()
     assert poset_from_dict(poset_to_dict(snapshot)).vc_table() == snapshot.vc_table()
 
 

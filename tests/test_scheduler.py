@@ -101,6 +101,16 @@ def test_double_acquire_raises():
         run_program(Program("bad", main, max_threads=1))
 
 
+def test_ending_while_holding_a_lock_raises():
+    """Its trace would break the lock discipline the trace reader checks."""
+
+    def main(ctx):
+        yield Acquire("m")
+
+    with pytest.raises(SchedulerError, match=r"ended holding lock\(s\) \['m'\]"):
+        run_program(Program("bad", main, max_threads=1))
+
+
 def test_deadlock_detected():
     def a(ctx):
         yield Acquire("x")

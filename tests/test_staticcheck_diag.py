@@ -469,7 +469,7 @@ def test_recursive_helper_is_widened_conservatively():
 
 
 # --------------------------------------------------------------------- #
-# PC001 / SN001 bridges
+# PC001 bridge
 
 
 def test_predicate_demotion_diagnostic():
@@ -492,17 +492,6 @@ def test_predicate_demotion_diagnostic():
     assert diagnostic.evidence["claimed"] == "stable"
     assert diagnostic.evidence["assigned"] == "arbitrary"
     assert "not upward-closed" in diagnostic.message
-    assert validate_sarif(to_sarif([diagnostic])) == []
-
-
-def test_sanitizer_violation_diagnostic():
-    from repro.staticcheck.sanitize import SanitizerViolation
-
-    violation = SanitizerViolation(invariant="partition-disjoint", message="cut visited twice")
-    diagnostic = violation.as_diagnostic(program="d-300")
-    assert diagnostic.rule == "SN001"
-    assert diagnostic.severity == "error"
-    assert diagnostic.evidence == {"invariant": "partition-disjoint"}
     assert validate_sarif(to_sarif([diagnostic])) == []
 
 

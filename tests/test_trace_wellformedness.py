@@ -4,22 +4,21 @@ Random programs (generated with hypothesis) are scheduled under random
 seeds; the resulting traces must satisfy the structural invariants that
 the detectors and front-ends rely on:
 
-* lock discipline: acquires and releases alternate per lock, and only the
-  holder releases;
-* fork precedes the child's first operation; thread_end precedes any join
-  on that thread;
-* per-thread sequence numbers are strictly increasing in trace order;
+* the trace reader (:mod:`repro.runtime.trace_io`), the one checker of
+  sequence numbers, lock discipline and thread lifecycle, loads each
+  trace as it was written, and every thread ends;
+* the reader refuses the same trace once one op is edited to break one
+  of those rules, naming the rule;
 * the collection front-end emits a valid online insertion order (checked
   by feeding an OnlineParaMount, which rejects causality violations).
 """
 
-from collections import defaultdict
-
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.online import OnlineParaMount
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, ReproError
 from repro.detector.hb import HBFrontEnd
 from repro.runtime import (
     Acquire,
@@ -32,6 +31,7 @@ from repro.runtime import (
     Write,
     run_program,
 )
+from repro.runtime.trace_io import trace_from_dict, trace_to_dict
 
 VARS = ["x", "y"]
 LOCKS = ["m", "k"]
@@ -94,55 +94,54 @@ def traces(draw):
         assume(False)
 
 
+def _loaded(trace):
+    """The trace's dict form, after checking it loads unchanged."""
+    data = trace_to_dict(trace)
+    assert trace_from_dict(data).ops == trace.ops
+    return data
+
+
+def _refusal(data):
+    """The reader's message refusing ``data``."""
+    with pytest.raises(ReproError) as err:
+        trace_from_dict(data)
+    return str(err.value)
+
+
 @settings(max_examples=50, deadline=None)
 @given(traces())
 def test_lock_discipline(trace):
-    holder = {}
-    for op in trace.ops:
-        if op.kind == "acquire" or op.kind == "wait":
-            assert holder.get(op.obj) is None, "lock granted while held"
-            holder[op.obj] = op.tid
-        elif op.kind == "release":
-            assert holder.get(op.obj) == op.tid, "release by non-holder"
-            holder[op.obj] = None
-    # all locks free at the end
-    assert all(v is None for v in holder.values())
+    data = _loaded(trace)
+    releases = [i for i, op in enumerate(data["ops"]) if op["kind"] == "release"]
+    if releases:
+        # the thread keeps the lock, so the lock's next acquire or the
+        # thread's end breaks lock discipline
+        del data["ops"][releases[0]]
+        assert "[lock-discipline]" in _refusal(data)
 
 
 @settings(max_examples=50, deadline=None)
 @given(traces())
 def test_lifecycle_ordering(trace):
-    started = set()
-    ended = set()
-    forked = set()
-    for op in trace.ops:
-        if op.kind == "thread_start":
-            started.add(op.tid)
-        elif op.kind == "thread_end":
-            assert op.tid in started
-            ended.add(op.tid)
-        elif op.kind == "fork":
-            forked.add(op.target)
-            assert op.target not in started or op.target == 0
-        elif op.kind == "join":
-            assert op.target in ended, "join before target ended"
-        else:
-            assert op.tid in started, "op before thread_start"
-            assert op.tid not in ended, "op after thread_end"
-    assert started == ended  # every thread terminated
+    data = _loaded(trace)
+    started = {op.tid for op in trace.ops if op.kind == "thread_start"}
+    assert started == {op.tid for op in trace.ops if op.kind == "thread_end"}
+    # without the first child's thread_end, main joins a running thread
+    child = next(op["target"] for op in data["ops"] if op["kind"] == "fork")
+    data["ops"] = [
+        op
+        for op in data["ops"]
+        if not (op["kind"] == "thread_end" and op["tid"] == child)
+    ]
+    assert "[lifecycle]" in _refusal(data)
 
 
 @settings(max_examples=50, deadline=None)
 @given(traces())
 def test_seq_numbers_strictly_increasing(trace):
-    last = -1
-    per_thread = defaultdict(list)
-    for op in trace.ops:
-        assert op.seq > last
-        last = op.seq
-        per_thread[op.tid].append(op.seq)
-    for seqs in per_thread.values():
-        assert seqs == sorted(seqs)
+    data = _loaded(trace)
+    data["ops"][-1]["seq"] = data["ops"][-2]["seq"]
+    assert "is not greater than" in _refusal(data)
 
 
 @settings(max_examples=40, deadline=None)
