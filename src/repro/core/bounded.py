@@ -67,16 +67,11 @@ def bounded_enumeration(
     """
     clock = observer.clock if observer.enabled else time.perf_counter
     t0 = clock()
-    result = subroutine.walk(interval.lo, interval.hi, visit)
+    states, work, peak_live = subroutine.walk(interval.lo, interval.hi, visit)
     seconds = clock() - t0
+    # positional: one record per piece, and keywords cost a third more
     stats = IntervalStats(
-        event=interval.event,
-        lo=interval.lo,
-        hi=interval.hi,
-        states=result.states,
-        work=result.work,
-        peak_live=result.peak_live,
-        seconds=seconds,
+        interval.event, interval.lo, interval.hi, states, work, peak_live, seconds
     )
     if observer.enabled:
         observer.record(
@@ -86,8 +81,8 @@ def bounded_enumeration(
             seconds,
             attrs={
                 "event": str(interval.event),
-                "states": stats.states,
-                "work": stats.work,
+                "states": states,
+                "work": work,
             },
         )
         observer.task_done(stats)

@@ -228,11 +228,11 @@ class ParaMount:
             )
         with obs.span("load_checkpoint", "checkpoint"):
             completed = self._load_checkpoint(plan)
-        pending = [
-            iv
-            for iv in plan.tasks
-            if (iv.event, iv.lo, iv.hi) not in completed
-        ]
+        pending = (
+            [iv for iv in plan.tasks if (iv.event, iv.lo, iv.hi) not in completed]
+            if completed
+            else plan.tasks
+        )
         runs = coalesce(plan, pending, self.intervals)
         journal = self.checkpoint
         degradations: List[DegradationEvent] = []

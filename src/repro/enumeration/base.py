@@ -23,9 +23,8 @@ the state count, two abstract cost metrics the parallel cost model
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from importlib import import_module
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.errors import EnumerationError
 from repro.poset.poset import Poset
@@ -42,9 +41,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    """Outcome of one enumeration run (full or bounded)."""
+class EnumerationResult(NamedTuple):
+    """Outcome of one enumeration run (full or bounded).  A tuple, built
+    positionally: every piece makes one, and a tuple costs a fraction of
+    a frozen dataclass."""
 
     states: int
     work: int

@@ -37,7 +37,7 @@ class BFSEnumerator(Enumerator):
         n = poset.num_threads
         start = minimal_consistent_extension(poset, lo, fixed_prefix=0)
         if start is None or not cut_leq(start, hi):
-            return EnumerationResult(states=0, work=0, peak_live=0)
+            return EnumerationResult(0, 0, 0)
 
         states = 0
         work = 0
@@ -67,7 +67,7 @@ class BFSEnumerator(Enumerator):
                 if budget is not None and live > budget:
                     raise OutOfMemoryError(live, budget)
             level = list(next_level)
-        return EnumerationResult(states=states, work=work, peak_live=peak_live)
+        return EnumerationResult(states, work, peak_live)
 
     def level_widths(self, lo: Cut, hi: Cut) -> List[int]:
         """Number of consistent cuts per lattice level inside ``[lo, hi]``.

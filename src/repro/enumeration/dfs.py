@@ -32,7 +32,7 @@ class DFSEnumerator(Enumerator):
         n = poset.num_threads
         start = minimal_consistent_extension(poset, lo, fixed_prefix=0)
         if start is None or not cut_leq(start, hi):
-            return EnumerationResult(states=0, work=0, peak_live=0)
+            return EnumerationResult(0, 0, 0)
         seen: Set[Cut] = {start}
         stack: List[Cut] = [start]
         states = 0
@@ -52,4 +52,4 @@ class DFSEnumerator(Enumerator):
                         stack.append(succ)
             if budget is not None and len(seen) > budget:
                 raise OutOfMemoryError(len(seen), budget)
-        return EnumerationResult(states=states, work=work, peak_live=len(seen))
+        return EnumerationResult(states, work, len(seen))

@@ -77,7 +77,7 @@ class LevelEnumerator(Enumerator):
                         start[j] = need
         for j in range(n):
             if start[j] > hi[j]:
-                return EnumerationResult(states=0, work=work, peak_live=0)
+                return EnumerationResult(0, work, 0)
 
         # static suffix bounds: any in-interval cut has start ≤ cut ≤ hi
         suffix_start = [0] * (n + 1)
@@ -167,4 +167,4 @@ class LevelEnumerator(Enumerator):
                 break  # levels are contiguous: the rest are empty too
             level += 1
         # Only the cut under construction is ever live — the whole point.
-        return EnumerationResult(states=states, work=work, peak_live=1)
+        return EnumerationResult(states, work, 1)

@@ -91,4 +91,4 @@ class LexicalEnumerator(Enumerator):
                 visit(cut)
             cut = lex_successor(poset, cut, lo, hi, work)
         # The only live intermediate state is the current cut itself.
-        return EnumerationResult(states=states, work=work[0], peak_live=1)
+        return EnumerationResult(states, work[0], 1)

@@ -66,13 +66,15 @@ prefix state of every later free position.  The state is built on a
 call's first probe that stays within ``hi``: many short intervals never
 make one.  The array kernel's closure applies the probed row and the
 free prefix rows only: a pinned thread's row, or one of ``lo``'s suffix,
-is ``≤ lo`` and raises nothing.  Both kernels cache the run bound:
-``lim[0]`` is how far ``f`` may run under the pinned threads, folded
-once per call, and ``lim[q + 1]`` how far under them and
-``free[0..q]``; after a successor at ``free[q]`` only ``lim[q+1..]`` are
-re-bisected.  ``work`` counts these inner steps: the pinned columns
-folded, probes, rows applied, prefix positions built or rebuilt, and
-re-bisected columns.
+is ``≤ lo`` and raises nothing.  It reads a copy of ``lo`` and writes
+a scratch cut, both made on the call's first probe that keeps the
+prefix, so a call that never gets that far makes neither.  Both kernels
+cache the run bound: ``lim[0]`` is how far ``f`` may run under the
+pinned threads, folded once per call, and ``lim[q + 1]`` how far under
+them and ``free[0..q]``; after a successor at ``free[q]`` only
+``lim[q+1..]`` are re-bisected.  ``work`` counts these inner steps:
+the pinned columns folded, probes, rows applied, prefix positions built
+or rebuilt, and re-bisected columns.
 
 The enumerator only reads table entries at or below the interval's upper
 bound, all appended before the caller took that bound, so it runs safely
@@ -152,7 +154,7 @@ class PackedLexicalEnumerator(Enumerator):
                         cut[j] = need
         for j in range(n):
             if cut[j] > hi[j]:
-                return EnumerationResult(states=0, work=0, peak_live=0)
+                return EnumerationResult(0, 0, 0)
         return self.walk(tuple(cut), hi, visit)
 
     def walk(
@@ -170,10 +172,8 @@ class PackedLexicalEnumerator(Enumerator):
             visit_run = _per_state(visit)
 
         use_mask = self.kernel == "bitmask"
-        pre = None  # the bitmask prefix state, built on the first probe ≤ hi
-        if not use_mask:  # the array kernel's closure reads lo, writes scratch
-            lo_arr = array("i", lo)
-            scratch = array("i", cut)
+        # each kernel's probe state, built on its first probe (see above)
+        pre = scratch = None
         # the threads the interval frees; runs go on the last of them, f,
         # and successors are probed at the others (pinned threads never move)
         f = n - 1
@@ -294,6 +294,9 @@ class PackedLexicalEnumerator(Enumerator):
                             break
                     if not feasible:
                         continue
+                    if scratch is None:
+                        lo_arr = array("i", lo)
+                        scratch = array("i", cut)
                     c = scratch
                     c[:k] = cut[:k]
                     c[k] = nxt
@@ -323,4 +326,4 @@ class PackedLexicalEnumerator(Enumerator):
                     cut, scratch = c, cut
                 break
             else:
-                return EnumerationResult(states=states, work=work, peak_live=1)
+                return EnumerationResult(states, work, 1)

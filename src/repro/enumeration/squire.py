@@ -49,7 +49,7 @@ class SquireEnumerator(Enumerator):
         n = poset.num_threads
         start = minimal_consistent_extension(poset, lo, fixed_prefix=0)
         if start is None or not cut_leq(start, hi):
-            return EnumerationResult(states=0, work=0, peak_live=0)
+            return EnumerationResult(0, 0, 0)
 
         states = 0
         work = 0
@@ -86,4 +86,4 @@ class SquireEnumerator(Enumerator):
             )
             if cut_leq(box_lo, without_hi):
                 stack.append((box_lo, without_hi))
-        return EnumerationResult(states=states, work=work, peak_live=peak_depth)
+        return EnumerationResult(states, work, peak_depth)

@@ -50,7 +50,7 @@ class Poset:
         from :mod:`repro.poset.topological`.
     """
 
-    __slots__ = ("_chains", "_vcs", "_lengths", "_n", "_insertion", "_packed")
+    __slots__ = ("_chains", "_vcs", "_lengths", "_n", "_insertion", "_packed", "_digest")
 
     def __init__(
         self,
@@ -81,6 +81,8 @@ class Poset:
             tuple(insertion) if insertion is not None else None
         )
         self._packed = None
+        # filled by repro.resilience.checkpoint.poset_digest on first use
+        self._digest: Optional[str] = None
 
     def _admit(self) -> None:
         """Admit each clock through :func:`repro.poset.validate.check`: in
@@ -113,7 +115,7 @@ class Poset:
         # The packed tables are a pure cache over the clock table; drop
         # them when the poset crosses a process boundary (a dist worker
         # started under ``spawn`` rebuilds them; a forked one inherits
-        # the parent's).
+        # the parent's).  The digest is one string, so it travels.
         return {
             s: getattr(self, s) for s in self.__slots__ if s != "_packed"
         }

@@ -81,12 +81,19 @@ def poset_digest(poset: Poset) -> str:
 
     Stable across processes and Python versions; two posets share a digest
     iff they serialize identically (same chains, clocks, and insertion
-    order), which is what makes a journal safely resumable.
+    order), which is what makes a journal safely resumable.  It is
+    computed once per :class:`Poset`, on first use, and kept in the poset
+    (which is immutable, and pickles it along); never at admission, where
+    it would cost about as much as building the poset.  So a journaled
+    run, its resume and a dist coordinator on one poset serialize it once
+    between them.
     """
-    canonical = json.dumps(
-        poset_to_dict(poset), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if poset._digest is None:
+        canonical = json.dumps(
+            poset_to_dict(poset), sort_keys=True, separators=(",", ":")
+        )
+        poset._digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return poset._digest
 
 
 class CheckpointJournal:

@@ -6,7 +6,9 @@ Safety rests on two identity checks — the poset digest and the recomputed
 interval bounds — both exercised here, including the negative paths.
 """
 
+import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from repro.core.paramount import ParaMount
 from repro.core.scheduling import coalesce, plan_schedule
 from repro.dist import DistributedExecutor
 from repro.errors import CheckpointError
-from repro.resilience import CheckpointJournal, poset_digest
+from repro.poset.io import poset_to_dict
+from repro.resilience import CheckpointJournal, checkpoint, poset_digest
 from repro.resilience.checkpoint import _record_line
 from repro.workloads.registry import ENUMERATION_WORKLOADS
 
@@ -61,6 +64,56 @@ def test_digest_distinguishes_posets():
     a, b = build_figure4_poset(), build_diamond_poset()
     assert poset_digest(a) == poset_digest(build_figure4_poset())
     assert poset_digest(a) != poset_digest(b)
+
+
+def serializations(monkeypatch):
+    """The posets serialized for a digest from now on."""
+    calls = []
+
+    def counted(poset):
+        calls.append(poset)
+        return poset_to_dict(poset)
+
+    monkeypatch.setattr(checkpoint, "poset_to_dict", counted)
+    return calls
+
+
+def test_digest_is_the_canonical_sha256_and_survives_pickling(monkeypatch):
+    poset = build_diamond_poset()
+    canonical = json.dumps(
+        poset_to_dict(poset), sort_keys=True, separators=(",", ":")
+    )
+    fresh = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    calls = serializations(monkeypatch)
+    assert poset_digest(poset) == fresh
+    assert poset_digest(poset) == fresh  # the kept value
+    assert poset_digest(pickle.loads(pickle.dumps(poset))) == fresh
+    assert calls == [poset]  # the copy carried the digest along
+    undigested = pickle.loads(pickle.dumps(build_diamond_poset()))
+    assert poset_digest(undigested) == fresh
+
+
+def test_journaled_runs_of_one_poset_serialize_it_once(tmp_path, monkeypatch):
+    poset = build_figure4_poset()
+    calls = serializations(monkeypatch)
+    path = tmp_path / "run.ckpt"
+    ParaMount(poset, checkpoint=CheckpointJournal(path)).run()
+    resumed = ParaMount(poset, checkpoint=CheckpointJournal(path)).run()
+    assert resumed.resumed_intervals == len(resumed.intervals)
+    assert calls == [poset]
+
+
+def test_journaled_dist_run_serializes_the_poset_once(tmp_path, monkeypatch, d300):
+    """``ParaMount``'s journal and the coordinator read one digest."""
+    states = ParaMount(d300).run().states
+    calls = serializations(monkeypatch)
+    result = ParaMount(
+        d300,
+        executor=DistributedExecutor(workers=2),
+        checkpoint=CheckpointJournal(tmp_path / "dist.ckpt"),
+    ).run()
+    assert result.states == states
+    assert calls == [d300]
 
 
 def test_record_and_load_round_trip(tmp_path):
